@@ -1,7 +1,12 @@
+(* [Empty]: nothing simulated yet; [Good]: the values are a fault-free
+   [run]; [Upset]: one net has since been complemented and the gates
+   after it re-evaluated. *)
+type phase = Empty | Good | Upset
+
 type state = {
   nl : Netlist.t;
   values : int array;
-  mutable valid : bool;
+  mutable phase : phase;
 }
 
 (* A native OCaml int has 63 usable bits on 64-bit platforms; every
@@ -21,7 +26,7 @@ let popcount x =
   done;
   !n
 
-let create nl = { nl; values = Array.make (Netlist.net_count nl) 0; valid = false }
+let create nl = { nl; values = Array.make (Netlist.net_count nl) 0; phase = Empty }
 
 let load_inputs st ins =
   let inputs = Netlist.inputs st.nl in
@@ -64,34 +69,32 @@ let eval_gate st (g : Netlist.instance) =
 let run st ins =
   load_inputs st ins;
   Array.iter (eval_gate st) (Netlist.gates st.nl);
-  st.valid <- true;
+  st.phase <- Good;
   read_outputs st
 
-let run_with_flip st ins ~flip_net =
-  load_inputs st ins;
-  (* Mirror of Eval.run_with_flip: complement the upset net right after
-     it obtains its fault-free value (before any gate for inputs and
-     constants), in every lane at once. *)
-  let flipped = ref false in
-  let flip_if_ready () =
-    if not !flipped then begin
-      st.values.(flip_net) <- lnot st.values.(flip_net);
-      flipped := true
-    end
+let upset st ~flip_net =
+  if st.phase <> Good then
+    invalid_arg "Eval_packed.upset: the state holds no fault-free run";
+  (* Gates before the upset net's driver in topological order cannot
+     read it, so their good values stand; [finalize] keeps insertion
+     order, so the driver's [gate_id] is its index in [gates].  Inputs
+     and constants are upset before the first gate.  [Netlist.driver]
+     rejects an unknown net before anything is written. *)
+  let first =
+    match Netlist.driver st.nl flip_net with
+    | Some g -> g.gate_id + 1
+    | None -> 0
   in
-  (match Netlist.driver st.nl flip_net with
-  | None -> flip_if_ready ()
-  | Some _ -> ());
-  Array.iter
-    (fun (g : Netlist.instance) ->
-      eval_gate st g;
-      if g.out = flip_net then flip_if_ready ())
-    (Netlist.gates st.nl);
-  st.valid <- true;
+  st.values.(flip_net) <- lnot st.values.(flip_net);
+  let gates = Netlist.gates st.nl in
+  for k = first to Array.length gates - 1 do
+    eval_gate st gates.(k)
+  done;
+  st.phase <- Upset;
   read_outputs st
 
 let net_value st n =
-  if not st.valid then invalid_arg "Eval_packed.net_value: no simulation run yet";
+  if st.phase = Empty then invalid_arg "Eval_packed.net_value: no simulation run yet";
   if n < 0 || n >= Array.length st.values then
     invalid_arg "Eval_packed.net_value: unknown net";
   st.values.(n)

@@ -36,11 +36,16 @@ val run : state -> int array -> int array
     [Eval.run] on the lane-[l] slice of [ins].  Raises
     [Invalid_argument] on input-width mismatch. *)
 
-val run_with_flip : state -> int array -> flip_net:Netlist.net -> int array
-(** Like {!run} but complements [flip_net] (in every lane) immediately
-    after its driver has evaluated — a single-event upset injected
-    into all lanes of one sweep.  Lane-equivalent to
-    {!Eval.run_with_flip}. *)
+val upset : state -> flip_net:Netlist.net -> int array
+(** [upset st ~flip_net] injects a single-event upset into the
+    fault-free simulation that {!run} just left in [st]: it complements
+    [flip_net] in every lane, re-evaluates only the gates after the
+    net's driver in topological order (every gate, for an input or a
+    constant), and returns the faulty packed output words.  Lane [l]
+    equals {!Eval.run_with_flip} on the lane-[l] inputs of that run.
+    The state then holds the faulty values, so the next upset needs a
+    fresh {!run}.  Raises [Invalid_argument] if [st] holds no fault-free
+    run (none yet, or already upset) or on an unknown net. *)
 
 val net_value : state -> Netlist.net -> int
 (** Packed value of a net after the last run.  Raises

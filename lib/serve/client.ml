@@ -1,7 +1,16 @@
 module Request = Rchls_api.Request
 module Response = Rchls_api.Response
 
-type t = { ic : in_channel; oc : out_channel }
+(* [fd] is owned here, not by the channels: [close] closes it exactly
+   once.  Closing both channels would close the descriptor twice, and
+   the second close could hit a file another thread opened in between
+   under the same number. *)
+type t = {
+  fd : Unix.file_descr;
+  ic : in_channel;
+  oc : out_channel;
+  mutable closed : bool;
+}
 
 let ( let* ) = Result.bind
 
@@ -10,8 +19,16 @@ let connect sockaddr what =
     let fd =
       Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
     in
-    Unix.connect fd sockaddr;
-    { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+    (try Unix.connect fd sockaddr
+     with e ->
+       Unix.close fd;
+       raise e);
+    {
+      fd;
+      ic = Unix.in_channel_of_descr fd;
+      oc = Unix.out_channel_of_descr fd;
+      closed = false;
+    }
   with
   | client -> Ok client
   | exception Unix.Unix_error (err, _, _) ->
@@ -33,29 +50,34 @@ let connect_tcp ~host ~port =
    saturated daemon.  Non-positive values are ignored. *)
 let set_receive_timeout t seconds =
   if seconds > 0. then
-    Unix.setsockopt_float (Unix.descr_of_in_channel t.ic) Unix.SO_RCVTIMEO
-      seconds
+    Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO seconds
 
+(* After [close] the descriptor's number may belong to another file, so
+   the channels must not touch it again. *)
 let send_raw t line =
-  try
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    Ok ()
-  with Sys_error e -> Error ("send: " ^ e)
+  if t.closed then Error "send: connection closed"
+  else
+    try
+      output_string t.oc line;
+      output_char t.oc '\n';
+      flush t.oc;
+      Ok ()
+    with Sys_error e -> Error ("send: " ^ e)
 
 let send t req = send_raw t (Request.to_string req)
 
 let recv_raw t =
-  match input_line t.ic with
-  | line -> Ok line
-  | exception End_of_file -> Error "recv: connection closed by server"
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-    ->
-    Error "recv: timed out waiting for a response"
-  | exception Unix.Unix_error (err, _, _) ->
-    Error ("recv: " ^ Unix.error_message err)
-  | exception Sys_error e -> Error ("recv: " ^ e)
+  if t.closed then Error "recv: connection closed"
+  else
+    match input_line t.ic with
+    | line -> Ok line
+    | exception End_of_file -> Error "recv: connection closed by server"
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
+      Error "recv: timed out waiting for a response"
+    | exception Unix.Unix_error (err, _, _) ->
+      Error ("recv: " ^ Unix.error_message err)
+    | exception Sys_error e -> Error ("recv: " ^ e)
 
 let recv t =
   let* line = recv_raw t in
@@ -66,5 +88,8 @@ let call t req =
   recv t
 
 let close t =
-  (try close_out_noerr t.oc with _ -> ());
-  close_in_noerr t.ic
+  if not t.closed then begin
+    t.closed <- true;
+    (try flush t.oc with Sys_error _ -> ());
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  end

@@ -34,3 +34,7 @@ val call : t -> Rchls_api.Request.t -> (Rchls_api.Response.t, string) result
     flight on this connection. *)
 
 val close : t -> unit
+(** Flush pending output and close the socket descriptor, exactly once:
+    a second [close] is a no-op, and {!send}/{!recv} then return an
+    error instead of touching a descriptor number that may since have
+    been reused. *)

@@ -35,11 +35,16 @@ let default_config addr =
     access_log = None;
   }
 
+(* [fd] is owned here, not by the channels: [close_conn] closes it
+   exactly once, under [write_mutex], and sets [closed] so that no
+   late response reaches a descriptor number another thread may since
+   have opened. *)
 type conn = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
   write_mutex : Mutex.t;
+  mutable closed : bool;
 }
 
 type job = {
@@ -90,11 +95,12 @@ let write_line conn line =
   Telemetry.incr "serve.responses";
   Telemetry.add "serve.response_bytes" len;
   locked conn.write_mutex (fun () ->
-      try
-        output_string conn.oc line;
-        output_char conn.oc '\n';
-        flush conn.oc
-      with Sys_error _ | Unix.Unix_error _ -> ());
+      if not conn.closed then
+        try
+          output_string conn.oc line;
+          output_char conn.oc '\n';
+          flush conn.oc
+        with Sys_error _ | Unix.Unix_error _ -> ());
   len
 
 let respond conn (r : Response.t) = write_line conn (Response.to_string r)
@@ -438,11 +444,15 @@ let metrics_loop t fd =
 
 (* --- connection handling -------------------------------------------- *)
 
+(* Out of [conns] first: [stop] shuts down only descriptors it finds
+   there, under the same lock, so it never touches a closed one. *)
 let close_conn t conn =
   locked t.conns_mutex (fun () -> Hashtbl.remove t.conns conn.fd);
   Metrics.gauge_add "serve.connections" (-1);
-  (try close_out_noerr conn.oc with _ -> ());
-  close_in_noerr conn.ic
+  locked conn.write_mutex (fun () ->
+      conn.closed <- true;
+      (try flush conn.oc with Sys_error _ | Unix.Unix_error _ -> ());
+      try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
 let reader_loop t conn =
   let rec loop () =
@@ -465,6 +475,7 @@ let accept_loop t =
           ic = Unix.in_channel_of_descr fd;
           oc = Unix.out_channel_of_descr fd;
           write_mutex = Mutex.create ();
+          closed = false;
         }
       in
       locked t.conns_mutex (fun () -> Hashtbl.replace t.conns fd conn);
@@ -615,13 +626,10 @@ let stop t =
         try Unix.close fd with Unix.Unix_error _ -> ())
       t.metrics_fd;
     Option.iter Thread.join t.metrics_thread;
-    let conns =
-      locked t.conns_mutex (fun () ->
-          Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
-    in
-    List.iter
-      (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with _ -> ())
-      conns;
+    locked t.conns_mutex (fun () ->
+        Hashtbl.iter
+          (fun fd _ -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
+          t.conns);
     let readers = locked t.readers_mutex (fun () -> t.reader_threads) in
     List.iter Thread.join readers;
     Option.iter Access_log.close t.access;

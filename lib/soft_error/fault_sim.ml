@@ -88,21 +88,17 @@ let ci_met config ~observed ~injected =
    identical batch boundaries (Eval_packed.lanes vectors), so their
    reports agree bit for bit — the packed engine is a pure speedup. *)
 
-let packed_node nl st_ok st_flip rng config net =
-  let n_in = Array.length (Netlist.inputs nl) in
-  let ins = Array.make n_in 0 in
+let packed_node nl st rng config net =
+  let ins = Array.make (Array.length (Netlist.inputs nl)) 0 in
   let observed = ref 0 and injected = ref 0 and batches = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     let lanes = min (config.vectors - !injected) Eval_packed.lanes in
-    Array.fill ins 0 n_in 0;
-    for lane = 0 to lanes - 1 do
-      for i = 0 to n_in - 1 do
-        if Rng.bool rng then ins.(i) <- ins.(i) lor (1 lsl lane)
-      done
-    done;
-    let good = Eval_packed.run st_ok ins in
-    let bad = Eval_packed.run_with_flip st_flip ins ~flip_net:net in
+    Rng.fill_lanes rng ins ~lanes;
+    (* [run] returns a fresh array, so the good outputs survive the
+       upset that overwrites the state. *)
+    let good = Eval_packed.run st ins in
+    let bad = Eval_packed.upset st ~flip_net:net in
     let diff = ref 0 in
     for o = 0 to Array.length good - 1 do
       diff := !diff lor (good.(o) lxor bad.(o))
@@ -154,20 +150,19 @@ let node_result_of nl ~net ~observed ~injected =
   }
 
 (* Packed simulation state reused across the nodes a worker domain
-   processes (two full-netlist states per node would otherwise dominate
+   processes (a full-netlist state per node would otherwise dominate
    small-circuit campaigns). *)
-let packed_states_key :
-    (Netlist.t * Eval_packed.state * Eval_packed.state) option ref Domain.DLS.key =
+let packed_state_key : (Netlist.t * Eval_packed.state) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let packed_states nl =
-  let slot = Domain.DLS.get packed_states_key in
+let packed_state nl =
+  let slot = Domain.DLS.get packed_state_key in
   match !slot with
-  | Some (nl', ok, flip) when nl' == nl -> (ok, flip)
+  | Some (nl', st) when nl' == nl -> st
   | _ ->
-    let ok = Eval_packed.create nl and flip = Eval_packed.create nl in
-    slot := Some (nl, ok, flip);
-    (ok, flip)
+    let st = Eval_packed.create nl in
+    slot := Some (nl, st);
+    st
 
 module Campaign = struct
   type nonrec config = config = {
@@ -225,10 +220,9 @@ module Campaign = struct
       Array.to_list
         (Pool.map_array ?domains:config.domains
            (fun (net, rng) ->
-             let st_ok, st_flip = packed_states nl in
+             let st = packed_state nl in
              let observed, injected =
-               traced_node config ~net (fun () ->
-                   packed_node nl st_ok st_flip rng config net)
+               traced_node config ~net (fun () -> packed_node nl st rng config net)
              in
              node_result_of nl ~net ~observed ~injected)
            jobs)
@@ -296,8 +290,7 @@ let node_logical_derating ?(config = Campaign.default) nl net =
   (* The node's stream comes straight off the seed (no split): the
      historical single-node semantics. *)
   let rng = Rng.create config.seed in
-  let st_ok = Eval_packed.create nl and st_flip = Eval_packed.create nl in
-  let observed, injected, _ = packed_node nl st_ok st_flip rng config net in
+  let observed, injected, _ = packed_node nl (Eval_packed.create nl) rng config net in
   float_of_int observed /. float_of_int injected
 
 let average_derating r =

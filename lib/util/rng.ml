@@ -6,13 +6,16 @@ let create seed = { state = Int64.of_int seed }
 
 let copy t = { state = t.state }
 
-(* splitmix64 finalizer: advance by the golden gamma and scramble. *)
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* splitmix64 finalizer: scramble a state that has just advanced by
+   the golden gamma. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let int64 t =
+  t.state <- Int64.add t.state golden_gamma;
+  mix t.state
 
 let split t =
   let s = int64 t in
@@ -36,3 +39,21 @@ let float t x =
   r /. 9007199254740992.0 *. x
 
 let bool t = Int64.logand (int64 t) 1L = 1L
+
+(* The state lives in a local ref, which ocamlopt keeps unboxed, and is
+   written back once; each bit is ORed in without a branch.  Same draws,
+   in the same order, as [lanes * Array.length words] calls to [bool]. *)
+let fill_lanes t words ~lanes =
+  if lanes < 0 || lanes > Sys.int_size then
+    invalid_arg "Rng.fill_lanes: lanes out of range";
+  let n = Array.length words in
+  Array.fill words 0 n 0;
+  let s = ref t.state in
+  for lane = 0 to lanes - 1 do
+    for i = 0 to n - 1 do
+      s := Int64.add !s golden_gamma;
+      let bit = Int64.to_int (mix !s) land 1 in
+      words.(i) <- words.(i) lor (bit lsl lane)
+    done
+  done;
+  t.state <- !s

@@ -34,3 +34,12 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** Fair coin flip. *)
+
+val fill_lanes : t -> int array -> lanes:int -> unit
+(** [fill_lanes t words ~lanes] overwrites [words] with packed coin
+    flips: bit [l] of [words.(i)] is set, for [l < lanes], exactly when
+    the [(l * Array.length words + i)]-th of [lanes * Array.length words]
+    successive {!bool} calls would return [true]; higher bits are
+    cleared.  [t] ends in the state those calls would leave, so the
+    packed and one-at-a-time draws are interchangeable (vector-major,
+    then word).  Allocates nothing.  Requires [0 <= lanes <= Sys.int_size]. *)

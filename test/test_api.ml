@@ -734,6 +734,52 @@ let test_serve_rejects_malformed () =
             -> ()
           | _ -> Alcotest.fail "expected unsupported_version"))
 
+(* Connection teardown must close each socket descriptor exactly once.
+   A second close of the same number lands on whatever another thread
+   opened in between, so a domain that keeps opening and reading a file
+   while connections open and close (client and daemon side both) must
+   never see a bad descriptor, and neither must the clients. *)
+let test_serve_close_owns_descriptor () =
+  let path = Filename.concat (temp_dir "rchls-fd") "data" in
+  let content = String.make 4096 'x' in
+  Out_channel.with_open_bin path (fun oc -> output_string oc content);
+  let bad_fd msg = contains ~affix:"Bad file descriptor" msg in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let errors = ref [] in
+        let attempt f = try f () with Sys_error e -> errors := e :: !errors in
+        while not (Atomic.get stop) do
+          attempt (fun () ->
+              let ic = open_in_bin path in
+              attempt (fun () ->
+                  if really_input_string ic (in_channel_length ic) <> content then
+                    errors := "wrong content" :: !errors);
+              close_in ic)
+        done;
+        !errors)
+  in
+  let client_errors = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      with_server (fun socket ->
+          for _ = 1 to 300 do
+            match Client.connect_unix socket with
+            | Error e -> client_errors := e :: !client_errors
+            | Ok c ->
+              (match Client.call c { Request.id = None; job = Request.Ping } with
+              | Ok _ -> ()
+              | Error e -> client_errors := e :: !client_errors);
+              Client.close c;
+              Client.close c
+          done));
+  let reader_errors = Domain.join reader in
+  Alcotest.(check (list string)) "no bad descriptor in the file reader" []
+    (List.filter bad_fd reader_errors);
+  Alcotest.(check (list string)) "no client error" [] !client_errors;
+  Alcotest.(check (list string)) "no other file-reader error" [] reader_errors
+
 (* --- observability ----------------------------------------------------- *)
 
 let http_get port path =
@@ -979,6 +1025,8 @@ let () =
           Alcotest.test_case "cache tiers" `Quick test_serve_cache_tiers;
           Alcotest.test_case "backpressure" `Quick test_serve_backpressure;
           Alcotest.test_case "malformed input" `Quick test_serve_rejects_malformed;
+          Alcotest.test_case "close owns the descriptor" `Quick
+            test_serve_close_owns_descriptor;
           Alcotest.test_case "observability consistency" `Quick
             test_serve_observability_consistency;
         ] );

@@ -339,6 +339,8 @@ let prop_packed_matches_scalar =
       let scalar_outs = Array.map (fun v -> Array.copy (Eval.run sst v)) vectors in
       lanes_agree ~n_vec packed_out scalar_outs)
 
+(* [run] then [upset] is lane-equivalent to the scalar oracle, at the
+   outputs and at every net. *)
 let prop_packed_flip_matches_scalar =
   QCheck2.Test.make ~name:"packed flip = scalar flip (random netlists)" ~count:60
     QCheck2.Gen.(pair gen_netlist_spec (int_bound 1_000_000))
@@ -351,15 +353,106 @@ let prop_packed_flip_matches_scalar =
       let vectors =
         Array.init n_vec (fun _ -> Array.init n_in (fun _ -> Random.State.bool rng))
       in
-      let packed_out =
-        Eval_packed.run_with_flip (Eval_packed.create nl) (pack_vectors ~n_in vectors)
-          ~flip_net
-      in
+      let pst = Eval_packed.create nl in
+      ignore (Eval_packed.run pst (pack_vectors ~n_in vectors));
+      let packed_out = Eval_packed.upset pst ~flip_net in
       let sst = Eval.create nl in
+      let nets_agree = ref true in
       let scalar_outs =
-        Array.map (fun v -> Array.copy (Eval.run_with_flip sst v ~flip_net)) vectors
+        Array.mapi
+          (fun l v ->
+            let out = Array.copy (Eval.run_with_flip sst v ~flip_net) in
+            for n = 0 to Netlist.net_count nl - 1 do
+              if (Eval_packed.net_value pst n lsr l) land 1 = 1 <> Eval.net_value sst n
+              then nets_agree := false
+            done;
+            out)
+          vectors
       in
-      lanes_agree ~n_vec packed_out scalar_outs)
+      lanes_agree ~n_vec packed_out scalar_outs && !nets_agree)
+
+(* Lanes 0..3 of two packed inputs cover the truth table:
+   (0,0) (1,0) (0,1) (1,1). *)
+let truth_x = 0b1010
+let truth_y = 0b1100
+
+let upset_outputs nl ins ~flip_net =
+  let st = Eval_packed.create nl in
+  ignore (Eval_packed.run st ins);
+  Array.map (fun w -> w land Eval_packed.lane_mask 4) (Eval_packed.upset st ~flip_net)
+
+let test_upset_input () =
+  (* z = (not x) and y once x is upset. *)
+  let nl = tiny_and () in
+  let out = upset_outputs nl [| truth_x; truth_y |] ~flip_net:(Netlist.find_input nl "x") in
+  Alcotest.(check int) "only lane 2 true" 0b0100 out.(0)
+
+let test_upset_constant () =
+  let b = Netlist.builder "const_and" in
+  let x = Netlist.input b "x" in
+  let one = Netlist.constant b true in
+  Netlist.output b "z" (Netlist.add_gate b Gate.And2 [ x; one ]);
+  let nl = Netlist.finalize b in
+  let st = Eval_packed.create nl in
+  let good = Eval_packed.run st [| truth_x |] in
+  Alcotest.(check int) "good z = x" truth_x (good.(0) land Eval_packed.lane_mask 4);
+  let bad = Eval_packed.upset st ~flip_net:one in
+  Alcotest.(check int) "upset constant forces z low" 0 bad.(0);
+  Alcotest.(check int) "constant complemented in every lane" 0 (Eval_packed.net_value st one)
+
+let test_upset_output_net () =
+  (* The upset net is itself an output and also feeds an inverter that
+     drives a second output: both outputs see the flip. *)
+  let b = Netlist.builder "and_inv" in
+  let x = Netlist.input b "x" in
+  let y = Netlist.input b "y" in
+  let a = Netlist.add_gate b Gate.And2 [ x; y ] in
+  Netlist.output b "a" a;
+  Netlist.output b "na" (Netlist.add_gate b Gate.Inv [ a ]);
+  let nl = Netlist.finalize b in
+  let out = upset_outputs nl [| truth_x; truth_y |] ~flip_net:a in
+  Alcotest.(check int) "a = nand" 0b0111 out.(0);
+  Alcotest.(check int) "na = and" 0b1000 out.(1)
+
+let test_upset_last_gate () =
+  (* No gate follows the driver: only the upset output changes, and
+     the nets before it keep their good values. *)
+  let b = Netlist.builder "chain" in
+  let x = Netlist.input b "x" in
+  let y = Netlist.input b "y" in
+  let a = Netlist.add_gate b Gate.And2 [ x; y ] in
+  Netlist.output b "a" a;
+  let o = Netlist.add_gate b Gate.Or2 [ a; x ] in
+  Netlist.output b "o" o;
+  let nl = Netlist.finalize b in
+  let st = Eval_packed.create nl in
+  let good = Eval_packed.run st [| truth_x; truth_y |] in
+  let bad = Eval_packed.upset st ~flip_net:o in
+  Alcotest.(check int) "a untouched" good.(0) bad.(0);
+  Alcotest.(check int) "o complemented" (lnot good.(1)) bad.(1);
+  Alcotest.(check int) "a's net keeps its good value" good.(0) (Eval_packed.net_value st a)
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_upset_needs_good_run () =
+  let nl = tiny_and () in
+  let z = Netlist.find_output nl "z" in
+  let st = Eval_packed.create nl in
+  Alcotest.(check bool) "before any run" true
+    (raises_invalid (fun () -> Eval_packed.upset st ~flip_net:z));
+  ignore (Eval_packed.run st [| truth_x; truth_y |]);
+  Alcotest.(check bool) "unknown net" true
+    (raises_invalid (fun () -> Eval_packed.upset st ~flip_net:(Netlist.net_count nl)));
+  ignore (Eval_packed.upset st ~flip_net:z);
+  Alcotest.(check bool) "second upset without a run" true
+    (raises_invalid (fun () -> Eval_packed.upset st ~flip_net:z));
+  ignore (Eval_packed.run st [| truth_x; truth_y |]);
+  Alcotest.(check int) "a fresh run re-arms it" 0b0111
+    ((Eval_packed.upset st ~flip_net:z).(0) land Eval_packed.lane_mask 4)
 
 (* --- fingerprint --- *)
 
@@ -545,6 +638,11 @@ let () =
           Alcotest.test_case "input mismatch" `Quick test_packed_input_mismatch;
           Alcotest.test_case "net value before run" `Quick
             test_packed_net_value_before_run;
+          Alcotest.test_case "upset input" `Quick test_upset_input;
+          Alcotest.test_case "upset constant" `Quick test_upset_constant;
+          Alcotest.test_case "upset output net" `Quick test_upset_output_net;
+          Alcotest.test_case "upset last gate" `Quick test_upset_last_gate;
+          Alcotest.test_case "upset needs a good run" `Quick test_upset_needs_good_run;
         ] );
       ( "fingerprint",
         [

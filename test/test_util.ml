@@ -308,6 +308,48 @@ let prop_rng_int_range =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
+(* A campaign's draw: batches of up to 63 lanes over [n_in] words, the
+   last one possibly short.  Each batch must equal the same draws made
+   one [Rng.bool] at a time (vector-major, then input) on a copy, and
+   the two generators must end in the same state. *)
+let prop_fill_lanes_matches_bool =
+  QCheck2.Test.make ~name:"Rng.fill_lanes = Rng.bool loop" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 0 1_000_000) (int_range 0 40)
+        (list_size (int_range 1 4) (int_range 1 63)))
+    (fun (seed, n_in, batches) ->
+      let packed = Rng.create seed in
+      let scalar = Rng.copy packed in
+      (* Stale bits from a previous batch must be cleared. *)
+      let words = Array.make n_in (-1) in
+      List.for_all
+        (fun lanes ->
+          Rng.fill_lanes packed words ~lanes;
+          let expect = Array.make n_in 0 in
+          for lane = 0 to lanes - 1 do
+            for i = 0 to n_in - 1 do
+              if Rng.bool scalar then expect.(i) <- expect.(i) lor (1 lsl lane)
+            done
+          done;
+          words = expect)
+        batches
+      && Rng.int64 packed = Rng.int64 scalar)
+
+let test_rng_fill_lanes_bounds () =
+  let r = Rng.create 4 in
+  let before = Rng.copy r in
+  let words = [| 5; 6 |] in
+  Rng.fill_lanes r words ~lanes:0;
+  Alcotest.(check (array int)) "zero lanes clears" [| 0; 0 |] words;
+  Alcotest.(check int64) "zero lanes draws nothing" (Rng.int64 before) (Rng.int64 r);
+  List.iter
+    (fun lanes ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d lanes" lanes)
+        (Invalid_argument "Rng.fill_lanes: lanes out of range")
+        (fun () -> Rng.fill_lanes r words ~lanes))
+    [ -1; Sys.int_size + 1 ]
+
 let prop_wilson_brackets_proportion =
   QCheck2.Test.make ~name:"wilson interval brackets the sample proportion"
     ~count:300
@@ -378,6 +420,7 @@ let () =
           Alcotest.test_case "bool balance" `Quick test_rng_bool_balance;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "fill_lanes bounds" `Quick test_rng_fill_lanes_bounds;
         ] );
       ( "stats",
         [
@@ -433,6 +476,7 @@ let () =
             prop_percentile_member;
             prop_mean_between_min_max;
             prop_rng_int_range;
+            prop_fill_lanes_matches_bool;
             prop_wilson_brackets_proportion;
           ] );
     ]
