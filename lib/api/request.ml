@@ -58,317 +58,183 @@ type job =
 
 type t = { id : string option; job : job }
 
-let job_kind = function
-  | Synth _ -> "synth"
-  | Anneal _ -> "anneal"
-  | Sweep _ -> "sweep"
-  | Explore _ -> "explore"
-  | Check _ -> "check"
-  | Fuzz _ -> "fuzz"
-  | Ping -> "ping"
-  | Stats -> "stats"
-  | Health -> "health"
+(* --- field descriptors (one list per record; both directions derive
+   from it) ---------------------------------------------------------- *)
 
-(* --- closed name tables (encode and decode share one source) ------- *)
+let source =
+  Schema.(
+    record (fun name text -> (name, text))
+    |+ opt "name" string (function Named n -> Some n | Inline _ -> None)
+    |+ opt "text" string (function Inline t -> Some t | Named _ -> None)
+    |> seal_with (fun what -> function
+         | Some n, None -> Ok (Named n)
+         | None, Some t -> Ok (Inline t)
+         | _ -> Error (what ^ ": exactly one of \"name\" or \"text\" required"))
+    |> obj)
 
-let strategies = [ ("best", Best); ("figure6", Figure6); ("bottom-up", Bottom_up) ]
+let library_source =
+  Schema.(
+    record (fun dflt file text -> (dflt, file, text))
+    |+ opt "default" bool (function Lib_default -> Some true | _ -> None)
+    |+ opt "file" string (function Lib_file p -> Some p | _ -> None)
+    |+ opt "text" string (function Lib_inline t -> Some t | _ -> None)
+    |> seal_with (fun what -> function
+         | Some true, None, None -> Ok Lib_default
+         | (None | Some false), Some p, None -> Ok (Lib_file p)
+         | (None | Some false), None, Some t -> Ok (Lib_inline t)
+         | (None | Some false), None, None ->
+           Error (what ^ ": one of \"default\", \"file\" or \"text\" required")
+         | _ -> Error (what ^ ": \"default\", \"file\" and \"text\" are exclusive"))
+    |> obj)
 
-let schedulers =
-  [
-    ("density", Density);
-    ("density-reference", Density_reference);
-    ("force-directed", Force_directed);
-  ]
+(* The two source fields, which {!cache_key} replaces by fingerprints. *)
+let graph_field = "graph"
+let library_field = "library"
 
-let approaches = [ ("ours", Ours); ("baseline", Baseline); ("combined", Combined) ]
-let flip table = List.map (fun (a, b) -> (b, a)) table
-let strategy_name = Schema.enum_name (flip strategies)
-let scheduler_name = Schema.enum_name (flip schedulers)
-let approach_name = Schema.enum_name (flip approaches)
+(* Fields shared by several job records, each given its getter. *)
+let graph get = Schema.req graph_field source get
+let library get = Schema.dflt library_field library_source Lib_default get
+let ld get = Schema.req "ld" Schema.int get
+let ad get = Schema.req "ad" Schema.int get
 
-(* --- encoding ------------------------------------------------------ *)
+let strategy get =
+  Schema.(
+    dflt "strategy"
+      (enum [ ("best", Best); ("figure6", Figure6); ("bottom-up", Bottom_up) ])
+      Best get)
 
-let source_json = function
-  | Named n -> Json.Obj [ ("name", Json.Str n) ]
-  | Inline text -> Json.Obj [ ("text", Json.Str text) ]
+let scheduler get =
+  Schema.(
+    dflt "scheduler"
+      (enum
+         [
+           ("density", Density);
+           ("density-reference", Density_reference);
+           ("force-directed", Force_directed);
+         ])
+      Density get)
 
-let library_json = function
-  | Lib_default -> Json.Obj [ ("default", Json.Bool true) ]
-  | Lib_file p -> Json.Obj [ ("file", Json.Str p) ]
-  | Lib_inline text -> Json.Obj [ ("text", Json.Str text) ]
-
-let ints ns = Json.List (List.map (fun n -> Json.Int n) ns)
-
-let synth_params (s : synth) =
-  [
-    ("graph", source_json s.graph);
-    ("library", library_json s.library);
-    ("ld", Json.Int s.ld);
-    ("ad", Json.Int s.ad);
-    ("strategy", Json.Str (strategy_name s.strategy));
-    ("scheduler", Json.Str (scheduler_name s.scheduler));
-  ]
-
-let params_json = function
-  | Synth s | Check s -> synth_params s
-  | Anneal a ->
-    [
-      ("graph", source_json a.graph);
-      ("library", library_json a.library);
-      ("ld", Json.Int a.ld);
-      ("ad", Json.Int a.ad);
-      ("strategy", Json.Str (strategy_name a.strategy));
-      ("scheduler", Json.Str (scheduler_name a.scheduler));
-      ("seed", Json.Int a.seed);
-      ("moves", Json.Int a.moves);
-      ("chains", Json.Int a.chains);
-      ("exchange", Json.Int a.exchange);
-    ]
-  | Sweep w | Explore w ->
-    [
-      ("graph", source_json w.graph);
-      ("library", library_json w.library);
-      ("lds", ints w.lds);
-      ("ads", ints w.ads);
-      ("approach", Json.Str (approach_name w.approach));
-      ("scheduler", Json.Str (scheduler_name w.scheduler));
-    ]
-  | Fuzz f ->
-    [
-      ("seed", Json.Int f.seed);
-      ("cases", Json.Int f.cases);
-      ("max_nodes", Json.Int f.max_nodes);
-    ]
-    @ (match f.properties with
-      | None -> []
-      | Some ps -> [ ("properties", Json.List (List.map (fun p -> Json.Str p) ps)) ])
-  | Ping | Stats | Health -> []
-
-let encode t =
-  Json.Obj
-    (("api", Json.Str Schema.api)
-     :: (match t.id with None -> [] | Some id -> [ ("id", Json.Str id) ])
-    @ [ ("job", Json.Str (job_kind t.job)) ]
-    @ (match params_json t.job with [] -> [] | ps -> [ ("params", Json.Obj ps) ]))
-
-let to_string t = Json.to_string (encode t)
-
-(* --- decoding ------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let decode_source ~what j =
-  let* f = Schema.obj ~what ~allowed:[ "name"; "text" ] j in
-  let* name = Schema.str_opt f ~what "name" in
-  let* text = Schema.str_opt f ~what "text" in
-  match (name, text) with
-  | Some n, None -> Ok (Named n)
-  | None, Some t -> Ok (Inline t)
-  | _ -> Error (Printf.sprintf "%s: exactly one of \"name\" or \"text\" required" what)
-
-let decode_library ~what = function
-  | None -> Ok Lib_default
-  | Some j -> (
-    let* f = Schema.obj ~what ~allowed:[ "default"; "file"; "text" ] j in
-    let* dflt = Schema.bool_default f ~what "default" ~default:false in
-    let* file = Schema.str_opt f ~what "file" in
-    let* text = Schema.str_opt f ~what "text" in
-    match (dflt, file, text) with
-    | true, None, None -> Ok Lib_default
-    | false, Some p, None -> Ok (Lib_file p)
-    | false, None, Some t -> Ok (Lib_inline t)
-    | false, None, None ->
-      Error
-        (Printf.sprintf "%s: one of \"default\", \"file\" or \"text\" required" what)
-    | _ ->
-      Error
-        (Printf.sprintf "%s: \"default\", \"file\" and \"text\" are exclusive" what))
-
-let decode_synth ~what params =
-  let* f =
-    Schema.obj ~what
-      ~allowed:[ "graph"; "library"; "ld"; "ad"; "strategy"; "scheduler" ]
-      params
-  in
-  let* graph =
-    match Schema.mem f "graph" with
-    | Some j -> decode_source ~what:(what ^ ".graph") j
-    | None -> Error (Printf.sprintf "%s: missing field \"graph\"" what)
-  in
-  let* library = decode_library ~what:(what ^ ".library") (Schema.mem f "library") in
-  let* ld = Schema.int_field f ~what "ld" in
-  let* ad = Schema.int_field f ~what "ad" in
-  let* strategy = Schema.enum f ~what "strategy" ~default:Best strategies in
-  let* scheduler = Schema.enum f ~what "scheduler" ~default:Density schedulers in
-  Ok { graph; library; ld; ad; strategy; scheduler }
+let synth =
+  Schema.(
+    record (fun graph library ld ad strategy scheduler ->
+        { graph; library; ld; ad; strategy; scheduler })
+    |+ graph (fun (s : synth) -> s.graph)
+    |+ library (fun (s : synth) -> s.library)
+    |+ ld (fun (s : synth) -> s.ld)
+    |+ ad (fun (s : synth) -> s.ad)
+    |+ strategy (fun (s : synth) -> s.strategy)
+    |+ scheduler (fun (s : synth) -> s.scheduler)
+    |> seal)
 
 (* The synth fields plus the annealer's knobs, every knob defaulted to
    [Rchls_anneal.Anneal.default_params]'s value — a bare synth request
    with the job kind flipped to "anneal" is valid. *)
-let decode_anneal ~what params =
-  let* f =
-    Schema.obj ~what
-      ~allowed:
-        [
-          "graph"; "library"; "ld"; "ad"; "strategy"; "scheduler"; "seed"; "moves";
-          "chains"; "exchange";
-        ]
-      params
-  in
-  let* graph =
-    match Schema.mem f "graph" with
-    | Some j -> decode_source ~what:(what ^ ".graph") j
-    | None -> Error (Printf.sprintf "%s: missing field \"graph\"" what)
-  in
-  let* library = decode_library ~what:(what ^ ".library") (Schema.mem f "library") in
-  let* ld = Schema.int_field f ~what "ld" in
-  let* ad = Schema.int_field f ~what "ad" in
-  let* strategy = Schema.enum f ~what "strategy" ~default:Best strategies in
-  let* scheduler = Schema.enum f ~what "scheduler" ~default:Density schedulers in
-  let* seed = Schema.int_default f ~what "seed" ~default:1 in
-  let* moves = Schema.int_default f ~what "moves" ~default:2000 in
-  let* chains = Schema.int_default f ~what "chains" ~default:4 in
-  let* exchange = Schema.int_default f ~what "exchange" ~default:50 in
-  Ok { graph; library; ld; ad; strategy; scheduler; seed; moves; chains; exchange }
+let anneal =
+  Schema.(
+    record (fun graph library ld ad strategy scheduler seed moves chains exchange ->
+        { graph; library; ld; ad; strategy; scheduler; seed; moves; chains; exchange })
+    |+ graph (fun (a : anneal) -> a.graph)
+    |+ library (fun (a : anneal) -> a.library)
+    |+ ld (fun (a : anneal) -> a.ld)
+    |+ ad (fun (a : anneal) -> a.ad)
+    |+ strategy (fun (a : anneal) -> a.strategy)
+    |+ scheduler (fun (a : anneal) -> a.scheduler)
+    |+ dflt "seed" int 1 (fun (a : anneal) -> a.seed)
+    |+ dflt "moves" int 2000 (fun (a : anneal) -> a.moves)
+    |+ dflt "chains" int 4 (fun (a : anneal) -> a.chains)
+    |+ dflt "exchange" int 50 (fun (a : anneal) -> a.exchange)
+    |> seal)
 
-let decode_sweep ~what params =
-  let* f =
-    Schema.obj ~what
-      ~allowed:[ "graph"; "library"; "lds"; "ads"; "approach"; "scheduler" ]
-      params
+(* An explore job has the shape of a sweep, but its bound lists may be
+   omitted (or empty): the explorer then plans the plane itself from
+   the graph and library (see [Rchls_experiments.Explore.plan]). *)
+let sweep ~planned =
+  let bounds name get =
+    if planned then Schema.(dflt name ints [] get) else Schema.(req name ints get)
   in
-  let* graph =
-    match Schema.mem f "graph" with
-    | Some j -> decode_source ~what:(what ^ ".graph") j
-    | None -> Error (Printf.sprintf "%s: missing field \"graph\"" what)
-  in
-  let* library = decode_library ~what:(what ^ ".library") (Schema.mem f "library") in
-  let* lds = Schema.int_list f ~what "lds" in
-  let* ads = Schema.int_list f ~what "ads" in
-  let* approach = Schema.enum f ~what "approach" ~default:Ours approaches in
-  let* scheduler = Schema.enum f ~what "scheduler" ~default:Density schedulers in
-  Ok { graph; library; lds; ads; approach; scheduler }
+  Schema.(
+    record (fun graph library lds ads approach scheduler ->
+        { graph; library; lds; ads; approach; scheduler })
+    |+ graph (fun (w : sweep) -> w.graph)
+    |+ library (fun (w : sweep) -> w.library)
+    |+ bounds "lds" (fun (w : sweep) -> w.lds)
+    |+ bounds "ads" (fun (w : sweep) -> w.ads)
+    |+ dflt "approach"
+         (enum [ ("ours", Ours); ("baseline", Baseline); ("combined", Combined) ])
+         Ours
+         (fun (w : sweep) -> w.approach)
+    |+ scheduler (fun (w : sweep) -> w.scheduler)
+    |> seal)
 
-(* Same shape as a sweep, but the bound lists may be omitted (or
-   empty): the explorer then plans the plane itself from the graph and
-   library (see [Rchls_experiments.Explore.plan]). *)
-let decode_explore ~what params =
-  let* f =
-    Schema.obj ~what
-      ~allowed:[ "graph"; "library"; "lds"; "ads"; "approach"; "scheduler" ]
-      params
-  in
-  let* graph =
-    match Schema.mem f "graph" with
-    | Some j -> decode_source ~what:(what ^ ".graph") j
-    | None -> Error (Printf.sprintf "%s: missing field \"graph\"" what)
-  in
-  let* library = decode_library ~what:(what ^ ".library") (Schema.mem f "library") in
-  let* lds =
-    match Schema.mem f "lds" with
-    | None -> Ok []
-    | Some _ -> Schema.int_list f ~what "lds"
-  in
-  let* ads =
-    match Schema.mem f "ads" with
-    | None -> Ok []
-    | Some _ -> Schema.int_list f ~what "ads"
-  in
-  let* approach = Schema.enum f ~what "approach" ~default:Ours approaches in
-  let* scheduler = Schema.enum f ~what "scheduler" ~default:Density schedulers in
-  Ok { graph; library; lds; ads; approach; scheduler }
+let fuzz =
+  Schema.(
+    record (fun seed cases max_nodes properties -> { seed; cases; max_nodes; properties })
+    |+ dflt "seed" int 42 (fun (f : fuzz) -> f.seed)
+    |+ dflt "cases" int 100 (fun (f : fuzz) -> f.cases)
+    |+ dflt "max_nodes" int 12 (fun (f : fuzz) -> f.max_nodes)
+    |+ opt "properties" strings (fun (f : fuzz) -> f.properties)
+    |> seal)
 
-let decode_fuzz ~what params =
-  let* f =
-    Schema.obj ~what ~allowed:[ "seed"; "cases"; "max_nodes"; "properties" ] params
-  in
-  let* seed = Schema.int_default f ~what "seed" ~default:42 in
-  let* cases = Schema.int_default f ~what "cases" ~default:100 in
-  let* max_nodes = Schema.int_default f ~what "max_nodes" ~default:12 in
-  let* properties = Schema.str_list_opt f ~what "properties" in
-  Ok { seed; cases; max_nodes; properties }
+let no_params = Schema.(seal (record ()))
 
-let decode j =
-  let what = "request" in
-  let* f = Schema.obj ~what ~allowed:[ "api"; "id"; "job"; "params" ] j in
-  let* () = Schema.check_version ~what ~expect:Schema.api f in
-  let* id = Schema.str_opt f ~what "id" in
-  let* kind = Schema.str f ~what "job" in
-  let params = Option.value ~default:(Json.Obj []) (Schema.mem f "params") in
-  let* job =
-    match kind with
-    | "synth" ->
-      let* s = decode_synth ~what:"synth.params" params in
-      Ok (Synth s)
-    | "anneal" ->
-      let* a = decode_anneal ~what:"anneal.params" params in
-      Ok (Anneal a)
-    | "check" ->
-      let* s = decode_synth ~what:"check.params" params in
-      Ok (Check s)
-    | "sweep" ->
-      let* w = decode_sweep ~what:"sweep.params" params in
-      Ok (Sweep w)
-    | "explore" ->
-      let* w = decode_explore ~what:"explore.params" params in
-      Ok (Explore w)
-    | "fuzz" ->
-      let* z = decode_fuzz ~what:"fuzz.params" params in
-      Ok (Fuzz z)
-    | "ping" ->
-      let* _ = Schema.obj ~what:"ping.params" ~allowed:[] params in
-      Ok Ping
-    | "stats" ->
-      let* _ = Schema.obj ~what:"stats.params" ~allowed:[] params in
-      Ok Stats
-    | "health" ->
-      let* _ = Schema.obj ~what:"health.params" ~allowed:[] params in
-      Ok Health
-    | other ->
-      Error
-        (Printf.sprintf
-           "request: unknown job kind %S (one of: synth, anneal, sweep, \
-            explore, check, fuzz, ping, stats, health)"
-           other)
-  in
-  Ok { id; job }
+let jobs =
+  Schema.
+    [
+      case "synth" synth (fun s -> Synth s) (function Synth s -> Some s | _ -> None);
+      case "anneal" anneal (fun a -> Anneal a) (function Anneal a -> Some a | _ -> None);
+      case "sweep" (sweep ~planned:false)
+        (fun w -> Sweep w)
+        (function Sweep w -> Some w | _ -> None);
+      case "explore" (sweep ~planned:true)
+        (fun w -> Explore w)
+        (function Explore w -> Some w | _ -> None);
+      case "check" synth (fun s -> Check s) (function Check s -> Some s | _ -> None);
+      case "fuzz" fuzz (fun f -> Fuzz f) (function Fuzz f -> Some f | _ -> None);
+      case "ping" no_params (fun () -> Ping) (function Ping -> Some () | _ -> None);
+      case "stats" no_params (fun () -> Stats) (function Stats -> Some () | _ -> None);
+      case "health" no_params (fun () -> Health) (function Health -> Some () | _ -> None);
+    ]
+
+let job_fields = Schema.nested ~tag:"job" ~body:"params" ~noun:"job kind" jobs
+
+let envelope =
+  Schema.(
+    record (fun id job -> { id; job })
+    |+ opt "id" string (fun t -> t.id)
+    |+ group job_fields (fun t -> t.job)
+    |> seal |> versioned |> obj)
+
+let job_kind job = Schema.case_name jobs job
+let encode t = Schema.encode envelope t
+let to_string t = Json.to_string (encode t)
+let decode j = Schema.decode envelope ~what:"request" j
 
 let of_string line =
   match Json.of_string line with Error e -> Error ("request: " ^ e) | Ok j -> decode j
 
 (* --- cache key ----------------------------------------------------- *)
 
-(* The canonical parameter object with the graph/library sources
+(* The canonical request without its id, with the graph/library sources
    replaced by fingerprints of their resolved texts; hashing this
    rendering keys the response cache on what the job will actually
    compute on, not on how the inputs were referenced. *)
 let cache_key ?graph_text ?library_text job =
-  let fp_obj text = Json.Obj [ ("fp", Json.Str (Fnv.to_hex (Fnv.hash_string text))) ] in
-  let replace params =
-    match (graph_text, library_text) with
-    | Some g, Some l ->
-      Some
-        (List.map
-           (function
-             | "graph", _ -> ("graph", fp_obj g)
-             | "library", _ -> ("library", fp_obj l)
-             | kv -> kv)
-           params)
+  let fp text = Json.Obj [ ("fp", Json.Str (Fnv.to_hex (Fnv.hash_string text))) ] in
+  let keyed sources =
+    let replace = function
+      | Json.Obj ps ->
+        Json.Obj
+          (List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k sources) ~default:v)) ps)
+      | j -> j
+    in
+    match encode { id = None; job } with
+    | Json.Obj bs ->
+      let doc = Json.Obj (List.map (fun (k, v) -> (k, replace v)) bs) in
+      Some (Fnv.hash_string (Json.to_string doc))
     | _ -> None
   in
-  let keyed params =
-    let doc =
-      Json.Obj
-        [
-          ("api", Json.Str Schema.api);
-          ("job", Json.Str (job_kind job));
-          ("params", Json.Obj params);
-        ]
-    in
-    Some (Fnv.hash_string (Json.to_string doc))
-  in
-  match job with
-  | Ping | Stats | Health -> None
-  | Fuzz _ -> keyed (params_json job)
-  | Synth _ | Anneal _ | Check _ | Sweep _ | Explore _ -> (
-    match replace (params_json job) with None -> None | Some ps -> keyed ps)
+  match (job, graph_text, library_text) with
+  | (Ping | Stats | Health), _, _ -> None
+  | Fuzz _, _, _ -> keyed []
+  | _, Some g, Some l -> keyed [ (graph_field, fp g); (library_field, fp l) ]
+  | _, _, _ -> None

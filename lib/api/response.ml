@@ -117,610 +117,271 @@ let error_codes =
     ("internal", Internal);
   ]
 
-let error_code_name c =
-  Schema.enum_name (List.map (fun (a, b) -> (b, a)) error_codes) c
+let error_code_name c = fst (List.find (fun (_, c') -> c' = c) error_codes)
 
-let tiers = [ ("memory", Memory); ("disk", Disk) ]
-let tier_name t = Schema.enum_name (List.map (fun (a, b) -> (b, a)) tiers) t
+(* --- field descriptors (one list per record; both directions derive
+   from it) ---------------------------------------------------------- *)
 
-(* --- encoding ------------------------------------------------------ *)
+(* An object holding exactly one field: the value itself. *)
+let one name c = Schema.(record Fun.id |+ req name c Fun.id |> seal)
+let no_fields = Schema.(seal (record ()))
 
-(* The design-summary / failure shapes deliberately extend the
-   historical run-report [design_json]/[failure_json] forms (PR3) with
-   a "kind" discriminator; Rchls_experiments.Report now delegates
-   here, so reports and serve responses stay field-compatible. *)
-let design_result_to_json = function
-  | Ok s ->
-    Json.Obj
+(* The design-summary / failure shapes extend the historical run-report
+   [design_json]/[failure_json] forms with a "kind" discriminator;
+   Rchls_experiments.Report delegates here, so reports and serve
+   responses stay field-compatible. *)
+let summary =
+  let instance =
+    Schema.(
+      record (fun resource count -> (resource, count))
+      |+ req "resource" string fst
+      |+ req "count" int snd
+      |> seal |> obj)
+  in
+  Schema.(
+    record (fun latency area reliability instances ->
+        { latency; area; reliability; instances })
+    |+ req "latency" int (fun (s : design_summary) -> s.latency)
+    |+ req "area" int (fun (s : design_summary) -> s.area)
+    |+ req "reliability" float (fun (s : design_summary) -> s.reliability)
+    |+ req "instances" (list instance) (fun (s : design_summary) -> s.instances)
+    |> seal)
+
+let failure =
+  Schema.(
+    variant ~tag:"reason" ~noun:"failure reason"
       [
-        ("kind", Json.Str "design");
-        ("status", Json.Str "ok");
-        ("latency", Json.Int s.latency);
-        ("area", Json.Int s.area);
-        ("reliability", Json.Float s.reliability);
-        ( "instances",
-          Json.List
-            (List.map
-               (fun (resource, count) ->
-                 Json.Obj
-                   [ ("resource", Json.Str resource); ("count", Json.Int count) ])
-               s.instances) );
-      ]
-  | Error f ->
-    let fields =
-      match f with
-      | Latency_infeasible { best_achievable } ->
-        [
-          ("reason", Json.Str "latency_infeasible");
-          ("best_achievable_latency", Json.Int best_achievable);
-        ]
-      | Area_infeasible { best_achieved } ->
-        [
-          ("reason", Json.Str "area_infeasible");
-          ("best_achieved_area", Json.Int best_achieved);
-        ]
-      | Scheduling_error msg ->
-        [ ("reason", Json.Str "scheduling_error"); ("message", Json.Str msg) ]
-    in
-    Json.Obj
-      (("kind", Json.Str "design") :: ("status", Json.Str "infeasible") :: fields)
-
-let opt_num f = function None -> Json.Null | Some v -> f v
-
-let cell_json (c : cell) =
-  Json.Obj
-    [
-      ("ld", Json.Int c.ld);
-      ("ad", Json.Int c.ad);
-      ("reliability", opt_num (fun r -> Json.Float r) c.reliability);
-      ("area", opt_num (fun a -> Json.Int a) c.area);
-    ]
-
-let frontier_point_json (p : frontier_point) =
-  Json.Obj
-    [
-      ("ld", Json.Int p.f_ld);
-      ("ad", Json.Int p.f_ad);
-      ("reliability", Json.Float p.f_reliability);
-      ("area", Json.Int p.f_area);
-    ]
-
-let fuzz_outcome_json (o : fuzz_outcome) =
-  Json.Obj
-    ([
-       ("property", Json.Str o.property);
-       ("cases", Json.Int o.cases);
-       ("passed", Json.Bool (o.failure = None));
-     ]
-    @
-    match o.failure with
-    | None -> []
-    | Some f ->
-      [
-        ( "failure",
-          Json.Obj
-            [
-              ("case", Json.Int f.case);
-              ("message", Json.Str f.message);
-              ("shrink_steps", Json.Int f.shrink_steps);
-              ("counterexample", Json.Str f.counterexample);
-            ] );
+        case "latency_infeasible"
+          (one "best_achievable_latency" int)
+          (fun n -> Latency_infeasible { best_achievable = n })
+          (function Latency_infeasible { best_achievable } -> Some best_achievable | _ -> None);
+        case "area_infeasible"
+          (one "best_achieved_area" int)
+          (fun n -> Area_infeasible { best_achieved = n })
+          (function Area_infeasible { best_achieved } -> Some best_achieved | _ -> None);
+        case "scheduling_error" (one "message" string)
+          (fun m -> Scheduling_error m)
+          (function Scheduling_error m -> Some m | _ -> None);
       ])
 
-let int_map_json xs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) xs)
-
-let window_stat_json (w : window_stat) =
-  Json.Obj
-    [
-      ("count", Json.Int w.count);
-      ("sum_ns", Json.Int w.sum_ns);
-      ("p50_ns", Json.Float w.p50_ns);
-      ("p90_ns", Json.Float w.p90_ns);
-      ("p99_ns", Json.Float w.p99_ns);
-      ("max_ns", Json.Int w.max_ns);
-      ("window_ns", Json.Int w.window_ns);
-    ]
-
-let stats_json (s : stats) =
-  Json.Obj
-    [
-      ("kind", Json.Str "stats");
-      ("uptime_ns", Json.Int s.uptime_ns);
-      ("counters", int_map_json s.counters);
-      ("gauges", int_map_json s.gauges);
-      ( "windows",
-        Json.Obj (List.map (fun (n, w) -> (n, window_stat_json w)) s.windows) );
-    ]
-
-let health_json (h : health) =
-  Json.Obj
-    [
-      ("kind", Json.Str "health");
-      ("healthy", Json.Bool h.healthy);
-      ("uptime_ns", Json.Int h.uptime_ns);
-      ("queue_depth", Json.Int h.queue_depth);
-      ("queue_max", Json.Int h.queue_max);
-      ("in_flight", Json.Int h.in_flight);
-    ]
-
-let anneal_report_json (a : anneal_report) =
-  Json.Obj
-    [
-      ("kind", Json.Str "anneal");
-      ("greedy", design_result_to_json a.greedy);
-      ("annealed", design_result_to_json a.annealed);
-      ("moves", Json.Int a.a_moves);
-      ("accepted", Json.Int a.a_accepted);
-      ("pruned", Json.Int a.a_pruned);
-      ("exchanges", Json.Int a.a_exchanges);
-      ("chains", Json.Int a.a_chains);
-      ("improved", Json.Bool a.a_improved);
-    ]
-
-let payload_to_json = function
-  | Design r -> design_result_to_json r
-  | Anneal_result a -> anneal_report_json a
-  | Sweep_cells cells ->
-    Json.Obj
-      [ ("kind", Json.Str "sweep"); ("cells", Json.List (List.map cell_json cells)) ]
-  | Explore_frontier e ->
-    Json.Obj
+(* A design result without its "kind" tag (which the payload union and
+   {!design} add). *)
+let design_result =
+  Schema.(
+    variant ~tag:"status" ~noun:"design status"
       [
-        ("kind", Json.Str "explore");
-        ("frontier", Json.List (List.map frontier_point_json e.points));
-        ( "stats",
-          Json.Obj
-            [
-              ("cells", Json.Int e.cells);
-              ("evaluated", Json.Int e.evaluated);
-              ("derived", Json.Int e.derived);
-            ] );
-      ]
-  | Check_report { result; violations } ->
-    Json.Obj
+        case "ok" summary Result.ok Result.to_option;
+        case "infeasible" failure Result.error (function Error f -> Some f | Ok _ -> None);
+      ])
+
+let design = Schema.(obj (const "kind" "design" design_result))
+
+let cell =
+  Schema.(
+    record (fun ld ad reliability area -> { ld; ad; reliability; area })
+    |+ req "ld" int (fun (c : cell) -> c.ld)
+    |+ req "ad" int (fun (c : cell) -> c.ad)
+    |+ dflt "reliability" (nullable float) None (fun (c : cell) -> c.reliability)
+    |+ dflt "area" (nullable int) None (fun (c : cell) -> c.area)
+    |> seal |> obj)
+
+let frontier_point =
+  Schema.(
+    record (fun f_ld f_ad f_reliability f_area -> { f_ld; f_ad; f_reliability; f_area })
+    |+ req "ld" int (fun p -> p.f_ld)
+    |+ req "ad" int (fun p -> p.f_ad)
+    |+ req "reliability" float (fun p -> p.f_reliability)
+    |+ req "area" int (fun p -> p.f_area)
+    |> seal |> obj)
+
+let explore =
+  let counts =
+    Schema.(
+      record (fun cells evaluated derived -> { points = []; cells; evaluated; derived })
+      |+ req "cells" int (fun (e : explore_summary) -> e.cells)
+      |+ req "evaluated" int (fun (e : explore_summary) -> e.evaluated)
+      |+ req "derived" int (fun (e : explore_summary) -> e.derived)
+      |> seal |> obj)
+  in
+  Schema.(
+    record (fun points (counts : explore_summary) -> { counts with points })
+    |+ req "frontier" (list frontier_point) (fun e -> e.points)
+    |+ req "stats" counts Fun.id
+    |> seal)
+
+let check =
+  Schema.(
+    record (fun result violations -> (result, violations))
+    |+ req "design" design fst
+    |> derived "passed" bool (fun (_, violations) -> violations = [])
+    |+ req "violations" strings snd
+    |> seal)
+
+let fuzz_outcome =
+  let fuzz_failure =
+    Schema.(
+      record (fun case message shrink_steps counterexample ->
+          { case; message; shrink_steps; counterexample })
+      |+ req "case" int (fun (f : fuzz_failure) -> f.case)
+      |+ req "message" string (fun (f : fuzz_failure) -> f.message)
+      |+ req "shrink_steps" int (fun (f : fuzz_failure) -> f.shrink_steps)
+      |+ req "counterexample" string (fun (f : fuzz_failure) -> f.counterexample)
+      |> seal |> obj)
+  in
+  Schema.(
+    record (fun property cases failure -> { property; cases; failure })
+    |+ req "property" string (fun (o : fuzz_outcome) -> o.property)
+    |+ req "cases" int (fun (o : fuzz_outcome) -> o.cases)
+    |> derived "passed" bool (fun (o : fuzz_outcome) -> o.failure = None)
+    |+ opt "failure" fuzz_failure (fun (o : fuzz_outcome) -> o.failure)
+    |> seal |> obj)
+
+let window_stat =
+  Schema.(
+    record (fun count sum_ns p50_ns p90_ns p99_ns max_ns window_ns ->
+        { count; sum_ns; p50_ns; p90_ns; p99_ns; max_ns; window_ns })
+    |+ req "count" int (fun (w : window_stat) -> w.count)
+    |+ req "sum_ns" int (fun w -> w.sum_ns)
+    |+ req "p50_ns" float (fun w -> w.p50_ns)
+    |+ req "p90_ns" float (fun w -> w.p90_ns)
+    |+ req "p99_ns" float (fun w -> w.p99_ns)
+    |+ req "max_ns" int (fun w -> w.max_ns)
+    |+ req "window_ns" int (fun w -> w.window_ns)
+    |> seal |> obj)
+
+let stats =
+  Schema.(
+    record (fun uptime_ns counters gauges windows -> { uptime_ns; counters; gauges; windows })
+    |+ req "uptime_ns" int (fun (s : stats) -> s.uptime_ns)
+    |+ req "counters" (assoc int) (fun s -> s.counters)
+    |+ req "gauges" (assoc int) (fun s -> s.gauges)
+    |+ req "windows" (assoc window_stat) (fun s -> s.windows)
+    |> seal)
+
+let health =
+  Schema.(
+    record (fun healthy uptime_ns queue_depth queue_max in_flight ->
+        { healthy; uptime_ns; queue_depth; queue_max; in_flight })
+    |+ req "healthy" bool (fun h -> h.healthy)
+    |+ req "uptime_ns" int (fun (h : health) -> h.uptime_ns)
+    |+ req "queue_depth" int (fun h -> h.queue_depth)
+    |+ req "queue_max" int (fun h -> h.queue_max)
+    |+ req "in_flight" int (fun h -> h.in_flight)
+    |> seal)
+
+(* Wire fields drop the record's [a_] prefix. *)
+let anneal_report =
+  Schema.(
+    record (fun greedy annealed a_moves a_accepted a_pruned a_exchanges a_chains a_improved ->
+        { greedy; annealed; a_moves; a_accepted; a_pruned; a_exchanges; a_chains; a_improved })
+    |+ req "greedy" design (fun a -> a.greedy)
+    |+ req "annealed" design (fun a -> a.annealed)
+    |+ req "moves" int (fun a -> a.a_moves)
+    |+ req "accepted" int (fun a -> a.a_accepted)
+    |+ req "pruned" int (fun a -> a.a_pruned)
+    |+ req "exchanges" int (fun a -> a.a_exchanges)
+    |+ req "chains" int (fun a -> a.a_chains)
+    |+ req "improved" bool (fun a -> a.a_improved)
+    |> seal)
+
+let payload =
+  Schema.(
+    union ~tag:"kind" ~noun:"payload kind"
       [
-        ("kind", Json.Str "check");
-        ("design", design_result_to_json result);
-        ("passed", Json.Bool (violations = []));
-        ("violations", Json.List (List.map (fun v -> Json.Str v) violations));
-      ]
-  | Fuzz_report outcomes ->
-    Json.Obj
+        case "design" design_result (fun r -> Design r) (function Design r -> Some r | _ -> None);
+        case "anneal" anneal_report
+          (fun a -> Anneal_result a)
+          (function Anneal_result a -> Some a | _ -> None);
+        case "sweep" (one "cells" (list cell))
+          (fun cells -> Sweep_cells cells)
+          (function Sweep_cells cells -> Some cells | _ -> None);
+        case "explore" explore
+          (fun e -> Explore_frontier e)
+          (function Explore_frontier e -> Some e | _ -> None);
+        case "check" check
+          (fun (result, violations) -> Check_report { result; violations })
+          (function Check_report { result; violations } -> Some (result, violations) | _ -> None);
+        case "fuzz" (one "outcomes" (list fuzz_outcome))
+          (fun os -> Fuzz_report os)
+          (function Fuzz_report os -> Some os | _ -> None);
+        case "pong" no_fields (fun () -> Pong) (function Pong -> Some () | _ -> None);
+        case "stats" stats (fun s -> Stats_snapshot s) (function Stats_snapshot s -> Some s | _ -> None);
+        case "health" health (fun h -> Health_report h) (function Health_report h -> Some h | _ -> None);
+      ])
+
+let error =
+  Schema.(
+    record (fun code message -> { code; message })
+    |+ req "code" (enum ~noun:"error code" error_codes) (fun (e : error) -> e.code)
+    |+ req "message" string (fun (e : error) -> e.message)
+    |> seal |> obj)
+
+let cache_info =
+  Schema.(
+    record (fun tier key -> { tier; key })
+    |+ req "tier" (enum ~noun:"cache tier" [ ("memory", Memory); ("disk", Disk) ]) (fun (c : cache_info) -> c.tier)
+    |+ req "key" string (fun (c : cache_info) -> c.key)
+    |> seal |> obj)
+
+let timing =
+  Schema.(
+    record (fun queue_ns exec_ns total_ns -> { queue_ns; exec_ns; total_ns })
+    |+ req "queue_ns" int (fun (t : timing) -> t.queue_ns)
+    |+ req "exec_ns" int (fun t -> t.exec_ns)
+    |+ req "total_ns" int (fun t -> t.total_ns)
+    |> seal |> obj)
+
+(* The payload reports its errors under "result" wherever it sits, as
+   when a disk-cache entry is decoded alone. *)
+let outcome =
+  Schema.(
+    variant ~tag:"status" ~noun:"status"
       [
-        ("kind", Json.Str "fuzz");
-        ("outcomes", Json.List (List.map fuzz_outcome_json outcomes));
-      ]
-  | Pong -> Json.Obj [ ("kind", Json.Str "pong") ]
-  | Stats_snapshot s -> stats_json s
-  | Health_report h -> health_json h
+        case "ok" (one "result" (rooted payload)) Result.ok Result.to_option;
+        case "error" (one "error" error) Result.error (function Error e -> Some e | Ok _ -> None);
+      ])
 
-let cache_json c =
-  Json.Obj [ ("tier", Json.Str (tier_name c.tier)); ("key", Json.Str c.key) ]
+let envelope =
+  Schema.(
+    record (fun id result cache timing -> { id; result; cache; timing })
+    |+ opt "id" string (fun (t : t) -> t.id)
+    |+ group outcome (fun (t : t) -> t.result)
+    |+ opt "cache" cache_info (fun (t : t) -> t.cache)
+    |+ opt "timing" timing (fun (t : t) -> t.timing)
+    |> seal |> versioned |> obj)
 
-let timing_json tm =
-  Json.Obj
-    [
-      ("queue_ns", Json.Int tm.queue_ns);
-      ("exec_ns", Json.Int tm.exec_ns);
-      ("total_ns", Json.Int tm.total_ns);
-    ]
-
-let encode t =
-  Json.Obj
-    (("api", Json.Str Schema.api)
-     :: (match t.id with None -> [] | Some id -> [ ("id", Json.Str id) ])
-    @ (match t.result with
-      | Ok p -> [ ("status", Json.Str "ok"); ("result", payload_to_json p) ]
-      | Error e ->
-        [
-          ("status", Json.Str "error");
-          ( "error",
-            Json.Obj
-              [
-                ("code", Json.Str (error_code_name e.code));
-                ("message", Json.Str e.message);
-              ] );
-        ])
-    @ (match t.cache with None -> [] | Some c -> [ ("cache", cache_json c) ])
-    @ match t.timing with None -> [] | Some tm -> [ ("timing", timing_json tm) ])
-
+let design_result_to_json r = Schema.encode design r
+let payload_to_json p = Schema.encode payload p
+let payload_of_json j = Schema.decode payload ~what:"result" j
+let encode t = Schema.encode envelope t
 let to_string t = Json.to_string (encode t)
-
-(* Envelope for a payload that is already serialized (a response-cache
-   hit): splice the raw JSON between the same prefix/suffix fields
-   [encode] would emit, so cached and freshly computed responses are
-   byte-compatible on the wire. *)
-let assemble_raw ~id ~cache ?timing payload_json =
-  let buf = Buffer.create (String.length payload_json + 128) in
-  Buffer.add_string buf "{\"api\":";
-  Buffer.add_string buf (Json.to_string (Json.Str Schema.api));
-  (match id with
-  | None -> ()
-  | Some id ->
-    Buffer.add_string buf ",\"id\":";
-    Buffer.add_string buf (Json.to_string (Json.Str id)));
-  Buffer.add_string buf ",\"status\":\"ok\",\"result\":";
-  Buffer.add_string buf payload_json;
-  (match cache with
-  | None -> ()
-  | Some c ->
-    Buffer.add_string buf ",\"cache\":";
-    Buffer.add_string buf (Json.to_string (cache_json c)));
-  (match timing with
-  | None -> ()
-  | Some tm ->
-    Buffer.add_string buf ",\"timing\":";
-    Buffer.add_string buf (Json.to_string (timing_json tm)));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* --- decoding ------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let decode_design_result ~what j =
-  let* f =
-    Schema.obj ~what
-      ~allowed:
-        [
-          "kind"; "status"; "latency"; "area"; "reliability"; "instances"; "reason";
-          "best_achievable_latency"; "best_achieved_area"; "message";
-        ]
-      j
-  in
-  let* kind = Schema.str f ~what "kind" in
-  if kind <> "design" then
-    Error (Printf.sprintf "%s: expected kind \"design\", got %S" what kind)
-  else
-    let* status = Schema.str f ~what "status" in
-    match status with
-    | "ok" ->
-      let* latency = Schema.int_field f ~what "latency" in
-      let* area = Schema.int_field f ~what "area" in
-      let* reliability = Schema.float_field f ~what "reliability" in
-      let* instances =
-        match Schema.mem f "instances" with
-        | Some (Json.List xs) ->
-          let iw = what ^ ".instances" in
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | x :: tl ->
-              let* g = Schema.obj ~what:iw ~allowed:[ "resource"; "count" ] x in
-              let* resource = Schema.str g ~what:iw "resource" in
-              let* count = Schema.int_field g ~what:iw "count" in
-              go ((resource, count) :: acc) tl
-          in
-          go [] xs
-        | Some _ -> Error (what ^ ": field \"instances\" must be a list")
-        | None -> Error (what ^ ": missing field \"instances\"")
-      in
-      Ok (Ok { latency; area; reliability; instances })
-    | "infeasible" -> (
-      let* reason = Schema.str f ~what "reason" in
-      match reason with
-      | "latency_infeasible" ->
-        let* n = Schema.int_field f ~what "best_achievable_latency" in
-        Ok (Error (Latency_infeasible { best_achievable = n }))
-      | "area_infeasible" ->
-        let* n = Schema.int_field f ~what "best_achieved_area" in
-        Ok (Error (Area_infeasible { best_achieved = n }))
-      | "scheduling_error" ->
-        let* m = Schema.str f ~what "message" in
-        Ok (Error (Scheduling_error m))
-      | other -> Error (Printf.sprintf "%s: unknown failure reason %S" what other))
-    | other -> Error (Printf.sprintf "%s: unknown design status %S" what other)
-
-let decode_cell ~what j =
-  let* f = Schema.obj ~what ~allowed:[ "ld"; "ad"; "reliability"; "area" ] j in
-  let* ld = Schema.int_field f ~what "ld" in
-  let* ad = Schema.int_field f ~what "ad" in
-  let* reliability =
-    match Schema.mem f "reliability" with
-    | Some Json.Null | None -> Ok None
-    | Some j -> (
-      match Json.to_float_opt j with
-      | Some r -> Ok (Some r)
-      | None -> Error (what ^ ": field \"reliability\" must be a number or null"))
-  in
-  let* area =
-    match Schema.mem f "area" with
-    | Some Json.Null | None -> Ok None
-    | Some j -> (
-      match Json.to_int_opt j with
-      | Some a -> Ok (Some a)
-      | None -> Error (what ^ ": field \"area\" must be an integer or null"))
-  in
-  Ok { ld; ad; reliability; area }
-
-let decode_frontier_point ~what j =
-  let* f = Schema.obj ~what ~allowed:[ "ld"; "ad"; "reliability"; "area" ] j in
-  let* f_ld = Schema.int_field f ~what "ld" in
-  let* f_ad = Schema.int_field f ~what "ad" in
-  let* f_reliability = Schema.float_field f ~what "reliability" in
-  let* f_area = Schema.int_field f ~what "area" in
-  Ok { f_ld; f_ad; f_reliability; f_area }
-
-let decode_fuzz_outcome ~what j =
-  let* f =
-    Schema.obj ~what ~allowed:[ "property"; "cases"; "passed"; "failure" ] j
-  in
-  let* property = Schema.str f ~what "property" in
-  let* cases = Schema.int_field f ~what "cases" in
-  let* failure =
-    match Schema.mem f "failure" with
-    | None -> Ok None
-    | Some j ->
-      let fw = what ^ ".failure" in
-      let* g =
-        Schema.obj ~what:fw
-          ~allowed:[ "case"; "message"; "shrink_steps"; "counterexample" ]
-          j
-      in
-      let* case = Schema.int_field g ~what:fw "case" in
-      let* message = Schema.str g ~what:fw "message" in
-      let* shrink_steps = Schema.int_field g ~what:fw "shrink_steps" in
-      let* counterexample = Schema.str g ~what:fw "counterexample" in
-      Ok (Some { case; message; shrink_steps; counterexample })
-  in
-  Ok { property; cases; failure }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-    let* y = f x in
-    let* ys = map_result f tl in
-    Ok (y :: ys)
-
-(* [counters]/[gauges]/[windows] carry arbitrary metric names as keys,
-   so [Schema.obj]'s closed allowed-list does not apply — but the
-   strictness contract (no duplicate keys) still does. *)
-let decode_named_map ~what f name value_of =
-  match Schema.mem f name with
-  | None -> Error (Printf.sprintf "%s: missing field %S" what name)
-  | Some (Json.Obj fields) ->
-    let w = what ^ "." ^ name in
-    let rec go seen acc = function
-      | [] -> Ok (List.rev acc)
-      | (k, v) :: tl ->
-        if List.mem k seen then
-          Error (Printf.sprintf "%s: duplicate key %S" w k)
-        else
-          let* v = value_of ~what:(Printf.sprintf "%s[%s]" w k) v in
-          go (k :: seen) ((k, v) :: acc) tl
-    in
-    go [] [] fields
-  | Some _ -> Error (Printf.sprintf "%s: field %S must be an object" what name)
-
-let decode_int_value ~what = function
-  | j when Json.to_int_opt j <> None -> Ok (Option.get (Json.to_int_opt j))
-  | _ -> Error (what ^ ": must be an integer")
-
-let decode_window_stat ~what j =
-  let* g =
-    Schema.obj ~what
-      ~allowed:
-        [ "count"; "sum_ns"; "p50_ns"; "p90_ns"; "p99_ns"; "max_ns"; "window_ns" ]
-      j
-  in
-  let* count = Schema.int_field g ~what "count" in
-  let* sum_ns = Schema.int_field g ~what "sum_ns" in
-  let* p50_ns = Schema.float_field g ~what "p50_ns" in
-  let* p90_ns = Schema.float_field g ~what "p90_ns" in
-  let* p99_ns = Schema.float_field g ~what "p99_ns" in
-  let* max_ns = Schema.int_field g ~what "max_ns" in
-  let* window_ns = Schema.int_field g ~what "window_ns" in
-  Ok { count; sum_ns; p50_ns; p90_ns; p99_ns; max_ns; window_ns }
-
-let decode_stats ~what j =
-  let* f =
-    Schema.obj ~what
-      ~allowed:[ "kind"; "uptime_ns"; "counters"; "gauges"; "windows" ]
-      j
-  in
-  let* uptime_ns = Schema.int_field f ~what "uptime_ns" in
-  let* counters = decode_named_map ~what f "counters" decode_int_value in
-  let* gauges = decode_named_map ~what f "gauges" decode_int_value in
-  let* windows = decode_named_map ~what f "windows" decode_window_stat in
-  Ok { uptime_ns; counters; gauges; windows }
-
-let decode_health ~what j =
-  let* f =
-    Schema.obj ~what
-      ~allowed:
-        [ "kind"; "healthy"; "uptime_ns"; "queue_depth"; "queue_max"; "in_flight" ]
-      j
-  in
-  let* healthy = Schema.bool_default f ~what "healthy" ~default:false in
-  let* uptime_ns = Schema.int_field f ~what "uptime_ns" in
-  let* queue_depth = Schema.int_field f ~what "queue_depth" in
-  let* queue_max = Schema.int_field f ~what "queue_max" in
-  let* in_flight = Schema.int_field f ~what "in_flight" in
-  Ok { healthy; uptime_ns; queue_depth; queue_max; in_flight }
-
-let payload_of_json j =
-  let what = "result" in
-  let* kind =
-    match j with
-    | Json.Obj fields -> (
-      match List.assoc_opt "kind" fields with
-      | Some (Json.Str k) -> Ok k
-      | _ -> Error (what ^ ": missing or non-string \"kind\" field"))
-    | _ -> Error (what ^ ": expected a JSON object")
-  in
-  match kind with
-  | "design" ->
-    let* r = decode_design_result ~what j in
-    Ok (Design r)
-  | "anneal" ->
-    let* f =
-      Schema.obj ~what
-        ~allowed:
-          [
-            "kind"; "greedy"; "annealed"; "moves"; "accepted"; "pruned"; "exchanges";
-            "chains"; "improved";
-          ]
-        j
-    in
-    let* greedy =
-      match Schema.mem f "greedy" with
-      | Some d -> decode_design_result ~what:(what ^ ".greedy") d
-      | None -> Error (what ^ ": missing field \"greedy\"")
-    in
-    let* annealed =
-      match Schema.mem f "annealed" with
-      | Some d -> decode_design_result ~what:(what ^ ".annealed") d
-      | None -> Error (what ^ ": missing field \"annealed\"")
-    in
-    let* a_moves = Schema.int_field f ~what "moves" in
-    let* a_accepted = Schema.int_field f ~what "accepted" in
-    let* a_pruned = Schema.int_field f ~what "pruned" in
-    let* a_exchanges = Schema.int_field f ~what "exchanges" in
-    let* a_chains = Schema.int_field f ~what "chains" in
-    let* a_improved =
-      match Schema.mem f "improved" with
-      | Some (Json.Bool b) -> Ok b
-      | Some _ -> Error (what ^ ": field \"improved\" must be a boolean")
-      | None -> Error (what ^ ": missing field \"improved\"")
-    in
-    Ok
-      (Anneal_result
-         {
-           greedy;
-           annealed;
-           a_moves;
-           a_accepted;
-           a_pruned;
-           a_exchanges;
-           a_chains;
-           a_improved;
-         })
-  | "sweep" -> (
-    let* f = Schema.obj ~what ~allowed:[ "kind"; "cells" ] j in
-    match Schema.mem f "cells" with
-    | Some (Json.List xs) ->
-      let* cells = map_result (decode_cell ~what:(what ^ ".cells")) xs in
-      Ok (Sweep_cells cells)
-    | _ -> Error (what ^ ": field \"cells\" must be a list"))
-  | "explore" -> (
-    let* f = Schema.obj ~what ~allowed:[ "kind"; "frontier"; "stats" ] j in
-    let* points =
-      match Schema.mem f "frontier" with
-      | Some (Json.List xs) ->
-        map_result (decode_frontier_point ~what:(what ^ ".frontier")) xs
-      | _ -> Error (what ^ ": field \"frontier\" must be a list")
-    in
-    match Schema.mem f "stats" with
-    | Some sj ->
-      let sw = what ^ ".stats" in
-      let* g = Schema.obj ~what:sw ~allowed:[ "cells"; "evaluated"; "derived" ] sj in
-      let* cells = Schema.int_field g ~what:sw "cells" in
-      let* evaluated = Schema.int_field g ~what:sw "evaluated" in
-      let* derived = Schema.int_field g ~what:sw "derived" in
-      Ok (Explore_frontier { points; cells; evaluated; derived })
-    | None -> Error (what ^ ": missing field \"stats\""))
-  | "check" -> (
-    let* f =
-      Schema.obj ~what ~allowed:[ "kind"; "design"; "passed"; "violations" ] j
-    in
-    let* result =
-      match Schema.mem f "design" with
-      | Some d -> decode_design_result ~what:(what ^ ".design") d
-      | None -> Error (what ^ ": missing field \"design\"")
-    in
-    match Schema.mem f "violations" with
-    | Some (Json.List vs) ->
-      let* violations =
-        map_result
-          (function
-            | Json.Str s -> Ok s
-            | _ -> Error (what ^ ": \"violations\" must be a list of strings"))
-          vs
-      in
-      Ok (Check_report { result; violations })
-    | _ -> Error (what ^ ": field \"violations\" must be a list"))
-  | "fuzz" -> (
-    let* f = Schema.obj ~what ~allowed:[ "kind"; "outcomes" ] j in
-    match Schema.mem f "outcomes" with
-    | Some (Json.List xs) ->
-      let* outcomes = map_result (decode_fuzz_outcome ~what:(what ^ ".outcomes")) xs in
-      Ok (Fuzz_report outcomes)
-    | _ -> Error (what ^ ": field \"outcomes\" must be a list"))
-  | "pong" ->
-    let* _ = Schema.obj ~what ~allowed:[ "kind" ] j in
-    Ok Pong
-  | "stats" ->
-    let* s = decode_stats ~what j in
-    Ok (Stats_snapshot s)
-  | "health" ->
-    let* h = decode_health ~what j in
-    Ok (Health_report h)
-  | other -> Error (Printf.sprintf "%s: unknown payload kind %S" what other)
-
-let decode j =
-  let what = "response" in
-  let* f =
-    Schema.obj ~what
-      ~allowed:[ "api"; "id"; "status"; "result"; "error"; "cache"; "timing" ]
-      j
-  in
-  let* () = Schema.check_version ~what ~expect:Schema.api f in
-  let* id = Schema.str_opt f ~what "id" in
-  let* status = Schema.str f ~what "status" in
-  let* result =
-    match status with
-    | "ok" -> (
-      match Schema.mem f "result" with
-      | Some p ->
-        let* payload = payload_of_json p in
-        Ok (Ok payload)
-      | None -> Error (what ^ ": missing field \"result\""))
-    | "error" -> (
-      match Schema.mem f "error" with
-      | Some e ->
-        let ew = what ^ ".error" in
-        let* g = Schema.obj ~what:ew ~allowed:[ "code"; "message" ] e in
-        let* code =
-          let* name = Schema.str g ~what:ew "code" in
-          match List.assoc_opt name error_codes with
-          | Some c -> Ok c
-          | None -> Error (Printf.sprintf "%s: unknown error code %S" ew name)
-        in
-        let* message = Schema.str g ~what:ew "message" in
-        Ok (Error { code; message })
-      | None -> Error (what ^ ": missing field \"error\""))
-    | other -> Error (Printf.sprintf "%s: unknown status %S" what other)
-  in
-  let* cache =
-    match Schema.mem f "cache" with
-    | None -> Ok None
-    | Some c ->
-      let cw = what ^ ".cache" in
-      let* g = Schema.obj ~what:cw ~allowed:[ "tier"; "key" ] c in
-      let* tier =
-        let* name = Schema.str g ~what:cw "tier" in
-        match List.assoc_opt name tiers with
-        | Some t -> Ok t
-        | None -> Error (Printf.sprintf "%s: unknown cache tier %S" cw name)
-      in
-      let* key = Schema.str g ~what:cw "key" in
-      Ok (Some { tier; key })
-  in
-  let* timing =
-    match Schema.mem f "timing" with
-    | None -> Ok None
-    | Some tj ->
-      let tw = what ^ ".timing" in
-      let* g =
-        Schema.obj ~what:tw ~allowed:[ "queue_ns"; "exec_ns"; "total_ns" ] tj
-      in
-      let* queue_ns = Schema.int_field g ~what:tw "queue_ns" in
-      let* exec_ns = Schema.int_field g ~what:tw "exec_ns" in
-      let* total_ns = Schema.int_field g ~what:tw "total_ns" in
-      Ok (Some { queue_ns; exec_ns; total_ns })
-  in
-  Ok { id; result; cache; timing }
+let decode j = Schema.decode envelope ~what:"response" j
 
 let of_string line =
   match Json.of_string line with
   | Error e -> Error ("response: " ^ e)
   | Ok j -> decode j
+
+(* A cache hit's payload is already serialized: render the envelope
+   around a stand-in payload and splice the stored bytes in its place,
+   so cached and computed responses share every envelope byte.  The
+   stand-in cannot occur earlier in the line — only the "api" tag and
+   the id string precede it, and a rendered string holds no bare
+   quote. *)
+let stand_in = Json.to_string (payload_to_json Pong)
+
+let assemble_raw ~id ~cache ?timing payload_json =
+  let line = to_string { id; result = Ok Pong; cache; timing } in
+  let n = String.length stand_in and p = String.length payload_json in
+  let rec at i k = k = n || (line.[i + k] = stand_in.[k] && at i (k + 1)) in
+  let rec find i =
+    let i = String.index_from line i stand_in.[0] in
+    if at i 0 then i else find (i + 1)
+  in
+  let i = find 1 in
+  let rest = String.length line - i - n in
+  let b = Bytes.create (i + p + rest) in
+  Bytes.blit_string line 0 b 0 i;
+  Bytes.blit_string payload_json 0 b i p;
+  Bytes.blit_string line (i + n) b (i + p) rest;
+  Bytes.unsafe_to_string b

@@ -17,7 +17,9 @@
 
     [decode (encode r) = r] for every value of {!t} (QCheck-tested);
     decoding is strict about unknown fields and the ["api"] tag,
-    exactly like {!Request}. *)
+    exactly like {!Request}, and the ["passed"] flags the encoder
+    derives (check payloads, fuzz outcomes) must be present and agree
+    with the decoded record. *)
 
 module Json = Rchls_util.Json
 

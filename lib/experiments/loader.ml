@@ -3,17 +3,26 @@ module Benchmarks = Rchls_dfg.Benchmarks
 module Parse = Rchls_dfg.Parse
 module Request = Rchls_api.Request
 
+let ( let* ) = Result.bind
+
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | text -> Ok text
+  | exception Sys_error msg -> Error (Printf.sprintf "cannot read %S: %s" path msg)
+  | exception End_of_file -> Error (Printf.sprintf "cannot read %S: it shrank while read" path)
 
 let load_graph spec =
   match Benchmarks.find spec with
   | Some g -> Ok g
   | None ->
-    if Sys.file_exists spec then Parse.of_text (read_file spec)
+    if Sys.file_exists spec then
+      let* text = read_file spec in
+      Parse.of_text text
     else
       Error
         (Printf.sprintf "unknown benchmark %S (known: %s) and no such file" spec
@@ -22,7 +31,9 @@ let load_graph spec =
 let load_library = function
   | None -> Ok Library.table1
   | Some path ->
-    if Sys.file_exists path then Library.of_text (read_file path)
+    if Sys.file_exists path then
+      let* text = read_file path in
+      Library.of_text text
     else Error (Printf.sprintf "no such library file %S" path)
 
 let graph_of_source = function

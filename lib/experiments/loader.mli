@@ -7,12 +7,12 @@
     {!Rchls_api.Request} sources, so a job means the same thing
     whether it arrives as a CLI argument or on the serve socket.
 
-    Everything here is total: load failures come back as
-    [Error message], never as exceptions (I/O races excepted). *)
+    Everything here is total: load failures, unreadable paths (a
+    directory, a permission error) included, come back as
+    [Error message], never as exceptions. *)
 
-val read_file : string -> string
-(** The whole file, raising [Sys_error] like [open_in] on a missing
-    path — callers guard with [Sys.file_exists] first. *)
+val read_file : string -> (string, string) result
+(** The whole file; [Error] names the path and the system error. *)
 
 val load_graph : string -> (Rchls_dfg.Dfg.t, string) result
 (** Resolve a CLI [GRAPH] argument: a built-in benchmark name

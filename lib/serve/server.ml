@@ -190,14 +190,6 @@ let enqueue t job =
         true
       end)
 
-let is_version_error msg =
-  (* [Schema.version_error]'s canonical message — the one decode error
-     that gets its own wire code. *)
-  let needle = "unsupported schema version" in
-  let n = String.length needle and m = String.length msg in
-  let rec scan i = i + n <= m && (String.sub msg i n = needle || scan (i + 1)) in
-  scan 0
-
 (* [stats]/[health] answer inline from the serving thread — they must
    work precisely when the queue is saturated, which is when queueing
    them would starve them.  A [stats] answer flushes the access log
@@ -217,7 +209,7 @@ let handle_line t conn line =
     | Error msg ->
       Telemetry.incr "serve.malformed";
       let code =
-        if is_version_error msg then Response.Unsupported_version
+        if Schema.is_version_error msg then Response.Unsupported_version
         else Response.Bad_request
       in
       ignore (respond_error conn ~id:None code msg)

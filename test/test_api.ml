@@ -447,6 +447,7 @@ let test_response_unknown_field_rejected () =
 
 (* --- cache keys ------------------------------------------------------- *)
 
+
 let synth_job ?(ld = 14) ?(ad = 9) graph =
   Request.Synth
     {
@@ -457,6 +458,55 @@ let synth_job ?(ld = 14) ?(ad = 9) graph =
       strategy = Request.Best;
       scheduler = Request.Density;
     }
+
+(* Fields the encoder derives from the record are checked on decode, and
+   every field the encoder always writes is required: a document the
+   encoder could never emit (say, a corrupt disk-cache entry) is an
+   error, not a silently repaired payload. *)
+let test_response_derived_fields_checked () =
+  let rejects what doc =
+    match Response.payload_of_json (check_ok "parse" (Json.of_string doc)) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted %s" what doc
+  in
+  let design = {|{"kind":"design","status":"infeasible","reason":"scheduling_error","message":"m"}|} in
+  rejects "non-boolean passed"
+    (Printf.sprintf {|{"kind":"check","design":%s,"passed":"nope","violations":[]}|} design);
+  rejects "passed disagrees with violations"
+    (Printf.sprintf {|{"kind":"check","design":%s,"passed":true,"violations":["v"]}|} design);
+  rejects "passed missing"
+    (Printf.sprintf {|{"kind":"check","design":%s,"violations":[]}|} design);
+  rejects "passed next to a failure"
+    {|{"kind":"fuzz","outcomes":[{"property":"p","cases":1,"passed":true,"failure":{"case":0,"message":"m","shrink_steps":0,"counterexample":""}}]}|};
+  rejects "healthy missing"
+    {|{"kind":"health","uptime_ns":1,"queue_depth":0,"queue_max":1,"in_flight":0}|}
+
+(* Only the version check's own message classifies as a version error;
+   a field or job kind that merely spells the phrase does not. *)
+let test_version_error_classified_exactly () =
+  let classify line =
+    match Request.of_string line with
+    | Ok _ -> Alcotest.failf "accepted %s" line
+    | Error e -> Rchls_api.Schema.is_version_error e
+  in
+  Alcotest.(check bool) "foreign api" true
+    (classify {|{"api":"rchls.api/2","job":"ping"}|});
+  Alcotest.(check bool) "field named like it" false
+    (classify (req_line {|"job":"ping","unsupported schema version":1}|}));
+  Alcotest.(check bool) "job kind named like it" false
+    (classify
+       (req_line
+          {|"job":"unsupported schema version \"x\" (this build speaks \"y\")"|}))
+
+let test_unreadable_graph_is_bad_request () =
+  (* An existing path that is not a readable file (a directory). *)
+  match Service.run_job (synth_job (Request.Named Filename.current_dir_name)) with
+  | Error { Response.code = Response.Bad_request; message } ->
+    Alcotest.(check bool) "names the path" true (contains ~affix:"cannot read" message)
+  | Error e ->
+    Alcotest.failf "expected bad_request, got %s: %s"
+      (Response.error_code_name e.Response.code) e.Response.message
+  | Ok _ -> Alcotest.fail "a directory loaded as a graph"
 
 let test_cache_key_form_independent () =
   let named =
@@ -728,6 +778,12 @@ let test_serve_rejects_malformed () =
           (match check_ok "recv" (Client.recv c) with
           | { Response.result = Error { code = Response.Bad_request; _ }; _ } -> ()
           | _ -> Alcotest.fail "expected bad_request");
+          check_ok "send"
+            (Client.send_raw c
+               {|{"api":"rchls.api/1","job":"ping","unsupported schema version":1}|});
+          (match check_ok "recv" (Client.recv c) with
+          | { Response.result = Error { code = Response.Bad_request; _ }; _ } -> ()
+          | _ -> Alcotest.fail "a field spelling the version phrase is bad_request");
           check_ok "send" (Client.send_raw c {|{"api":"rchls.api/9","job":"ping"}|});
           match check_ok "recv" (Client.recv c) with
           | { Response.result = Error { code = Response.Unsupported_version; _ }; _ }
@@ -1000,6 +1056,12 @@ let () =
             test_explore_job_executes;
           Alcotest.test_case "response strictness" `Quick
             test_response_unknown_field_rejected;
+          Alcotest.test_case "derived fields checked" `Quick
+            test_response_derived_fields_checked;
+          Alcotest.test_case "version error classified exactly" `Quick
+            test_version_error_classified_exactly;
+          Alcotest.test_case "unreadable graph is bad_request" `Quick
+            test_unreadable_graph_is_bad_request;
         ] );
       ( "cache-key",
         [
