@@ -1,4 +1,4 @@
-.PHONY: all build test check repro bench bench-json bench-fault bench-telemetry \
+.PHONY: all build test check repro bench-json bench-fault bench-telemetry \
   bench-synth bench-fuzz bench-serve bench-explore bench-anneal fuzz smoke clean
 
 # Explore benchmark knobs (see `bench explore` in bench/main.ml).
@@ -35,9 +35,6 @@ check:
 # Regenerate every table/figure of the paper.
 repro: build
 	dune exec bench/main.exe -- repro
-
-bench: build
-	dune exec bench/main.exe -- perf
 
 # Time the Fig-8/Table-2 sweep suite sequential vs on the domain pool,
 # verify cell-for-cell equality, and record the result (with the

@@ -1,16 +1,12 @@
 (* Benchmark harness.
 
-   Two parts:
-   1. Reproduction: regenerate every table and figure of the paper's
-      evaluation (Table 1, Figure 2, Figures 5/7/8/9, Tables 2a-2c)
-      side by side with the published numbers, plus an ablation table
-      for the design choices called out in DESIGN.md.
-   2. Performance: Bechamel micro-benchmarks of the synthesis kernels,
-      one per experiment workload.
+   Reproduction: regenerate every table and figure of the paper's
+   evaluation (Table 1, Figure 2, Figures 5/7/8/9, Tables 2a-2c) side by
+   side with the published numbers, plus an ablation table for the
+   design choices called out in DESIGN.md.  The other modes are
+   gated benchmarks of individual layers, each writing a JSON record.
 
-   Run everything:      dune exec bench/main.exe
-   Reproduction only:   dune exec bench/main.exe -- repro
-   Performance only:    dune exec bench/main.exe -- perf [--vectors N] [--width W]
+   Reproduction:        dune exec bench/main.exe [-- repro]
    One experiment:      dune exec bench/main.exe -- repro table2a
    Sweep scaling:       dune exec bench/main.exe -- sweep [BENCH_sweep.json]
      (times the Fig-8/Table-2 sweep suite sequentially vs on the
@@ -58,8 +54,8 @@
       as greedy and at least 25% of cells strictly improve)
 
    --vectors / --width are shared with `bin/main.exe characterize
-   --measured` and apply to the perf characterization kernel and the
-   fault mode; there are no buried vector-count literals. *)
+   --measured` and apply to the fault mode; there are no buried
+   vector-count literals. *)
 
 module Experiments = Rchls_experiments.Experiments
 module Rc = Rchls_core.Reliability_centric
@@ -905,66 +901,6 @@ let serve_bench out_path =
          "metrics + access-log overhead %.1f%% breaches the 5%% budget"
          (100. *. overhead))
 
-(* --- Bechamel performance benchmarks -------------------------------- *)
-
-let perf ~vectors ~width () =
-  let open Bechamel in
-  let synth g ld ad () =
-    match Rc.synthesize g Library.table1 ~ld ~ad with
-    | Ok d -> ignore (Design.reliability d)
-    | Error _ -> ()
-  in
-  let baseline g ld ad () =
-    ignore (Rchls_redundancy.Orailoglu.synthesize g Library.table1 ~ld ~ad)
-  in
-  let characterize () =
-    (* Clear the campaign cache so every run measures a real campaign,
-       not a memoized report. *)
-    Fault_sim.Campaign.cache_clear ();
-    ignore
-      (Rchls_soft_error.Ser.analyze
-         ~fault_config:{ Fault_sim.Campaign.default with vectors }
-         (Rchls_circuits.Adder_brent_kung.netlist ~width ()))
-  in
-  let tests =
-    [
-      (* one kernel per reproduced table/figure workload *)
-      Test.make
-        ~name:(Printf.sprintf "table1/characterize-bk%d" width)
-        (Staged.stage characterize);
-      Test.make ~name:"fig5/synth-fig4" (Staged.stage (synth Benchmarks.example_fig4 6 4));
-      Test.make ~name:"fig7/synth-fir16" (Staged.stage (synth Benchmarks.fir16 11 8));
-      Test.make ~name:"fig8/synth-fir16-wide" (Staged.stage (synth Benchmarks.fir16 14 12));
-      Test.make ~name:"table2a/fir16" (Staged.stage (synth Benchmarks.fir16 11 11));
-      Test.make ~name:"table2a/fir16-baseline"
-        (Staged.stage (baseline Benchmarks.fir16 11 11));
-      Test.make ~name:"table2b/ewf" (Staged.stage (synth Benchmarks.ewf 14 9));
-      Test.make ~name:"table2b/ewf-baseline" (Staged.stage (baseline Benchmarks.ewf 14 9));
-      Test.make ~name:"table2c/diffeq" (Staged.stage (synth Benchmarks.diffeq 6 13));
-      Test.make ~name:"table2c/diffeq-baseline"
-        (Staged.stage (baseline Benchmarks.diffeq 6 13));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  print_endline "\n=== Performance (Bechamel, monotonic clock) ===";
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ v ] -> Printf.printf "%-28s %14.1f ns/run\n%!" name v
-          | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
-        ols)
-    tests
-
 (* --- explore pruning benchmark --------------------------------------- *)
 
 module Explore = Rchls_experiments.Explore
@@ -1265,9 +1201,6 @@ let () =
   let args = Array.to_list Sys.argv in
   match args with
   | _ :: "repro" :: rest -> reproduction (match rest with [] -> None | id :: _ -> Some id)
-  | _ :: "perf" :: rest ->
-    let _, vectors, width = parse_flags ~vectors:8 ~width:8 rest in
-    perf ~vectors ~width ()
   | _ :: "sweep" :: rest ->
     sweep_bench (match rest with path :: _ -> path | [] -> "BENCH_sweep.json")
   | _ :: "synth" :: rest ->
@@ -1340,6 +1273,7 @@ let () =
     let count, moves, positional = split 20 2000 [] rest in
     anneal_bench ~count ~moves
       (match positional with path :: _ -> path | [] -> "BENCH_anneal.json")
-  | _ ->
-    reproduction None;
-    perf ~vectors:8 ~width:8 ()
+  | [] | [ _ ] -> reproduction None
+  | _ :: mode :: _ ->
+    Printf.eprintf "bench: unknown mode %S\n" mode;
+    exit 2

@@ -77,7 +77,7 @@ type fuzz_outcome = {
 type window_stat = {
   count : int;  (** observations inside the sliding window *)
   sum_ns : int;
-  p50_ns : float;  (** log2-bucket estimates (see Rchls_util.Metrics) *)
+  p50_ns : float;  (** log2-bucket estimates (see Rchls_util.Telemetry) *)
   p90_ns : float;
   p99_ns : float;
   max_ns : int;  (** exact *)

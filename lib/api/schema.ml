@@ -291,16 +291,25 @@ let case_name cases v = fst (which v cases)
 let find_case name cases = List.find_opt (fun (Case (n, _, _, _)) -> n = name) cases
 let read_tag tag = (req tag string Fun.id).group.read
 
+(* The enclosing object accepts every case's fields, so once the tag
+   picks a case, a field that only other cases declare is rejected. *)
 let variant ~tag ~noun cases =
   let read_tag = read_tag tag in
+  let all = List.concat_map (fun (Case (_, o, _, _)) -> o.names) cases in
   {
-    names = tag :: List.concat_map (fun (Case (_, o, _, _)) -> o.names) cases;
+    names = tag :: all;
     emit = (fun v acc -> let name, emit = which v cases in (tag, Json.Str name) :: emit acc);
     read =
       (fun what bs ->
         let name = read_tag what bs in
         match find_case name cases with
-        | Some (Case (_, o, inj, _)) -> inj (o.read what bs)
+        | Some (Case (_, o, inj, _)) ->
+          List.iter
+            (fun (k, _) ->
+              if List.mem k all && not (List.mem k o.names) then
+                fail "%s: field %S is not allowed when %s is %S" what k tag name)
+            bs;
+          inj (o.read what bs)
         | None -> fail "%s: unknown %s %S" what noun name);
   }
 

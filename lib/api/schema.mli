@@ -143,8 +143,10 @@ val case_name : 'v case list -> 'v -> string
 (** The tag value of the case a value belongs to. *)
 
 val variant : tag:string -> noun:string -> 'v case list -> 'v obj
-(** Tag and case fields share the enclosing object, which accepts the
-    fields of every case. *)
+(** Tag and case fields share the enclosing object.  Once the tag has
+    picked a case, a field that only other cases declare is an error;
+    fields the enclosing record declares outside the variant are not
+    affected. *)
 
 val union : tag:string -> noun:string -> 'v case list -> 'v codec
 (** One object per case, dispatched on the tag before its fields are

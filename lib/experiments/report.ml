@@ -5,8 +5,7 @@ module Rc = Rchls_core.Reliability_centric
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Dfg = Rchls_dfg.Dfg
-
-let schema = "rchls.run_report/1"
+module Schema = Rchls_api.Schema
 
 (* Same FNV-1a construction as [Netlist.fingerprint], applied to the
    canonical text form so the digest is stable across process runs and
@@ -55,19 +54,7 @@ let telemetry_json () =
       (Telemetry.timers ())
   in
   let hists =
-    List.map
-      (fun (n, (h : Telemetry.hist)) ->
-        ( n,
-          Json.Obj
-            [
-              ("count", Json.Int h.count);
-              ("sum_ns", Json.Int (Int64.to_int h.sum_ns));
-              ("p50_ns", Json.Float h.p50_ns);
-              ("p90_ns", Json.Float h.p90_ns);
-              ("p99_ns", Json.Float h.p99_ns);
-              ("max_ns", Json.Int (Int64.to_int h.max_ns));
-            ] ))
-      (Telemetry.histograms ())
+    List.map (fun (n, h) -> (n, Telemetry.hist_to_json h)) (Telemetry.histograms ())
   in
   Json.Obj
     [
@@ -79,7 +66,7 @@ let telemetry_json () =
 let make ~command ?(args = []) ?graph ?library ~result () =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.Obj
-    (("schema", Json.Str schema)
+    (("schema", Json.Str Schema.run_report)
      :: ("command", Json.Str command)
      :: (match args with [] -> [] | _ -> [ ("args", Json.Obj args) ])
     @ opt "graph" graph_json graph
@@ -95,8 +82,8 @@ let validate j =
   in
   let* tag = str_field "schema" in
   let* _ = str_field "command" in
-  if tag <> schema then
-    Error (Printf.sprintf "unexpected schema tag %S (want %S)" tag schema)
+  if tag <> Schema.run_report then
+    Error (Printf.sprintf "unexpected schema tag %S (want %S)" tag Schema.run_report)
   else
     match Json.member "telemetry" j with
     | None -> Error "missing \"telemetry\" object"

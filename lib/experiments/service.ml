@@ -7,7 +7,7 @@ module Check = Rchls_check.Check
 module Fuzz = Rchls_check.Fuzz
 module Anneal = Rchls_anneal.Anneal
 module Fnv = Rchls_util.Fnv
-module Metrics = Rchls_util.Metrics
+module Telemetry = Rchls_util.Telemetry
 
 (* --- API <-> core conversions -------------------------------------- *)
 
@@ -294,32 +294,33 @@ let payload_of_explore (points, (stats : Explore.stats)) =
 let payload_of_fuzz outcomes =
   Response.Fuzz_report (List.map outcome_of_fuzz outcomes)
 
-let window_stat_of_metrics (s : Metrics.Rolling.stat) =
+let window_stat ~window_ns (h : Telemetry.hist) =
   {
-    Response.count = s.count;
-    sum_ns = Int64.to_int s.sum_ns;
-    p50_ns = s.p50_ns;
-    p90_ns = s.p90_ns;
-    p99_ns = s.p99_ns;
-    max_ns = Int64.to_int s.max_ns;
-    window_ns = Int64.to_int s.window_ns;
+    Response.count = h.count;
+    sum_ns = Int64.to_int h.sum_ns;
+    p50_ns = h.p50_ns;
+    p90_ns = h.p90_ns;
+    p99_ns = h.p99_ns;
+    max_ns = Int64.to_int h.max_ns;
+    window_ns = Int64.to_int window_ns;
   }
 
 let stats_payload () =
-  let snap = Metrics.snapshot () in
+  let snap = Telemetry.snapshot () in
   Response.Stats_snapshot
     {
-      Response.uptime_ns = Int64.to_int (Metrics.uptime_ns ());
+      Response.uptime_ns = Int64.to_int (Telemetry.uptime_ns ());
       counters = snap.counters;
       gauges = snap.gauges;
-      windows = List.map (fun (n, s) -> (n, window_stat_of_metrics s)) snap.windows;
+      windows =
+        List.map (fun (n, h) -> (n, window_stat ~window_ns:snap.window_ns h)) snap.windows;
     }
 
 let health_payload ~healthy ~queue_depth ~queue_max ~in_flight =
   Response.Health_report
     {
       Response.healthy;
-      uptime_ns = Int64.to_int (Metrics.uptime_ns ());
+      uptime_ns = Int64.to_int (Telemetry.uptime_ns ());
       queue_depth;
       queue_max;
       in_flight;

@@ -142,7 +142,7 @@ val payload_of_fuzz : Fuzz.outcome list -> Response.payload
 
 val stats_payload : unit -> Response.payload
 (** A {!Response.Stats_snapshot} of this process's live metrics
-    ([Rchls_util.Metrics.snapshot]: Telemetry counters, gauges,
+    ([Rchls_util.Telemetry.snapshot]: counters, gauges,
     rolling-window latency percentiles) plus process uptime — the
     answer to the [stats] admin kind, shared by the daemon and
     in-process execution. *)

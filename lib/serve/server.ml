@@ -6,7 +6,6 @@ module Fnv = Rchls_util.Fnv
 module Pool = Rchls_util.Pool
 module Diskcache = Rchls_util.Diskcache
 module Telemetry = Rchls_util.Telemetry
-module Metrics = Rchls_util.Metrics
 module Trace = Rchls_util.Trace
 module Service = Rchls_experiments.Service
 
@@ -119,7 +118,7 @@ let elapsed_ns since = Int64.to_int (Int64.sub (Telemetry.now_ns ()) since)
    records covering the same interval. *)
 let account t ~arrival ~id ~kind ~tier ~queue_ns ~exec_ns ~bytes ~status =
   let total_ns = elapsed_ns arrival in
-  Metrics.observe_window "serve.request" (Int64.of_int total_ns);
+  Telemetry.observe_window "serve.request" (Int64.of_int total_ns);
   Option.iter
     (fun log ->
       Access_log.write log
@@ -185,7 +184,7 @@ let enqueue t job =
       if Queue.length t.queue >= t.config.queue_max then false
       else begin
         Queue.add job t.queue;
-        Metrics.gauge_set "serve.queue_depth" (Queue.length t.queue);
+        Telemetry.gauge_set "serve.queue_depth" (Queue.length t.queue);
         Condition.signal t.queue_cond;
         true
       end)
@@ -227,7 +226,7 @@ let handle_line t conn line =
         (Service.health_payload
            ~healthy:(Atomic.get t.running && depth < t.config.queue_max)
            ~queue_depth:depth ~queue_max:t.config.queue_max
-           ~in_flight:(Metrics.gauge "serve.inflight"))
+           ~in_flight:(Telemetry.gauge "serve.inflight"))
     | Ok { id; job } -> (
       Telemetry.incr "serve.requests";
       let kind = Request.job_kind job in
@@ -278,7 +277,7 @@ let job_attrs job =
 let run_batch t batch =
   Telemetry.incr "serve.batches";
   let dequeued = Telemetry.now_ns () in
-  Metrics.gauge_set "serve.inflight" (List.length batch);
+  Telemetry.gauge_set "serve.inflight" (List.length batch);
   let results =
     (* Jobs fan across the pool; each job itself runs sequentially
        ([~domains:1]) so a batch never oversubscribes the machine.
@@ -295,14 +294,14 @@ let run_batch t batch =
         (result, Int64.sub (Telemetry.now_ns ()) started))
       batch
   in
-  Metrics.gauge_set "serve.inflight" 0;
+  Telemetry.gauge_set "serve.inflight" 0;
   List.iter2
     (fun job (result, exec) ->
       let kind = Request.job_kind job.req in
       let queue_ns = Int64.to_int (Int64.sub dequeued job.arrival) in
       let exec_ns = Int64.to_int exec in
-      Metrics.observe_window "serve.queue_wait" (Int64.of_int queue_ns);
-      Metrics.observe_window "serve.exec" exec;
+      Telemetry.observe_window "serve.queue_wait" (Int64.of_int queue_ns);
+      Telemetry.observe_window "serve.exec" exec;
       let timing () =
         { Response.queue_ns; exec_ns; total_ns = elapsed_ns job.arrival }
       in
@@ -344,7 +343,7 @@ let scheduler_loop t =
             else drain (Queue.pop t.queue :: acc) (n - 1)
           in
           let batch = drain [] t.config.batch_max in
-          Metrics.gauge_set "serve.queue_depth" (Queue.length t.queue);
+          Telemetry.gauge_set "serve.queue_depth" (Queue.length t.queue);
           batch)
     in
     match batch with
@@ -421,13 +420,13 @@ let metrics_loop t fd =
          Telemetry.incr "serve.scrapes";
          (* Same flush-before-snapshot contract as the [stats] kind. *)
          Option.iter Access_log.flush t.access;
-         let snap = Metrics.snapshot () in
+         let snap = Telemetry.snapshot () in
          if path = "/json" then
            http_respond cfd ~content_type:"application/json"
-             (Json.to_string (Metrics.to_json snap))
+             (Json.to_string (Telemetry.to_json snap))
          else
            http_respond cfd ~content_type:"text/plain; version=0.0.4"
-             (Metrics.to_prometheus snap)
+             (Telemetry.to_prometheus snap)
        with _ -> ());
       (try Unix.close cfd with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
@@ -440,7 +439,7 @@ let metrics_loop t fd =
    there, under the same lock, so it never touches a closed one. *)
 let close_conn t conn =
   locked t.conns_mutex (fun () -> Hashtbl.remove t.conns conn.fd);
-  Metrics.gauge_add "serve.connections" (-1);
+  Telemetry.gauge_add "serve.connections" (-1);
   locked conn.write_mutex (fun () ->
       conn.closed <- true;
       (try flush conn.oc with Sys_error _ | Unix.Unix_error _ -> ());
@@ -471,7 +470,7 @@ let accept_loop t =
         }
       in
       locked t.conns_mutex (fun () -> Hashtbl.replace t.conns fd conn);
-      Metrics.gauge_add "serve.connections" 1;
+      Telemetry.gauge_add "serve.connections" 1;
       let th = Thread.create (fun () -> reader_loop t conn) () in
       locked t.readers_mutex (fun () ->
           t.reader_threads <- th :: t.reader_threads)
@@ -509,13 +508,13 @@ let preregister config =
       "serve.overloaded"; "serve.batches"; "serve.pings"; "serve.malformed";
       "serve.admin.stats"; "serve.admin.health"; "serve.scrapes";
     ];
-  Metrics.gauge_set "serve.queue_depth" 0;
-  Metrics.gauge_set "serve.inflight" 0;
-  Metrics.gauge_set "serve.connections" 0;
-  Metrics.gauge_set "serve.pool_domains"
+  Telemetry.gauge_set "serve.queue_depth" 0;
+  Telemetry.gauge_set "serve.inflight" 0;
+  Telemetry.gauge_set "serve.connections" 0;
+  Telemetry.gauge_set "serve.pool_domains"
     (match config.domains with Some d -> d | None -> Pool.num_domains ());
   List.iter
-    (fun name -> ignore (Metrics.window name))
+    (fun name -> ignore (Telemetry.window name))
     [ "serve.request"; "serve.queue_wait"; "serve.exec" ]
 
 let start config =

@@ -43,7 +43,7 @@
     {2 Observability}
 
     The daemon is instrumented end to end through
-    [Rchls_util.Telemetry] + [Rchls_util.Metrics]:
+    [Rchls_util.Telemetry]:
 
     - {b counters} — [serve.requests], [serve.hits.memory]/[.disk],
       [serve.misses], [serve.overloaded], [serve.batches],

@@ -1,23 +1,18 @@
-(* Process-global registry.  Counter/timer cells are sharded arrays of
-   Atomic ints so domains bump them without contending on one cache
-   line; the hashtables themselves are only mutated under
-   [registry_lock] (cell creation is rare, bumps are hot).  Reads
-   aggregate across the shards, which is exact once the writing
-   domains have been joined. *)
+(* Process-global registry of five metric families: counters, timers,
+   cumulative histograms, gauges and rolling windows.  Hashtables are
+   only mutated under [registry_lock] (cell creation is rare, bumps are
+   hot); recording never takes a lock.  Counter/timer cells are sharded
+   arrays of Atomic ints so domains bump them without contending on one
+   cache line; reads aggregate across the shards, which is exact once
+   the writing domains have been joined. *)
 
-type hist = {
-  count : int;
-  sum_ns : int64;
-  p50_ns : float;
-  p90_ns : float;
-  p99_ns : float;
-  max_ns : int64;
-}
+let now_ns () = Monotonic_clock.now ()
 
-type event =
-  | Counter of { name : string; delta : int }
-  | Timer of { name : string; ns : int64 }
-  | Observation of { name : string; ns : int64 }
+let start_ns = now_ns ()
+
+let uptime_ns () = Int64.sub (now_ns ()) start_ns
+
+(* --- sharded cells (counters, timers) ------------------------------ *)
 
 (* Power of two so the shard pick is one mask of the domain id.  8
    shards already separates the handful of worker domains the pool
@@ -44,26 +39,44 @@ let cell_value (c : cell) = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 
 
 let cell_reset (c : cell) = Array.iter (fun a -> Atomic.set a 0) c
 
-(* Log-scale latency histogram: bucket [i] counts observations in
-   [2^i, 2^(i+1)) ns (bucket 0 holds everything below 2 ns).  One
-   Atomic per bucket — observations come from span completions, which
-   are orders of magnitude rarer than counter bumps. *)
+(* --- the log2 histogram core --------------------------------------- *)
+
+(* Bucket [i] counts observations in [2^i, 2^(i+1)) ns (bucket 0 holds
+   everything below 2 ns).  Both the cumulative histograms and every
+   slice of a rolling window are one [core].  Count and sum are plain
+   atomics: each observation already bumps a shared bucket, so sharding
+   them would remove no shared write. *)
 let hist_buckets = 63
 
-type hist_cell = {
-  buckets : int Atomic.t array;
-  h_count : cell;
-  h_sum : cell;
-  h_max : int Atomic.t;
+type hist = {
+  count : int;
+  sum_ns : int64;
+  p50_ns : float;
+  p90_ns : float;
+  p99_ns : float;
+  max_ns : int64;
 }
 
-let make_hist_cell () =
+type core = {
+  buckets : int Atomic.t array;
+  total : int Atomic.t;
+  sum : int Atomic.t;
+  max : int Atomic.t;
+}
+
+let make_core () =
   {
     buckets = Array.init hist_buckets (fun _ -> Atomic.make 0);
-    h_count = make_cell ();
-    h_sum = make_cell ();
-    h_max = Atomic.make 0;
+    total = Atomic.make 0;
+    sum = Atomic.make 0;
+    max = Atomic.make 0;
   }
+
+let clear_core c =
+  Array.iter (fun a -> Atomic.set a 0) c.buckets;
+  Atomic.set c.total 0;
+  Atomic.set c.sum 0;
+  Atomic.set c.max 0
 
 let bucket_of ns =
   if ns <= 1 then 0
@@ -76,15 +89,173 @@ let bucket_of ns =
     min !i (hist_buckets - 1)
   end
 
+(* Monotone max via CAS retry. *)
+let rec bump_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
+
+let observe_core c ns =
+  (* Clamp into native-int range before converting: [Int64.to_int]
+     wraps 2^63-1 to -1 on 63-bit ints, turning the largest duration
+     into the smallest. *)
+  let v =
+    if Int64.compare ns 0L < 0 then 0
+    else if Int64.compare ns (Int64.of_int max_int) > 0 then max_int
+    else Int64.to_int ns
+  in
+  ignore (Atomic.fetch_and_add c.buckets.(bucket_of v) 1);
+  ignore (Atomic.fetch_and_add c.total 1);
+  ignore (Atomic.fetch_and_add c.sum v);
+  bump_max c.max v
+
+let merge_into acc c =
+  Array.iteri (fun i b -> ignore (Atomic.fetch_and_add acc.buckets.(i) (Atomic.get b))) c.buckets;
+  ignore (Atomic.fetch_and_add acc.total (Atomic.get c.total));
+  ignore (Atomic.fetch_and_add acc.sum (Atomic.get c.sum));
+  bump_max acc.max (Atomic.get c.max)
+
+(* Quantile estimate: find the bucket where the cumulative count
+   crosses [q * total] and interpolate linearly inside its
+   [2^i, 2^(i+1)) range. *)
+let quantile c q =
+  let total = Atomic.get c.total in
+  if total = 0 then 0.
+  else begin
+    let rank = q *. float_of_int total in
+    let acc = ref 0. and result = ref None in
+    (try
+       for i = 0 to hist_buckets - 1 do
+         let n = float_of_int (Atomic.get c.buckets.(i)) in
+         if n > 0. then begin
+           let next = !acc +. n in
+           if next >= rank then begin
+             let lo = if i = 0 then 0. else float_of_int (1 lsl i) in
+             let hi = float_of_int (1 lsl (i + 1)) in
+             result := Some (lo +. ((hi -. lo) *. ((rank -. !acc) /. n)));
+             raise Exit
+           end;
+           acc := next
+         end
+       done
+     with Exit -> ());
+    (* The in-bucket interpolation can overshoot the bucket's actual
+       occupants; the exact max is a tighter bound. *)
+    let cap = float_of_int (Atomic.get c.max) in
+    match !result with Some v -> Float.min v cap | None -> cap
+  end
+
+let hist_of_core c =
+  {
+    count = Atomic.get c.total;
+    sum_ns = Int64.of_int (Atomic.get c.sum);
+    p50_ns = quantile c 0.5;
+    p90_ns = quantile c 0.9;
+    p99_ns = quantile c 0.99;
+    max_ns = Int64.of_int (Atomic.get c.max);
+  }
+
+let hist_to_json ?window_ns h =
+  Json.Obj
+    ([
+       ("count", Json.Int h.count);
+       ("sum_ns", Json.Int (Int64.to_int h.sum_ns));
+       ("p50_ns", Json.Float h.p50_ns);
+       ("p90_ns", Json.Float h.p90_ns);
+       ("p99_ns", Json.Float h.p99_ns);
+       ("max_ns", Json.Int (Int64.to_int h.max_ns));
+     ]
+    @ match window_ns with None -> [] | Some w -> [ ("window_ns", Json.Int (Int64.to_int w)) ])
+
+(* --- rolling windows ----------------------------------------------- *)
+
+module Rolling = struct
+  (* One slice of the window.  [epoch] is the absolute slice index
+     (now / slice_ns) whose observations the slice currently holds;
+     a slice is reused for epoch e+n, e+2n, ... and lazily zeroed the
+     first time a writer touches it in its new epoch.  [min_int] marks
+     "never written". *)
+  type slice = { epoch : int Atomic.t; core : core; lock : Mutex.t }
+
+  type t = { slice_ns : int64; window_ns : int64; slices : slice array }
+
+  let default_window_ns = 60_000_000_000L
+
+  let create ?(window_ns = default_window_ns) ?(slices = 12) () =
+    let slices = max 2 slices in
+    if Int64.compare window_ns (Int64.of_int slices) < 0 then
+      invalid_arg "Telemetry.Rolling.create: window shorter than one ns per slice";
+    {
+      slice_ns = Int64.div window_ns (Int64.of_int slices);
+      window_ns;
+      slices =
+        Array.init slices (fun _ ->
+            { epoch = Atomic.make min_int; core = make_core (); lock = Mutex.create () });
+    }
+
+  let window_ns t = t.window_ns
+
+  let epoch_of t now =
+    Int64.to_int (Int64.div (if Int64.compare now 0L < 0 then 0L else now) t.slice_ns)
+
+  (* Rotate [s] forward to [idx] if it still holds an older epoch.
+     Under the mutex so concurrent rotators reset at most once; the
+     double-check makes late arrivals a no-op. *)
+  let rotate_to s idx =
+    if Atomic.get s.epoch <> idx then begin
+      Mutex.lock s.lock;
+      if Atomic.get s.epoch < idx then begin
+        clear_core s.core;
+        Atomic.set s.epoch idx
+      end;
+      Mutex.unlock s.lock
+    end
+
+  let observe ?(now_ns = now_ns ()) t v =
+    let idx = epoch_of t now_ns in
+    let s = t.slices.(idx mod Array.length t.slices) in
+    rotate_to s idx;
+    (* If another writer already rotated the slot past [idx] this
+       observation fell out of the window between the clock read and
+       here; dropping it is the correct accounting. *)
+    if Atomic.get s.epoch = idx then observe_core s.core v
+
+  let stat ?(now_ns = now_ns ()) t =
+    let idx = epoch_of t now_ns in
+    let min_epoch = idx - Array.length t.slices + 1 in
+    let merged = make_core () in
+    (* Concurrent writers may land between these reads; the slices stay
+       internally consistent enough for a snapshot (counts never
+       decrease within an epoch). *)
+    Array.iter
+      (fun s ->
+        let e = Atomic.get s.epoch in
+        if e >= min_epoch && e <= idx then merge_into merged s.core)
+      t.slices;
+    hist_of_core merged
+
+  let clear t =
+    Array.iter
+      (fun s ->
+        Mutex.lock s.lock;
+        clear_core s.core;
+        Atomic.set s.epoch min_int;
+        Mutex.unlock s.lock)
+      t.slices
+end
+
+(* --- the registry -------------------------------------------------- *)
+
 let registry_lock = Mutex.create ()
 let counters_tbl : (string, cell) Hashtbl.t = Hashtbl.create 32
 let timers_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
-let hists_tbl : (string, hist_cell) Hashtbl.t = Hashtbl.create 16
-let sink : (event -> unit) option Atomic.t = Atomic.make None
+let hists_tbl : (string, core) Hashtbl.t = Hashtbl.create 16
 
-let set_sink s = Atomic.set sink s
-
-let emit ev = match Atomic.get sink with None -> () | Some f -> f ev
+(* Gauges are read as often as they are written (queue depth moves on
+   every enqueue/dequeue) and never aggregated, so a single Atomic per
+   gauge beats a sharded cell: [set] must be a plain store, and
+   sharding would make it a read-modify-write over 8 slots. *)
+let gauges_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
+let windows_tbl : (string, Rolling.t) Hashtbl.t = Hashtbl.create 16
 
 let find_or_create tbl make name =
   match Hashtbl.find_opt tbl name with
@@ -102,136 +273,146 @@ let find_or_create tbl make name =
     Mutex.unlock registry_lock;
     c
 
-let cell tbl name = find_or_create tbl make_cell name
-
-(* Per-shard [Atomic.fetch_and_add]s have no observable intermediate
-   states we rely on; sums are exact after domains join. *)
-let add name n =
-  cell_add (cell counters_tbl name) n;
-  emit (Counter { name; delta = n })
-
-let incr name = add name 1
-
-let counter name =
-  match Hashtbl.find_opt counters_tbl name with None -> 0 | Some c -> cell_value c
-
-let snapshot tbl =
+let sorted tbl value =
   Mutex.lock registry_lock;
-  let xs = Hashtbl.fold (fun name c acc -> (name, cell_value c) :: acc) tbl [] in
+  let xs = Hashtbl.fold (fun name c acc -> (name, value c) :: acc) tbl [] in
   Mutex.unlock registry_lock;
   List.sort (fun (a, _) (b, _) -> compare a b) xs
 
-let counters () = snapshot counters_tbl
+let read tbl value ~default name =
+  match Hashtbl.find_opt tbl name with None -> default | Some c -> value c
 
-let now_ns () = Monotonic_clock.now ()
+(* Per-shard [Atomic.fetch_and_add]s have no observable intermediate
+   states we rely on; sums are exact after domains join. *)
+let add name n = cell_add (find_or_create counters_tbl make_cell name) n
 
-let add_timer_ns name ns =
-  cell_add (cell timers_tbl name) (Int64.to_int ns);
-  emit (Timer { name; ns })
+let incr name = add name 1
+
+let counter = read counters_tbl cell_value ~default:0
+
+let counters () = sorted counters_tbl cell_value
+
+let add_timer_ns name ns = cell_add (find_or_create timers_tbl make_cell name) (Int64.to_int ns)
 
 let time name f =
   let t0 = now_ns () in
   Fun.protect ~finally:(fun () -> add_timer_ns name (Int64.sub (now_ns ()) t0)) f
 
-let timer_ns name =
-  match Hashtbl.find_opt timers_tbl name with
-  | None -> 0L
-  | Some c -> Int64.of_int (cell_value c)
+let timer_ns = read timers_tbl (fun c -> Int64.of_int (cell_value c)) ~default:0L
 
-let timers () = List.map (fun (n, v) -> (n, Int64.of_int v)) (snapshot timers_tbl)
+let timers () = sorted timers_tbl (fun c -> Int64.of_int (cell_value c))
 
-(* --- histograms ---------------------------------------------------- *)
+let observe name ns = observe_core (find_or_create hists_tbl make_core name) ns
 
-let observe name ns =
-  let h = find_or_create hists_tbl make_hist_cell name in
-  (* Clamp into native-int range before converting: [Int64.to_int]
-     wraps 2^63-1 to -1 on 63-bit ints, turning the largest duration
-     into the smallest. *)
-  let v =
-    if Int64.compare ns 0L < 0 then 0
-    else if Int64.compare ns (Int64.of_int max_int) > 0 then max_int
-    else Int64.to_int ns
-  in
-  ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
-  cell_add h.h_count 1;
-  cell_add h.h_sum v;
-  (* Monotone max via CAS retry. *)
-  let rec bump () =
-    let cur = Atomic.get h.h_max in
-    if v > cur && not (Atomic.compare_and_set h.h_max cur v) then bump ()
-  in
-  bump ();
-  emit (Observation { name; ns })
+let histogram =
+  read hists_tbl ~default:None (fun c ->
+      if Atomic.get c.total = 0 then None else Some (hist_of_core c))
 
-(* Quantile estimate: find the bucket where the cumulative count
-   crosses [q * total] and interpolate linearly inside its
-   [2^i, 2^(i+1)) range. *)
-let hist_quantile h q =
-  let total = cell_value h.h_count in
-  if total = 0 then 0.
-  else begin
-    let rank = q *. float_of_int total in
-    let acc = ref 0. and result = ref None in
-    (try
-       for i = 0 to hist_buckets - 1 do
-         let c = float_of_int (Atomic.get h.buckets.(i)) in
-         if c > 0. then begin
-           let next = !acc +. c in
-           if next >= rank then begin
-             let lo = if i = 0 then 0. else float_of_int (1 lsl i) in
-             let hi = float_of_int (1 lsl (i + 1)) in
-             let frac = if c = 0. then 0. else (rank -. !acc) /. c in
-             result := Some (lo +. ((hi -. lo) *. frac));
-             raise Exit
-           end;
-           acc := next
-         end
-       done
-     with Exit -> ());
-    (* The in-bucket interpolation can overshoot the bucket's actual
-       occupants; the exact max is a tighter bound. *)
-    let cap = float_of_int (Atomic.get h.h_max) in
-    match !result with Some v -> Float.min v cap | None -> cap
-  end
+let histograms () = List.filter (fun (_, h) -> h.count > 0) (sorted hists_tbl hist_of_core)
 
-let hist_of_cell h =
-  {
-    count = cell_value h.h_count;
-    sum_ns = Int64.of_int (cell_value h.h_sum);
-    p50_ns = hist_quantile h 0.5;
-    p90_ns = hist_quantile h 0.9;
-    p99_ns = hist_quantile h 0.99;
-    max_ns = Int64.of_int (Atomic.get h.h_max);
-  }
+let gauge_cell = find_or_create gauges_tbl (fun () -> Atomic.make 0)
 
-let histogram name =
-  match Hashtbl.find_opt hists_tbl name with
-  | None -> None
-  | Some h -> if cell_value h.h_count = 0 then None else Some (hist_of_cell h)
+let gauge_set name v = Atomic.set (gauge_cell name) v
 
-let histograms () =
-  Mutex.lock registry_lock;
-  let xs =
-    Hashtbl.fold
-      (fun name h acc ->
-        if cell_value h.h_count = 0 then acc else (name, hist_of_cell h) :: acc)
-      hists_tbl []
-  in
-  Mutex.unlock registry_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) xs
+let gauge_add name d = ignore (Atomic.fetch_and_add (gauge_cell name) d)
+
+let gauge = read gauges_tbl Atomic.get ~default:0
+
+let gauges () = sorted gauges_tbl Atomic.get
+
+let window = find_or_create windows_tbl (fun () -> Rolling.create ())
+
+let observe_window name ns = Rolling.observe (window name) ns
+
+let windows () = sorted windows_tbl (fun w -> Rolling.stat w)
 
 let reset () =
   Mutex.lock registry_lock;
   Hashtbl.iter (fun _ c -> cell_reset c) counters_tbl;
   Hashtbl.iter (fun _ c -> cell_reset c) timers_tbl;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun a -> Atomic.set a 0) h.buckets;
-      cell_reset h.h_count;
-      cell_reset h.h_sum;
-      Atomic.set h.h_max 0)
-    hists_tbl;
+  Hashtbl.iter (fun _ c -> clear_core c) hists_tbl;
+  Hashtbl.iter (fun _ g -> Atomic.set g 0) gauges_tbl;
+  Hashtbl.iter (fun _ w -> Rolling.clear w) windows_tbl;
   Mutex.unlock registry_lock
+
+(* --- snapshot and exposition --------------------------------------- *)
+
+type snapshot = {
+  counters : (string * int) list;
+  gauges : (string * int) list;
+  windows : (string * hist) list;
+  window_ns : int64;
+}
+
+let snapshot () =
+  {
+    counters = counters ();
+    gauges = gauges ();
+    windows = windows ();
+    window_ns = Rolling.default_window_ns;
+  }
+
+let prometheus_name name =
+  let b = Buffer.create (String.length name + 6) in
+  Buffer.add_string b "rchls_";
+  String.iter
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> Buffer.add_char b c
+      | _ -> Buffer.add_char b '_')
+    name;
+  Buffer.contents b
+
+let seconds_of_ns ns = Int64.to_float ns /. 1e9
+
+let prom_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.9g" f
+
+let to_prometheus snap =
+  let b = Buffer.create 2048 in
+  let series name typ rows =
+    Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name typ);
+    List.iter
+      (fun (labels, v) ->
+        Buffer.add_string b (Printf.sprintf "%s%s %s\n" name labels v))
+      rows
+  in
+  series "rchls_uptime_seconds" "gauge"
+    [ ("", prom_float (seconds_of_ns (uptime_ns ()))) ];
+  List.iter
+    (fun (name, v) ->
+      series (prometheus_name name ^ "_total") "counter"
+        [ ("", string_of_int v) ])
+    snap.counters;
+  List.iter
+    (fun (name, v) ->
+      series (prometheus_name name) "gauge" [ ("", string_of_int v) ])
+    snap.gauges;
+  List.iter
+    (fun (name, h) ->
+      let m = prometheus_name name ^ "_seconds" in
+      series m "summary"
+        [
+          ("{quantile=\"0.5\"}", prom_float (h.p50_ns /. 1e9));
+          ("{quantile=\"0.9\"}", prom_float (h.p90_ns /. 1e9));
+          ("{quantile=\"0.99\"}", prom_float (h.p99_ns /. 1e9));
+        ];
+      Buffer.add_string b
+        (Printf.sprintf "%s_sum %s\n" m (prom_float (seconds_of_ns h.sum_ns)));
+      Buffer.add_string b (Printf.sprintf "%s_count %d\n" m h.count))
+    snap.windows;
+  Buffer.contents b
+
+let to_json snap =
+  let fields value xs = Json.Obj (List.map (fun (n, v) -> (n, value v)) xs) in
+  Json.Obj
+    [
+      ("counters", fields (fun v -> Json.Int v) snap.counters);
+      ("gauges", fields (fun v -> Json.Int v) snap.gauges);
+      ("windows", fields (hist_to_json ~window_ns:snap.window_ns) snap.windows);
+    ]
 
 (* --- rendering ----------------------------------------------------- *)
 

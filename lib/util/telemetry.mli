@@ -1,18 +1,23 @@
-(** Engine observability: named counters, monotonic-clock timers and
-    log-scale latency histograms.
+(** Observability: named counters, monotonic-clock timers, log-scale
+    latency histograms, gauges and rolling-window histograms, plus their
+    Prometheus and JSON exposition.
 
     The synthesis layers (scheduling, binding, the pass-pipeline
     engine, the redundancy baseline) report how much work they do
     through a process-global registry of named counters
     (["sched.runs"], ["cache.hits"], ["downgrade.steps"], ...),
     cumulative wall-clock timers (["pass.meet_latency"], ...) and
-    duration histograms fed by {!Trace.with_span}.
+    duration histograms fed by {!Trace.with_span}.  A long-running
+    daemon adds {b gauges} (queue depth, in-flight jobs) and {b rolling
+    windows}: duration histograms over a sliding time window, so
+    p50/p90/p99 reflect {e recent} traffic and old load spikes age out.
 
     Counter and timer cells are {e sharded per domain} (one atomic per
     shard, aggregated on read) so parallel sweep and fault-campaign
-    workers bump them without cache-line contention.  Reads
-    ({!counters}, {!timers}, {!histograms}) are snapshots, exact once
-    the domains have been joined.
+    workers bump them without cache-line contention.  Cumulative and
+    rolling histograms share one log2-bucket core and one quantile
+    estimator.  Reads are snapshots, exact once the domains have been
+    joined.
 
     Recording is free of observable side effects on synthesis results:
     layers must never branch on telemetry state. *)
@@ -30,7 +35,12 @@ val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
 val now_ns : unit -> int64
-(** The monotonic clock backing {!time} and {!Trace.with_span}. *)
+(** The monotonic clock backing {!time}, {!Rolling} and
+    {!Trace.with_span}. *)
+
+val uptime_ns : unit -> int64
+(** Monotonic nanoseconds since this module was initialized (process
+    start, for practical purposes). *)
 
 val time : string -> (unit -> 'a) -> 'a
 (** [time name f] runs [f ()], adding its monotonic-clock elapsed time
@@ -55,11 +65,15 @@ type hist = {
   p99_ns : float;
   max_ns : int64;  (** exact *)
 }
+(** A histogram read out: cumulative ({!histogram}) or over a window
+    ({!Rolling.stat}).  Observations land in [2^i, 2^(i+1)) ns
+    buckets; a quantile is the bucket where the cumulative rank
+    crosses it, interpolated linearly and capped by the exact max.
+    An empty histogram reads all zeros. *)
 
 val observe : string -> int64 -> unit
-(** Record one duration (ns) into histogram [name]: a log2-bucketed
-    latency histogram ([2^i, 2^(i+1)) ns buckets).  Span completions
-    feed these automatically via {!Trace.with_span}. *)
+(** Record one duration (ns) into cumulative histogram [name].  Span
+    completions feed these automatically via {!Trace.with_span}. *)
 
 val histogram : string -> hist option
 (** Snapshot with quantile estimates; [None] for an unknown or empty
@@ -68,23 +82,92 @@ val histogram : string -> hist option
 val histograms : unit -> (string * hist) list
 (** All non-empty histograms, sorted by name. *)
 
-(** {1 Event stream} *)
+val hist_to_json : ?window_ns:int64 -> hist -> Json.t
+(** [{"count":..,"sum_ns":..,"p50_ns":..,"p90_ns":..,"p99_ns":..,
+    "max_ns":..}], with ["window_ns"] appended when given. *)
 
-type event =
-  | Counter of { name : string; delta : int }
-  | Timer of { name : string; ns : int64 }
-  | Observation of { name : string; ns : int64 }
+(** {1 Gauges} *)
 
-val set_sink : (event -> unit) option -> unit
-(** Install (or remove) a sink observing every counter bump, timer
-    stop and histogram observation in addition to the registry
-    accumulation.  The sink runs on the domain that recorded the
-    event; it must be thread-safe when parallel sweeps are active.
-    Intended for streaming traces and tests. *)
+val gauge_set : string -> int -> unit
+(** [gauge_set name v] sets gauge [name] to [v], creating it first. *)
+
+val gauge_add : string -> int -> unit
+(** Adjust a gauge by a (possibly negative) delta. *)
+
+val gauge : string -> int
+(** Current value; 0 for a gauge never set. *)
+
+val gauges : unit -> (string * int) list
+(** All gauges, sorted by name. *)
+
+(** {1 Rolling windows} *)
+
+module Rolling : sig
+  type t
+  (** A sliding-window histogram: the window is divided into equal time
+      slices, each its own histogram tagged with the slice period it
+      holds; an observation lands in the slice covering its timestamp
+      and a slice is lazily cleared when the window slides past it.
+      Writers are lock-free on the hot path (atomic bumps; a mutex is
+      taken only to rotate a stale slice, once per slice period). *)
+
+  val create : ?window_ns:int64 -> ?slices:int -> unit -> t
+  (** Default: a 60 s window in 12 slices of 5 s.  [slices] min 2,
+      [window_ns] must exceed [slices] (one ns per slice). *)
+
+  val window_ns : t -> int64
+
+  val observe : ?now_ns:int64 -> t -> int64 -> unit
+  (** Record one duration at time [now_ns] (default: {!now_ns}).
+      Observations older than the slice currently covering their slot
+      are dropped — they are outside the window. *)
+
+  val stat : ?now_ns:int64 -> t -> hist
+  (** The merged slices alive at [now_ns]. *)
+end
+
+val window : string -> Rolling.t
+(** Get-or-create the registry's rolling window [name], with the
+    default window length. *)
+
+val observe_window : string -> int64 -> unit
+(** [observe_window name ns] = [Rolling.observe (window name) ns]. *)
+
+val windows : unit -> (string * hist) list
+(** Stats for every registered window, sorted by name. *)
+
+(** {1 Reset} *)
 
 val reset : unit -> unit
-(** Zero every counter, timer and histogram (the registry keys
-    survive). *)
+(** Zero every counter, timer, histogram and gauge and clear every
+    window (the registry keys survive). *)
+
+(** {1 Snapshot and exposition} *)
+
+type snapshot = {
+  counters : (string * int) list;
+  gauges : (string * int) list;
+  windows : (string * hist) list;
+  window_ns : int64;  (** the length of every registry window *)
+}
+
+val snapshot : unit -> snapshot
+
+val prometheus_name : string -> string
+(** Sanitize a dotted metric name for Prometheus: [a-zA-Z0-9_] with
+    every other byte mapped to ['_'], prefixed ["rchls_"]. *)
+
+val to_prometheus : snapshot -> string
+(** Prometheus text exposition (format 0.0.4): counters as
+    [# TYPE ... counter] series suffixed [_total], gauges as gauges,
+    rolling windows as summaries in {e seconds} ([_seconds] suffix,
+    [quantile] labels 0.5/0.9/0.99, plus [_sum]/[_count]).  Ends with
+    a newline; deterministic order. *)
+
+val to_json : snapshot -> Json.t
+(** The same snapshot as one JSON object:
+    [{"counters":{...},"gauges":{...},"windows":{"name":{"count":...,
+    "p50_ns":...,"window_ns":...},...}}]. *)
 
 (** {1 Rendering} *)
 

@@ -226,6 +226,10 @@ let bad_responses =
     resp {|{"kind":"check","design":{"kind":"design","status":"infeasible","reason":"scheduling_error","message":"m"},"passed":"nope","violations":[]}|};
     resp {|{"kind":"fuzz","outcomes":[{"property":"p","cases":1,"passed":true,"failure":{"case":0,"message":"m","shrink_steps":0,"counterexample":""}}]}|};
     resp {|{"kind":"health","uptime_ns":1,"queue_depth":0,"queue_max":1,"in_flight":0}|};
+    (* A variant's case rejects the fields of its other cases. *)
+    {|{"api":"rchls.api/1","status":"ok","result":{"kind":"pong"},"error":{"code":"internal","message":"x"}}|};
+    {|{"api":"rchls.api/1","status":"error","error":{"code":"internal","message":"x"},"result":{"kind":"pong"}}|};
+    resp {|{"kind":"design","status":"ok","latency":1,"area":1,"reliability":0.5,"instances":[],"reason":"scheduling_error"}|};
   ]
 
 let print_verdict what line = function

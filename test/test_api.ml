@@ -21,7 +21,6 @@ module Client = Rchls_serve.Client
 module Diskcache = Rchls_util.Diskcache
 module Json = Rchls_util.Json
 module Telemetry = Rchls_util.Telemetry
-module Metrics = Rchls_util.Metrics
 module Benchmarks = Rchls_dfg.Benchmarks
 module Parse = Rchls_dfg.Parse
 module Gen = QCheck2.Gen
@@ -902,7 +901,6 @@ let test_serve_observability_consistency () =
      the [stats] answer, the Prometheus scrape and the access log must
      tell the same story. *)
   Telemetry.reset ();
-  Metrics.reset ();
   let dir = temp_dir "rchls-obs" in
   let socket = Filename.concat dir "s.sock" in
   let log_path = Filename.concat dir "access.log" in
