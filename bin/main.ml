@@ -76,6 +76,21 @@ let or_die = function
     Printf.eprintf "rchls: %s\n" e;
     exit 1
 
+(* Every file the CLI opens by name goes through [on_file]: a system
+   error on it ends the run with "rchls: cannot VERB PATH: REASON" and
+   exit 1. *)
+let on_file verb path f =
+  try f ()
+  with Sys_error m ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix m then
+        String.sub m (String.length prefix) (String.length m - String.length prefix)
+      else m
+    in
+    Printf.eprintf "rchls: cannot %s %s: %s\n%!" verb path reason;
+    exit 1
+
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
          ~doc:"Print engine telemetry (scheduler/binder runs, evaluation-cache \
@@ -147,14 +162,14 @@ let with_tracing ?(extra_sinks = []) trace_out f =
   | None -> (
     match extra_sinks with [] -> f () | sinks -> Trace.with_sinks sinks f)
   | Some path when Filename.check_suffix path ".jsonl" ->
-    let oc = open_out path in
+    let oc = on_file "write" path (fun () -> open_out path) in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () -> Trace.with_sinks (extra_sinks @ [ Trace.jsonl_sink oc ]) f)
   | Some path ->
     let c = Trace.collector () in
     let v = Trace.with_sinks (extra_sinks @ [ Trace.collector_sink c ]) f in
-    Trace.write_chrome_file c path;
+    on_file "write" path (fun () -> Trace.write_chrome_file c path);
     Printf.eprintf "rchls: wrote %s\n%!" path;
     v
 
@@ -280,9 +295,10 @@ let synth_cmd =
         Option.iter
           (fun path ->
             let sched = Design.schedule d in
-            Rchls_dfg.Dot.write_file
-              ~step:(fun nd -> Some (Rchls_sched.Schedule.start sched nd.Dfg.id))
-              g path;
+            on_file "write" path (fun () ->
+                Rchls_dfg.Dot.write_file
+                  ~step:(fun nd -> Some (Rchls_sched.Schedule.start sched nd.Dfg.id))
+                  g path);
             if report = None then Printf.printf "wrote %s\n" path
             else Printf.eprintf "rchls: wrote %s\n%!" path)
           dot;
@@ -809,6 +825,7 @@ let explore_cmd =
         exp_stats.Explore.derived
     in
     let explore_one (name, g) =
+      or_die (Loader.covers g lib);
       let graph_text = Parse.to_text g in
       let planned = lazy (Explore.plan g lib) in
       let lds = match lds with [] -> fst (Lazy.force planned) | l -> l in
@@ -1036,11 +1053,11 @@ let request_cmd =
         | None -> Client.connect_unix socket)
     in
     Option.iter (Client.set_receive_timeout client) timeout;
-    let ic =
+    let name, ic =
       match file with
-      | None | Some "-" -> stdin
+      | None | Some "-" -> ("standard input", stdin)
       | Some path ->
-        if Sys.file_exists path then open_in path
+        if Sys.file_exists path then (path, on_file "read" path (fun () -> open_in path))
         else begin
           Printf.eprintf "rchls: no such file %S\n" path;
           exit 1
@@ -1051,7 +1068,7 @@ let request_cmd =
     let code = ref 0 in
     (try
        while true do
-         let line = input_line ic in
+         let line = on_file "read" name (fun () -> input_line ic) in
          if String.trim line <> "" then begin
            (match Client.send_raw client line with
            | Ok () -> ()

@@ -2,6 +2,8 @@ module Library = Rchls_charlib.Library
 module Benchmarks = Rchls_dfg.Benchmarks
 module Parse = Rchls_dfg.Parse
 module Request = Rchls_api.Request
+module Resource = Rchls_charlib.Resource
+module Dfg = Rchls_dfg.Dfg
 
 let ( let* ) = Result.bind
 
@@ -44,3 +46,16 @@ let library_of_source = function
   | Request.Lib_default -> Ok Library.table1
   | Request.Lib_file path -> load_library (Some path)
   | Request.Lib_inline text -> Library.of_text text
+
+let covers g lib =
+  let offered cls =
+    List.exists (fun (r : Resource.t) -> r.op_class = cls) (Library.resources lib)
+  in
+  match List.find_opt (fun (cls, _) -> not (offered cls)) (Dfg.count_by_class g) with
+  | None -> Ok ()
+  | Some (cls, _) ->
+    let needs (n : Dfg.node) = Rchls_dfg.Op.resource_class n.op = cls in
+    Error
+      (Printf.sprintf "library has no %s version, needed by node %s"
+         (Resource.class_name cls)
+         (List.find needs (Dfg.nodes g)).name)

@@ -33,3 +33,9 @@ val library_of_source :
   Rchls_api.Request.library_source -> (Rchls_charlib.Library.t, string) result
 (** [Lib_default] is Table 1, [Lib_file] loads a server-side path,
     [Lib_inline] parses the carried text. *)
+
+val covers : Rchls_dfg.Dfg.t -> Rchls_charlib.Library.t -> (unit, string) result
+(** [Ok ()] when [lib] has at least one version of every operation
+    class [g] uses; otherwise an [Error] naming the missing class and
+    the first node (in node order) that needs it.  The synthesis
+    engine requires this and raises without it. *)

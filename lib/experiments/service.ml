@@ -146,8 +146,13 @@ let cache_key job =
 
 (* --- executors ------------------------------------------------------ *)
 
+(* Every executor checks that the library has a version for each
+   operation class the graph uses; {!cache_key} does not, so a served
+   hit pays nothing for it. *)
 let resolved_or ?resolved graph library =
-  match resolved with Some r -> Ok r | None -> resolve graph library
+  let* r = match resolved with Some r -> Ok r | None -> resolve graph library in
+  let* () = Loader.covers r.graph r.library in
+  Ok r
 
 let shared_cache ?service ~resolved scheduler =
   Option.map

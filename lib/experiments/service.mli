@@ -69,7 +69,8 @@ val cache_key : Request.job -> (int64 option, string) result
 
     Each executor returns the raw domain result (so the CLI can keep
     its human rendering and exit codes byte-identical) with load
-    errors as [Error message].  [resolved] skips re-loading when the
+    errors, and a library that lacks a class the graph uses
+    ({!Loader.covers}), as [Error message].  [resolved] skips re-loading when the
     caller already resolved the sources; [service] shares engine
     caches across jobs; [domains] caps the per-job worker fan-out
     (the daemon passes [~domains:1] — jobs are already fanned across

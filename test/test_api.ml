@@ -784,10 +784,39 @@ let test_serve_rejects_malformed () =
           | { Response.result = Error { code = Response.Bad_request; _ }; _ } -> ()
           | _ -> Alcotest.fail "a field spelling the version phrase is bad_request");
           check_ok "send" (Client.send_raw c {|{"api":"rchls.api/9","job":"ping"}|});
-          match check_ok "recv" (Client.recv c) with
+          (match check_ok "recv" (Client.recv c) with
           | { Response.result = Error { code = Response.Unsupported_version; _ }; _ }
             -> ()
-          | _ -> Alcotest.fail "expected unsupported_version"))
+          | _ -> Alcotest.fail "expected unsupported_version");
+          (* A library without multipliers, for a graph that multiplies:
+             every executing kind answers bad_request naming the class
+             and a node that needs it. *)
+          let addonly = {|{"text":"add1 \"Adder 1\" add rca 1 2 0.999\n"}|} in
+          List.iter
+            (fun (job, params) ->
+              check_ok "send"
+                (Client.send_raw c
+                   (req_line
+                      (Printf.sprintf
+                         {|"job":"%s","params":{"graph":{"name":"fir16"},"library":%s,%s}|}
+                         job addonly params)));
+              match check_ok "recv" (Client.recv c) with
+              | { Response.result = Error { code = Response.Bad_request; message }; _ } ->
+                Alcotest.(check bool)
+                  (job ^ " names the class and a node") true
+                  (contains ~affix:"no mul version" message
+                  && contains ~affix:"node m1" message)
+              | { Response.result = Error e; _ } ->
+                Alcotest.failf "%s: expected bad_request, got %s: %s" job
+                  (Response.error_code_name e.Response.code) e.Response.message
+              | _ -> Alcotest.failf "%s: an incomplete library synthesized" job)
+            [
+              ("synth", {|"ld":12,"ad":10|});
+              ("anneal", {|"ld":12,"ad":10|});
+              ("check", {|"ld":12,"ad":10|});
+              ("sweep", {|"lds":[12],"ads":[10]|});
+              ("explore", {|"lds":[12],"ads":[10]|});
+            ]))
 
 (* Connection teardown must close each socket descriptor exactly once.
    A second close of the same number lands on whatever another thread
