@@ -99,18 +99,34 @@ bench-telemetry: build
 	dune exec bench/main.exe -- telemetry BENCH_telemetry.json
 
 # End-to-end smoke of the tracing/report surface: one synthesis with a
-# Chrome trace and a JSON run report, both validated as parseable.
+# Chrome trace and a JSON run report, plus the JSON run report of every
+# other subcommand that writes one.  Each file must parse, and each
+# report must carry the run-report schema tag.
+SMOKE_REPORTS = report.json report_anneal.json report_sweep.json \
+  report_fuzz.json report_experiment.json
+
 smoke: build
 	dune exec bin/main.exe -- synth fig4 --ld 8 --ad 300 \
 	  --trace-out trace.json --report json > report.json
+	dune exec bin/main.exe -- anneal fir16 --ld 12 --ad 10 --moves 200 \
+	  --report json > report_anneal.json
+	dune exec bin/main.exe -- sweep diffeq --lds 5,6 --ads 7,11 \
+	  --approach combined --report json > report_sweep.json
+	dune exec bin/main.exe -- fuzz --cases 5 --report json > report_fuzz.json
+	dune exec bin/main.exe -- experiment table1 --report json \
+	  > report_experiment.json
 	python3 -m json.tool trace.json > /dev/null
-	python3 -m json.tool report.json > /dev/null
-	@echo "smoke: trace.json and report.json parse"
+	for f in $(SMOKE_REPORTS); do \
+	  python3 -m json.tool $$f > /dev/null || exit 1; \
+	  grep -q '"schema": "rchls.run_report/1"' $$f \
+	    || { echo "smoke: $$f lacks the run-report schema tag"; exit 1; }; \
+	done
+	@echo "smoke: trace.json and $(words $(SMOKE_REPORTS)) run reports parse"
 
 clean:
 	dune clean
 	rm -f BENCH_sweep.json BENCH_fault.json BENCH_telemetry.json \
 	  BENCH_synth.json BENCH_fuzz.json BENCH_serve.json \
-	  BENCH_explore.json BENCH_anneal.json trace.json report.json \
+	  BENCH_explore.json BENCH_anneal.json trace.json $(SMOKE_REPORTS) \
 	  fuzz_report.json rchls.sock
 	rm -rf _bench_corpus

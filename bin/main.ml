@@ -2,6 +2,7 @@
 
    Subcommands:
      synth        synthesize a benchmark or .dfg file under bounds
+     anneal       synthesize, then improve by parallel-tempering annealing
      sweep        explore a bounds grid for one approach
      characterize run the component characterization (Table 1)
      library      print or validate a resource library
@@ -12,17 +13,22 @@
      explore      frontier-guided Pareto exploration of bound planes
      serve        run the synthesis daemon (NDJSON over a socket)
      request      send API request lines to a running daemon
+     top          live dashboard for a running daemon
 
-   The synth/sweep/fuzz subcommands are thin clients of the
+   The synth/anneal/sweep/fuzz subcommands are thin clients of the
    [Rchls_api] job schema: they construct the same typed requests the
    serve wire format carries and execute them in-process through
    [Rchls_experiments.Service] — one public surface, two transports.
+   Flag values, help text and report arguments for the API enums come
+   from the [Rchls_api.Request] name tables.
 
-   Cross-cutting flags: --stats (telemetry table), --trace-out FILE
+   Cross-cutting flags are built once as composable groups and installed
+   by one [run] envelope: --stats (telemetry table), --trace-out FILE
    (Chrome trace-event JSON, or JSONL when FILE ends in .jsonl),
    --report json (machine-readable run report on stdout, human output
    on stderr) and --check (independent design-validity checking of
-   every realized design). *)
+   every realized design).  Each subcommand takes only the groups it
+   documents. *)
 
 open Cmdliner
 module Library = Rchls_charlib.Library
@@ -31,6 +37,7 @@ module Dfg = Rchls_dfg.Dfg
 module Parse = Rchls_dfg.Parse
 module Rc = Rchls_core.Reliability_centric
 module Design = Rchls_core.Design
+module Anneal = Rchls_anneal.Anneal
 module Experiments = Rchls_experiments.Experiments
 module Sweep = Rchls_experiments.Sweep
 module Explore = Rchls_experiments.Explore
@@ -40,6 +47,7 @@ module Report = Rchls_experiments.Report
 module Loader = Rchls_experiments.Loader
 module Service = Rchls_experiments.Service
 module Telemetry = Rchls_util.Telemetry
+module Tablefmt = Rchls_util.Tablefmt
 module Trace = Rchls_util.Trace
 module Json = Rchls_util.Json
 module Check = Rchls_check.Check
@@ -49,26 +57,6 @@ module Response = Rchls_api.Response
 module Server = Rchls_serve.Server
 module Client = Rchls_serve.Client
 module Dashboard = Rchls_serve.Dashboard
-
-let load_library = Loader.load_library
-
-(* --- common args --- *)
-
-let graph_arg =
-  let doc = "Benchmark name (fig4, fir16, ewf, diffeq, iir, ar) or path to a .dfg file." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc)
-
-let library_arg =
-  let doc = "Resource library file (defaults to the paper's Table 1)." in
-  Arg.(value & opt (some string) None & info [ "library"; "L" ] ~docv:"FILE" ~doc)
-
-let ld_arg =
-  let doc = "Latency bound in clock cycles." in
-  Arg.(required & opt (some int) None & info [ "ld" ] ~docv:"CYCLES" ~doc)
-
-let ad_arg =
-  let doc = "Area bound in library units." in
-  Arg.(required & opt (some int) None & info [ "ad" ] ~docv:"UNITS" ~doc)
 
 let or_die = function
   | Ok v -> v
@@ -91,6 +79,65 @@ let on_file verb path f =
     Printf.eprintf "rchls: cannot %s %s: %s\n%!" verb path reason;
     exit 1
 
+let print_report report = print_endline (Json.to_string ~pretty:true report)
+
+(* --- common args --- *)
+
+let graph_arg =
+  let doc = "Benchmark name (fig4, fir16, ewf, diffeq, iir, ar) or path to a .dfg file." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc)
+
+let library_arg =
+  let doc = "Resource library file (defaults to the paper's Table 1)." in
+  Arg.(value & opt (some string) None & info [ "library"; "L" ] ~docv:"FILE" ~doc)
+
+let library_source = function
+  | None -> Request.Lib_default
+  | Some path -> Request.Lib_file path
+
+let ld_arg =
+  let doc = "Latency bound in clock cycles." in
+  Arg.(required & opt (some int) None & info [ "ld" ] ~docv:"CYCLES" ~doc)
+
+let ad_arg =
+  let doc = "Area bound in library units." in
+  Arg.(required & opt (some int) None & info [ "ad" ] ~docv:"UNITS" ~doc)
+
+let domains_arg ?(sequential = true) what note =
+  let doc =
+    Printf.sprintf
+      "Worker domains %s (default: $(b,RCHLS_DOMAINS) or the recommended domain \
+       count%s).%s"
+      what
+      (if sequential then "; 1 = sequential" else "")
+      (if note = "" then "" else "  " ^ note)
+  in
+  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+
+(* An API enum flag: its values are the [Request] name table, and its
+   doc lists them in table order, "name (note)" where [notes] has one
+   and [last] before the final name. *)
+let enum_arg name ~docv ~default table ?(last = ", ") ~notes what =
+  let item (n, v) =
+    match List.assoc_opt v notes with Some note -> n ^ " (" ^ note ^ ")" | None -> n
+  in
+  let doc =
+    match List.rev_map item table with
+    | final :: rest ->
+      Printf.sprintf "%s: %s%s%s." what (String.concat ", " (List.rev rest)) last final
+    | [] -> what
+  in
+  Arg.(value & opt (enum table) default & info [ name ] ~docv ~doc)
+
+(* --- observability flag groups and the run envelope --- *)
+
+type envelope = {
+  stats : bool;
+  trace_out : string option;
+  report : bool;  (** [--report json]: stdout carries the run report *)
+  check : bool;
+}
+
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
          ~doc:"Print engine telemetry (scheduler/binder runs, evaluation-cache \
@@ -112,7 +159,7 @@ let report_arg =
                  quantiles, input fingerprints) on stdout.  $(docv) must be \
                  $(b,json).  Human-readable output moves to stderr.")
 
-let check_flag =
+let check_arg =
   Arg.(value & flag & info [ "check" ]
          ~doc:"Re-validate every design the engine realizes (and every \
                redundancy-protected design a sweep produces) with the \
@@ -120,6 +167,31 @@ let check_flag =
                conflict-free binding, library membership and recomputed \
                objective totals.  A violation aborts the run with a \
                diagnostic; a summary count goes to stderr.")
+
+(* The groups: [--stats] alone, [observe] (= [--stats] and
+   [--trace-out]), and [reporting]/[checking], which extend a group
+   with [--report]/[--check]. *)
+let quiet = { stats = false; trace_out = None; report = false; check = false }
+let stats_only = Term.(const (fun stats -> { quiet with stats }) $ stats_arg)
+
+let observe =
+  Term.(const (fun stats trace_out -> { quiet with stats; trace_out }) $ stats_arg
+        $ trace_out_arg)
+
+let reporting group =
+  Term.(const (fun e r -> { e with report = r <> None }) $ group $ report_arg)
+
+let checking group = Term.(const (fun e check -> { e with check }) $ group $ check_arg)
+
+(* The --stats table, on stderr when stdout carries machine output;
+   [label] heads the block. *)
+let print_stats ?label ~err () =
+  let rendered = Telemetry.render () in
+  if rendered <> "" then begin
+    let head = match label with Some id -> Printf.sprintf "[%s]\n" id | None -> "" in
+    if err then Printf.eprintf "\n%s%s\n%!" head rendered
+    else Printf.printf "\n%s%s\n" head rendered
+  end
 
 (* Run [f ()] with the design checker installed; the summary goes to
    stderr so checked runs keep byte-identical stdout. *)
@@ -140,88 +212,89 @@ let with_check check f =
       exit 3
   end
 
-(* Run [f ()] on fresh telemetry and, under [--stats], print what the
-   run accumulated — to stderr when stdout carries a JSON report. *)
-let with_stats ?(err = false) stats f =
-  Telemetry.reset ();
-  let v = f () in
-  if stats then begin
-    let rendered = Telemetry.render () in
-    if rendered <> "" then
-      if err then Printf.eprintf "\n%s\n%!" rendered
-      else Printf.printf "\n%s\n" rendered
-  end;
-  v
-
-(* Run [f ()] with the requested trace sinks installed; the Chrome
-   file is rendered after [f] returns (also on a failed synthesis —
-   failure paths return an exit code instead of exiting inline so this
-   finisher runs). *)
-let with_tracing ?(extra_sinks = []) trace_out f =
+(* Run [f ()] with [sinks] and the --trace-out sink installed; the
+   Chrome file is rendered after [f] returns (also on a failed
+   synthesis, whose exit code [f] returns rather than exiting). *)
+let with_tracing ?(sinks = []) trace_out f =
   match trace_out with
-  | None -> (
-    match extra_sinks with [] -> f () | sinks -> Trace.with_sinks sinks f)
+  | None -> ( match sinks with [] -> f () | sinks -> Trace.with_sinks sinks f)
   | Some path when Filename.check_suffix path ".jsonl" ->
     let oc = on_file "write" path (fun () -> open_out path) in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Trace.with_sinks (extra_sinks @ [ Trace.jsonl_sink oc ]) f)
+      (fun () -> Trace.with_sinks (sinks @ [ Trace.jsonl_sink oc ]) f)
   | Some path ->
     let c = Trace.collector () in
-    let v = Trace.with_sinks (extra_sinks @ [ Trace.collector_sink c ]) f in
+    let v = Trace.with_sinks (sinks @ [ Trace.collector_sink c ]) f in
     on_file "write" path (fun () -> Trace.write_chrome_file c path);
     Printf.eprintf "rchls: wrote %s\n%!" path;
     v
 
-let print_report report = print_endline (Json.to_string ~pretty:true report)
+(* The run envelope: [f] runs on fresh telemetry, under the checker
+   and the trace sinks its flags ask for; then the --stats table
+   (on stderr when [stats_err] or a report owns stdout), and [f]'s
+   exit code. *)
+let run ?sinks ?(stats_err = false) env f =
+  Telemetry.reset ();
+  let code = with_check env.check (fun () -> with_tracing ?sinks env.trace_out f) in
+  if env.stats then print_stats ~err:(stats_err || env.report) ();
+  if code <> 0 then exit code
 
-(* --- synth --- *)
+(* --- synth and anneal --- *)
 
-let strategy_arg =
-  let strategy_conv =
-    Arg.enum
-      [
-        ("best", Request.Best);
-        ("figure6", Request.Figure6);
-        ("bottom-up", Request.Bottom_up);
-      ]
+(* The synthesis parameters synth and anneal share: the request fields
+   and the run-report arguments naming them. *)
+let synth_params =
+  let strategy_arg =
+    enum_arg "strategy" ~docv:"STRATEGY" ~default:Request.Best Request.strategies
+      ~notes:[ (Request.Best, "default") ]
+      "Search strategy"
   in
-  Arg.(value & opt strategy_conv Request.Best & info [ "strategy" ] ~docv:"STRATEGY"
-         ~doc:"Search strategy: best (default), figure6, bottom-up.")
-
-let strategy_name = function
-  | Request.Best -> "best"
-  | Request.Figure6 -> "figure6"
-  | Request.Bottom_up -> "bottom-up"
-
-let scheduler_arg =
-  let scheduler_conv =
-    Arg.enum
-      [
-        ("density", Request.Density);
-        ("density-reference", Request.Density_reference);
-        ("force-directed", Request.Force_directed);
-      ]
+  let scheduler_arg =
+    enum_arg "scheduler" ~docv:"SCHED" ~default:Request.Density Request.schedulers
+      ~last:" or "
+      ~notes:
+        [
+          (Request.Density, "the paper's, incremental");
+          (Request.Density_reference, "full-recompute oracle, same schedules");
+        ]
+      "Scheduler"
   in
-  Arg.(value & opt scheduler_conv Request.Density & info [ "scheduler" ] ~docv:"SCHED"
-         ~doc:"Scheduler: density (the paper's, incremental), density-reference \
-               (full-recompute oracle, same schedules) or force-directed.")
+  let make graph lib ld ad strategy scheduler =
+    ( { Request.graph = Request.Named graph; library = library_source lib; ld; ad;
+        strategy; scheduler },
+      [
+        ("graph", Json.Str graph);
+        ("ld", Json.Int ld);
+        ("ad", Json.Int ad);
+        ("strategy", Json.Str (Request.name_of Request.strategies strategy));
+        ("scheduler", Json.Str (Request.name_of Request.schedulers scheduler));
+      ] )
+  in
+  Term.(const make $ graph_arg $ library_arg $ ld_arg $ ad_arg $ strategy_arg
+        $ scheduler_arg)
 
-let scheduler_name = function
-  | Request.Density -> "density"
-  | Request.Density_reference -> "density-reference"
-  | Request.Force_directed -> "force-directed"
-
-let library_source = function
-  | None -> Request.Lib_default
-  | Some path -> Request.Lib_file path
-
-let dot_arg =
-  Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
-         ~doc:"Write the scheduled data-flow graph as Graphviz to $(docv).")
-
-let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Print the algorithm's decisions.")
+(* Resolve [s]'s inputs, run [exec] on them and print the outcome: the
+   run report under --report json, otherwise [human] or the failure
+   diagnostic; [after] then sees a success.  An engine failure is exit
+   code 2. *)
+let synthesize_and_print ~command ~args ~report (s : Request.synth) exec ~json ~human
+    ?(after = ignore) () =
+  let r = or_die (Service.resolve s.graph s.library) in
+  let print result =
+    print_report
+      (Report.make ~command ~args ~graph:r.Service.graph ~library:r.Service.library
+         ~result ())
+  in
+  match or_die (exec r) with
+  | Error f ->
+    if report then print (Report.failure_json f)
+    else Format.printf "%a@." Rc.pp_failure f;
+    2
+  | Ok v ->
+    if report then print (json v) else human v;
+    after v;
+    0
 
 (* The historical [--trace] decision printer, reimplemented as a sink
    over the engine's structured instant events (the typed callback
@@ -248,276 +321,158 @@ let decision_printer (ev : Trace.event) =
   | Trace.Begin | Trace.End -> ()
 
 let synth_cmd =
-  let run graph_spec lib_file ld ad strategy scheduler dot trace trace_out report stats
-      check =
-    let code =
-      with_stats ~err:(report <> None) stats @@ fun () ->
-      with_check check @@ fun () ->
-      with_tracing ~extra_sinks:(if trace then [ decision_printer ] else []) trace_out
-      @@ fun () ->
-      let job =
-        {
-          Request.graph = Request.Named graph_spec;
-          library = library_source lib_file;
-          ld;
-          ad;
-          strategy;
-          scheduler;
-        }
-      in
-      let resolved = or_die (Service.resolve job.Request.graph job.Request.library) in
-      let g = resolved.Service.graph and lib = resolved.Service.library in
-      let args =
-        [
-          ("graph", Json.Str graph_spec);
-          ("ld", Json.Int ld);
-          ("ad", Json.Int ad);
-          ("strategy", Json.Str (strategy_name strategy));
-          ("scheduler", Json.Str (scheduler_name scheduler));
-        ]
-      in
-      match or_die (Service.run_synth ~resolved job) with
-      | Error f ->
-        (match report with
-        | Some `Json ->
-          print_report
-            (Report.make ~command:"synth" ~args ~graph:g ~library:lib
-               ~result:(Report.failure_json f) ())
-        | None -> Format.printf "%a@." Rc.pp_failure f);
-        2
-      | Ok d ->
-        (match report with
-        | Some `Json ->
-          print_report
-            (Report.make ~command:"synth" ~args ~graph:g ~library:lib
-               ~result:(Report.design_json d) ())
-        | None -> Format.printf "%a" Design.pp_report d);
-        Option.iter
-          (fun path ->
-            let sched = Design.schedule d in
-            on_file "write" path (fun () ->
-                Rchls_dfg.Dot.write_file
-                  ~step:(fun nd -> Some (Rchls_sched.Schedule.start sched nd.Dfg.id))
-                  g path);
-            if report = None then Printf.printf "wrote %s\n" path
-            else Printf.eprintf "rchls: wrote %s\n%!" path)
-          dot;
-        0
+  let go (job, args) dot trace env =
+    let write_dot d path =
+      let sched = Design.schedule d in
+      on_file "write" path (fun () ->
+          Rchls_dfg.Dot.write_file
+            ~step:(fun nd -> Some (Rchls_sched.Schedule.start sched nd.Dfg.id))
+            (Design.graph d) path);
+      if env.report then Printf.eprintf "rchls: wrote %s\n%!" path
+      else Printf.printf "wrote %s\n" path
     in
-    if code <> 0 then exit code
+    run ~sinks:(if trace then [ decision_printer ] else []) env @@ fun () ->
+    synthesize_and_print ~command:"synth" ~args ~report:env.report job
+      (fun resolved -> Service.run_synth ~resolved job)
+      ~json:Report.design_json ~human:(Format.printf "%a" Design.pp_report)
+      ~after:(fun d -> Option.iter (write_dot d) dot)
+      ()
+  in
+  let dot =
+    Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
+           ~doc:"Write the scheduled data-flow graph as Graphviz to $(docv).")
+  in
+  let trace =
+    Arg.(value & flag & info [ "trace" ] ~doc:"Print the algorithm's decisions.")
   in
   let doc = "Synthesize a data-flow graph under latency and area bounds." in
   Cmd.v (Cmd.info "synth" ~doc)
-    Term.(
-      const run $ graph_arg $ library_arg $ ld_arg $ ad_arg $ strategy_arg
-      $ scheduler_arg $ dot_arg $ trace_arg $ trace_out_arg $ report_arg $ stats_arg
-      $ check_flag)
-
-(* --- anneal --- *)
+    Term.(const go $ synth_params $ dot $ trace $ checking (reporting observe))
 
 let anneal_cmd =
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Annealer RNG seed.")
-  in
-  let moves_arg =
-    Arg.(value & opt int 2000
-         & info [ "moves" ] ~docv:"N" ~doc:"Moves attempted per chain.")
-  in
-  let chains_arg =
-    Arg.(value & opt int 4
-         & info [ "chains" ] ~docv:"N"
-             ~doc:"Replica chains on the temperature ladder.")
-  in
-  let exchange_arg =
-    Arg.(value & opt int 50
-         & info [ "exchange" ] ~docv:"N"
-             ~doc:"Moves between temperature-exchange attempts.")
-  in
-  let run graph_spec lib_file ld ad strategy scheduler seed moves chains exchange
-      trace_out report stats check =
-    let code =
-      with_stats ~err:(report <> None) stats @@ fun () ->
-      with_check check @@ fun () ->
-      with_tracing trace_out @@ fun () ->
-      let job =
-        {
-          Request.graph = Request.Named graph_spec;
-          library = library_source lib_file;
-          ld;
-          ad;
-          strategy;
-          scheduler;
-          seed;
-          moves;
-          chains;
-          exchange;
-        }
-      in
-      let resolved = or_die (Service.resolve job.Request.graph job.Request.library) in
-      let g = resolved.Service.graph and lib = resolved.Service.library in
-      let args =
-        [
-          ("graph", Json.Str graph_spec);
-          ("ld", Json.Int ld);
-          ("ad", Json.Int ad);
-          ("strategy", Json.Str (strategy_name strategy));
-          ("scheduler", Json.Str (scheduler_name scheduler));
+  let go ((s : Request.synth), args) seed moves chains exchange env =
+    let job =
+      { Request.graph = s.graph; library = s.library; ld = s.ld; ad = s.ad;
+        strategy = s.strategy; scheduler = s.scheduler; seed; moves; chains; exchange }
+    in
+    let args =
+      args
+      @ [
           ("seed", Json.Int seed);
           ("moves", Json.Int moves);
           ("chains", Json.Int chains);
           ("exchange", Json.Int exchange);
         ]
-      in
-      match or_die (Service.run_anneal ~resolved job) with
-      | Error f ->
-        (match report with
-        | Some `Json ->
-          print_report
-            (Report.make ~command:"anneal" ~args ~graph:g ~library:lib
-               ~result:(Report.failure_json f) ())
-        | None -> Format.printf "%a@." Rc.pp_failure f);
-        2
-      | Ok ((greedy, annealed, s) as r) ->
-        (match report with
-        | Some `Json ->
-          print_report
-            (Report.make ~command:"anneal" ~args ~graph:g ~library:lib
-               ~result:(Response.payload_to_json (Service.payload_of_anneal (Ok r)))
-               ())
-        | None ->
-          Printf.printf "greedy:   latency=%d area=%d R=%.12g\n" (Design.latency greedy)
-            (Design.area greedy) (Design.reliability greedy);
-          Printf.printf "annealed: latency=%d area=%d R=%.12g%s\n"
-            (Design.latency annealed) (Design.area annealed)
-            (Design.reliability annealed)
-            (if s.Rchls_anneal.Anneal.improved then "  (improved)" else "  (greedy kept)");
-          Printf.printf "anneal:   moves=%d accepted=%d pruned=%d exchanges=%d chains=%d\n"
-            s.Rchls_anneal.Anneal.attempted s.Rchls_anneal.Anneal.accepted
-            s.Rchls_anneal.Anneal.pruned s.Rchls_anneal.Anneal.exchanges
-            s.Rchls_anneal.Anneal.chain_count;
-          Format.printf "%a" Design.pp_report annealed);
-        0
     in
-    if code <> 0 then exit code
+    run env @@ fun () ->
+    synthesize_and_print ~command:"anneal" ~args ~report:env.report s
+      (fun resolved -> Service.run_anneal ~resolved job)
+      ~json:(fun r -> Response.payload_to_json (Service.payload_of_anneal (Ok r)))
+      ~human:(fun (greedy, annealed, (st : Anneal.stats)) ->
+        Printf.printf "greedy:   latency=%d area=%d R=%.12g\n" (Design.latency greedy)
+          (Design.area greedy) (Design.reliability greedy);
+        Printf.printf "annealed: latency=%d area=%d R=%.12g%s\n"
+          (Design.latency annealed) (Design.area annealed)
+          (Design.reliability annealed)
+          (if st.improved then "  (improved)" else "  (greedy kept)");
+        Printf.printf "anneal:   moves=%d accepted=%d pruned=%d exchanges=%d chains=%d\n"
+          st.attempted st.accepted st.pruned st.exchanges st.chain_count;
+        Format.printf "%a" Design.pp_report annealed)
+      ()
   in
+  let knob name default doc =
+    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+  in
+  let p = Anneal.default_params in
   let doc =
     "Synthesize greedily, then improve the design with parallel-tempering \
      simulated annealing over version/schedule/binding moves."
   in
   Cmd.v (Cmd.info "anneal" ~doc)
     Term.(
-      const run $ graph_arg $ library_arg $ ld_arg $ ad_arg $ strategy_arg
-      $ scheduler_arg $ seed_arg $ moves_arg $ chains_arg $ exchange_arg
-      $ trace_out_arg $ report_arg $ stats_arg $ check_flag)
+      const go $ synth_params
+      $ knob "seed" p.seed "Annealer RNG seed."
+      $ knob "moves" p.moves "Moves attempted per chain."
+      $ knob "chains" p.chains "Replica chains on the temperature ladder."
+      $ knob "exchange" p.exchange "Moves between temperature-exchange attempts."
+      $ checking (reporting observe))
 
 (* --- sweep --- *)
 
-let ints_arg name docv doc =
-  let arg_info = Arg.info [ name ] ~docv ~doc in
-  Arg.(required & opt (some (list int)) None & arg_info)
-
 let approach_arg =
-  let approach_conv =
-    Arg.enum
-      [
-        ("ours", Request.Ours);
-        ("baseline", Request.Baseline);
-        ("combined", Request.Combined);
-      ]
-  in
-  Arg.(value & opt approach_conv Request.Ours & info [ "approach" ] ~docv:"A"
-         ~doc:"Approach: ours (default), baseline (ref [3] NMR), combined.")
-
-let approach_name = function
-  | Request.Baseline -> "baseline"
-  | Request.Ours -> "ours"
-  | Request.Combined -> "combined"
+  enum_arg "approach" ~docv:"A" ~default:Request.Ours Request.approaches
+    ~notes:[ (Request.Ours, "default"); (Request.Baseline, "ref [3] NMR") ]
+    "Approach"
 
 let sweep_cmd =
-  let run graph_spec lib_file lds ads approach domains trace_out report stats check =
-    with_stats ~err:(report <> None) stats @@ fun () ->
-    with_check check @@ fun () ->
-    with_tracing trace_out @@ fun () ->
+  let go graph lib_file lds ads approach domains env =
+    run env @@ fun () ->
     let job =
-      {
-        Request.graph = Request.Named graph_spec;
-        library = library_source lib_file;
-        lds;
-        ads;
-        approach;
-        scheduler = Request.Density;
-      }
+      { Request.graph = Request.Named graph; library = library_source lib_file; lds;
+        ads; approach; scheduler = Request.Density }
     in
-    let resolved = or_die (Service.resolve job.Request.graph job.Request.library) in
-    let g = resolved.Service.graph and lib = resolved.Service.library in
-    let cells = or_die (Service.run_sweep ~resolved ?domains job) in
-    match report with
-    | Some `Json ->
-      let ints ns = Json.List (List.map (fun i -> Json.Int i) ns) in
-      print_report
-        (Report.make ~command:"sweep"
-           ~args:
+    let r = or_die (Service.resolve job.graph job.library) in
+    let cells = or_die (Service.run_sweep ~resolved:r ?domains job) in
+    (if env.report then
+       let ints ns = Json.List (List.map (fun i -> Json.Int i) ns) in
+       print_report
+         (Report.make ~command:"sweep"
+            ~args:
+              [
+                ("graph", Json.Str graph);
+                ("approach", Json.Str (Request.name_of Request.approaches approach));
+                ("lds", ints lds);
+                ("ads", ints ads);
+              ]
+            ~graph:r.graph ~library:r.library ~result:(Report.sweep_json cells) ())
+     else
+       (* Render through the indexed grid view: same cells, but the
+          order is pinned to (ld, ad) regardless of how the sweep
+          produced them. *)
+       let t = Tablefmt.create [ "Ld"; "Ad"; "Reliability"; "Area" ] in
+       List.iter
+         (fun (c : Sweep.cell) ->
+           Tablefmt.add_row t
              [
-               ("graph", Json.Str graph_spec);
-               ("approach", Json.Str (approach_name approach));
-               ("lds", ints lds);
-               ("ads", ints ads);
-             ]
-           ~graph:g ~library:lib ~result:(Report.sweep_json cells) ())
-    | None ->
-      (* Render through the indexed grid view: same cells, but the
-         order is pinned to (ld, ad) regardless of how the sweep
-         produced them. *)
-      let grid = Sweep.Grid.of_cells cells in
-      let t = Rchls_util.Tablefmt.create [ "Ld"; "Ad"; "Reliability"; "Area" ] in
-      List.iter
-        (fun (c : Sweep.cell) ->
-          Rchls_util.Tablefmt.add_row t
-            [
-              string_of_int c.ld;
-              string_of_int c.ad;
-              (match c.reliability with
-              | Some r -> Rchls_util.Tablefmt.float_cell r
-              | None -> "-");
-              (match c.area with Some a -> string_of_int a | None -> "-");
-            ])
-        (Sweep.Grid.cells grid);
-      Rchls_util.Tablefmt.print t
+               string_of_int c.ld;
+               string_of_int c.ad;
+               Option.fold ~none:"-" ~some:Tablefmt.float_cell c.reliability;
+               Option.fold ~none:"-" ~some:string_of_int c.area;
+             ])
+         (Sweep.Grid.cells (Sweep.Grid.of_cells cells));
+       Tablefmt.print t);
+    0
+  in
+  let bounds name docv doc =
+    Arg.(required & opt (some (list int)) None & info [ name ] ~docv ~doc)
   in
   let doc = "Sweep a latency x area bounds grid." in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ graph_arg $ library_arg
-      $ ints_arg "lds" "L1,L2,..." "Latency bounds to sweep."
-      $ ints_arg "ads" "A1,A2,..." "Area bounds to sweep."
+      const go $ graph_arg $ library_arg
+      $ bounds "lds" "L1,L2,..." "Latency bounds to sweep."
+      $ bounds "ads" "A1,A2,..." "Area bounds to sweep."
       $ approach_arg
-      $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-               ~doc:"Worker domains for the grid (default: $(b,RCHLS_DOMAINS) \
-                     or the recommended domain count; 1 = sequential).")
-      $ trace_out_arg $ report_arg $ stats_arg $ check_flag)
+      $ domains_arg "for the grid" ""
+      $ checking (reporting observe))
 
 (* --- characterize --- *)
 
 let characterize_cmd =
-  let run measured width vectors seed ci_target domains trace_out stats =
-    with_stats stats @@ fun () ->
-    with_tracing trace_out @@ fun () ->
-    if measured then begin
-      let fault_config =
-        {
-          Rchls_soft_error.Fault_sim.Campaign.default with
-          vectors;
-          seed;
-          ci_target;
-          domains;
-        }
-      in
-      print_string (Experiments.table1_measured ~width ~fault_config ())
-    end
+  let go measured width vectors seed ci_target domains env =
+    run env @@ fun () ->
+    if measured then
+      print_string
+        (Experiments.table1_measured ~width
+           ~fault_config:
+             { Rchls_soft_error.Fault_sim.Campaign.default with vectors; seed; ci_target;
+               domains }
+           ())
     else begin
       print_string (Experiments.table1 ());
       print_string (Experiments.fig2 ())
-    end
+    end;
+    0
   in
   let measured =
     Arg.(value & flag & info [ "measured" ]
@@ -544,35 +499,31 @@ let characterize_cmd =
                  vectors).  Off by default, which keeps the output exactly \
                  reproducible at a given vector count.")
   in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the campaign node fan-out (default: \
-                 $(b,RCHLS_DOMAINS) or the recommended domain count; 1 = \
-                 sequential).  Never changes results, only wall-clock.")
-  in
   let doc = "Regenerate the component characterization (Table 1 / Figure 2)." in
   Cmd.v (Cmd.info "characterize" ~doc)
     Term.(
-      const run $ measured $ width $ vectors $ seed $ ci_target $ domains
-      $ trace_out_arg $ stats_arg)
+      const go $ measured $ width $ vectors $ seed $ ci_target
+      $ domains_arg "for the campaign node fan-out"
+          "Never changes results, only wall-clock."
+      $ observe)
 
 (* --- library --- *)
 
 let library_cmd =
-  let run lib_file stats =
-    with_stats stats @@ fun () ->
-    let lib = or_die (load_library lib_file) in
-    print_string (Library.to_text lib)
+  let go lib_file env =
+    run env @@ fun () ->
+    print_string (Library.to_text (or_die (Loader.load_library lib_file)));
+    0
   in
   let doc = "Print (and thereby validate) a resource library." in
-  Cmd.v (Cmd.info "library" ~doc) Term.(const run $ library_arg $ stats_arg)
+  Cmd.v (Cmd.info "library" ~doc) Term.(const go $ library_arg $ stats_only)
 
 (* --- bench --- *)
 
 let bench_cmd =
-  let run which stats =
-    with_stats stats @@ fun () ->
-    match which with
+  let go which env =
+    run env @@ fun () ->
+    (match which with
     | None ->
       List.iter
         (fun (name, g) -> Format.printf "%-8s %a@." name Dfg.pp_summary g)
@@ -582,19 +533,20 @@ let bench_cmd =
       | Some g -> print_string (Parse.to_text g)
       | None ->
         Printf.eprintf "unknown benchmark %S\n" name;
-        exit 1)
+        exit 1));
+    0
   in
   let which =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME"
            ~doc:"Benchmark to dump in .dfg form; omit to list all.")
   in
   let doc = "List the built-in benchmarks or dump one as .dfg text." in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ which $ stats_arg)
+  Cmd.v (Cmd.info "bench" ~doc) Term.(const go $ which $ stats_only)
 
 (* --- experiment --- *)
 
 let experiment_cmd =
-  let run ids trace_out report stats check =
+  let go ids env =
     let ids = if ids = [ "all" ] then List.map fst Experiments.all else ids in
     List.iter
       (fun id ->
@@ -604,44 +556,37 @@ let experiment_cmd =
           exit 1
         end)
       ids;
-    with_check check @@ fun () ->
-    with_tracing trace_out @@ fun () ->
     (* Telemetry is reset between experiments so each report (and each
        [--stats] block) covers exactly one table/figure. *)
+    run { env with stats = false } @@ fun () ->
     let reports =
-      List.map
+      List.filter_map
         (fun id ->
           Telemetry.reset ();
           let text = (List.assoc id Experiments.all) () in
           let r =
-            match report with
-            | Some `Json ->
+            if env.report then
               Some
                 (Report.make ~command:"experiment"
                    ~args:[ ("id", Json.Str id) ]
                    ~result:
-                     (Json.Obj
-                        [ ("experiment", Json.Str id); ("output", Json.Str text) ])
+                     (Json.Obj [ ("experiment", Json.Str id); ("output", Json.Str text) ])
                    ())
-            | None ->
+            else begin
               print_string text;
               None
+            end
           in
-          if stats then begin
-            let rendered = Telemetry.render () in
-            if rendered <> "" then
-              if report <> None then Printf.eprintf "\n[%s]\n%s\n%!" id rendered
-              else Printf.printf "\n[%s]\n%s\n" id rendered
-          end;
+          if env.stats then print_stats ~label:id ~err:env.report ();
           r)
         ids
     in
-    match List.filter_map Fun.id reports with
-    | [] -> ()
+    (match reports with
     | [ r ] -> print_report r
     | rs ->
       (* Several experiments: one compact report per line (JSONL). *)
-      List.iter (fun r -> print_endline (Json.to_string r)) rs
+      List.iter (fun r -> print_endline (Json.to_string r)) rs);
+    0
   in
   let ids =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID"
@@ -651,40 +596,28 @@ let experiment_cmd =
   in
   let doc = "Regenerate the paper's tables or figures." in
   Cmd.v (Cmd.info "experiment" ~doc)
-    Term.(const run $ ids $ trace_out_arg $ report_arg $ stats_arg $ check_flag)
+    Term.(const go $ ids $ checking (reporting observe))
 
 (* --- fuzz --- *)
 
 let fuzz_cmd =
-  let run seed cases max_nodes props trace_out report stats =
-    let code =
-      with_stats ~err:(report <> None) stats @@ fun () ->
-      with_tracing trace_out @@ fun () ->
-      let job = { Request.seed; cases; max_nodes; properties = props } in
-      let outcomes =
-        match Service.run_fuzz job with
-        | Ok outcomes -> outcomes
-        | Error m ->
-          Printf.eprintf "rchls: %s\n" m;
-          exit 1
-      in
-      (match report with
-      | Some `Json ->
-        print_report
-          (Report.make ~command:"fuzz"
-             ~args:
-               [
-                 ("seed", Json.Int seed);
-                 ("cases", Json.Int cases);
-                 ("max_nodes", Json.Int max_nodes);
-               ]
-             ~result:(Response.payload_to_json (Service.payload_of_fuzz outcomes))
-             ())
-      | None ->
-        List.iter (fun o -> Format.printf "%a@." Fuzz.pp_outcome o) outcomes);
-      if Fuzz.all_passed outcomes then 0 else 2
-    in
-    if code <> 0 then exit code
+  let go seed cases max_nodes properties env =
+    run env @@ fun () ->
+    let job = { Request.seed; cases; max_nodes; properties } in
+    let outcomes = or_die (Service.run_fuzz job) in
+    if env.report then
+      print_report
+        (Report.make ~command:"fuzz"
+           ~args:
+             [
+               ("seed", Json.Int seed);
+               ("cases", Json.Int cases);
+               ("max_nodes", Json.Int max_nodes);
+             ]
+           ~result:(Response.payload_to_json (Service.payload_of_fuzz outcomes))
+           ())
+    else List.iter (fun o -> Format.printf "%a@." Fuzz.pp_outcome o) outcomes;
+    if Fuzz.all_passed outcomes then 0 else 2
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
@@ -709,27 +642,23 @@ let fuzz_cmd =
      metamorphic reliability properties, independent validity checking."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(
-      const run $ seed $ cases $ max_nodes $ props $ trace_out_arg $ report_arg
-      $ stats_arg)
+    Term.(const go $ seed $ cases $ max_nodes $ props $ reporting observe)
 
 (* --- corpus --- *)
 
 let corpus_cmd =
-  let run dir seed count =
+  let go dir seed count =
     let t =
       try Corpus.generate ~dir ~seed ~count
-      with Invalid_argument m | Sys_error m ->
-        Printf.eprintf "rchls: %s\n" m;
-        exit 1
+      with Invalid_argument m | Sys_error m -> or_die (Error m)
     in
-    let tbl = Rchls_util.Tablefmt.create [ "File"; "Family"; "Nodes"; "Edges" ] in
+    let tbl = Tablefmt.create [ "File"; "Family"; "Nodes"; "Edges" ] in
     List.iter
       (fun (e : Corpus.entry) ->
-        Rchls_util.Tablefmt.add_row tbl
+        Tablefmt.add_row tbl
           [ e.file; e.family; string_of_int e.nodes; string_of_int e.edges ])
       t.Corpus.entries;
-    Rchls_util.Tablefmt.print tbl;
+    Tablefmt.print tbl;
     Printf.printf "wrote %d graphs + %s to %s (seed %d)\n"
       (List.length t.Corpus.entries)
       Corpus.manifest_file dir seed
@@ -751,7 +680,7 @@ let corpus_cmd =
                  diffeq) round-robin.")
   in
   let doc = "Generate a versioned benchmark-corpus directory of .dfg graphs." in
-  Cmd.v (Cmd.info "corpus" ~doc) Term.(const run $ dir $ seed $ count)
+  Cmd.v (Cmd.info "corpus" ~doc) Term.(const go $ dir $ seed $ count)
 
 (* --- explore --- *)
 
@@ -761,30 +690,23 @@ let explore_targets spec =
   if Sys.file_exists (Filename.concat spec Corpus.manifest_file) then begin
     let corpus = or_die (Corpus.load ~dir:spec) in
     List.map
-      (fun (e : Corpus.entry) ->
-        (e.graph_name, or_die (Corpus.load_graph corpus e)))
+      (fun (e : Corpus.entry) -> (e.graph_name, or_die (Corpus.load_graph corpus e)))
       corpus.Corpus.entries
   end
-  else [ (Filename.remove_extension (Filename.basename spec),
-          or_die (Loader.load_graph spec)) ]
+  else
+    let name = Filename.remove_extension (Filename.basename spec) in
+    [ (name, or_die (Loader.load_graph spec)) ]
 
 let explore_cmd =
-  let run target lib_file lds ads approach domains reference verify cache_dir
-      trace_out stats check =
-    with_stats ~err:true stats @@ fun () ->
-    with_check check @@ fun () ->
-    with_tracing trace_out @@ fun () ->
-    let lib = or_die (load_library lib_file) in
+  let go target lib_file lds ads approach domains reference verify cache_dir env =
+    run ~stats_err:true env @@ fun () ->
+    let lib = or_die (Loader.load_library lib_file) in
     let library_text = Library.to_text lib in
-    let disk =
-      Option.map (fun dir -> or_die (Diskcache.open_dir dir)) cache_dir
-    in
+    let disk = Option.map (fun dir -> or_die (Diskcache.open_dir dir)) cache_dir in
     let lds = Option.value ~default:[] lds and ads = Option.value ~default:[] ads in
     let run_and_emit name g ~lds ~ads appr ~key =
       let cache = Rchls_core.Engine.create_cache () in
-      let run_pruned () =
-        Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads
-      in
+      let run_pruned () = Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads in
       let run_exhaustive () =
         let cells = Sweep.run_reference ?domains ~cache appr g lib ~lds ~ads in
         let n = List.length cells in
@@ -796,9 +718,7 @@ let explore_cmd =
           let rc, _ = run_exhaustive () in
           if pc <> rc then begin
             Printf.eprintf
-              "rchls: %s: pruned sweep diverges from the exhaustive \
-               reference\n"
-              name;
+              "rchls: %s: pruned sweep diverges from the exhaustive reference\n" name;
             exit 3
           end;
           (pc, ps)
@@ -806,22 +726,16 @@ let explore_cmd =
         else if reference then run_exhaustive ()
         else run_pruned ()
       in
-      let payload =
-        Service.payload_of_explore (Explore.frontier cells, exp_stats)
+      let points = Explore.frontier cells in
+      let payload_json =
+        Json.to_string
+          (Response.payload_to_json (Service.payload_of_explore (points, exp_stats)))
       in
-      let payload_json = Json.to_string (Response.payload_to_json payload) in
-      (match (disk, key) with
-      | Some d, Some k -> Diskcache.add d k payload_json
-      | _ -> ());
-      print_endline
-        (Response.assemble_raw ~id:(Some name) ~cache:None payload_json);
+      (match (disk, key) with Some d, Some k -> Diskcache.add d k payload_json | _ -> ());
+      print_endline (Response.assemble_raw ~id:(Some name) ~cache:None payload_json);
       Printf.eprintf
-        "rchls: %s: %d frontier points, evaluated %d of %d cells (%d derived)\n%!"
-        name
-        (match payload with
-        | Response.Explore_frontier e -> List.length e.Response.points
-        | _ -> 0)
-        exp_stats.Explore.evaluated exp_stats.Explore.cells
+        "rchls: %s: %d frontier points, evaluated %d of %d cells (%d derived)\n%!" name
+        (List.length points) exp_stats.Explore.evaluated exp_stats.Explore.cells
         exp_stats.Explore.derived
     in
     let explore_one (name, g) =
@@ -853,25 +767,20 @@ let explore_cmd =
         (* Resumable runs revalidate disk entries through the strict
            decoder; a stale or foreign file is recomputed, not
            trusted. *)
-        match
-          Result.bind (Json.of_string payload_json) Response.payload_of_json
-        with
+        match Result.bind (Json.of_string payload_json) Response.payload_of_json with
         | Ok _ ->
           print_endline
             (Response.assemble_raw ~id:(Some name)
                ~cache:
-                 (Some
-                    {
-                      Response.tier = Response.Disk;
-                      key = Rchls_util.Fnv.to_hex k;
-                    })
+                 (Some { Response.tier = Response.Disk; key = Rchls_util.Fnv.to_hex k })
                payload_json);
           Printf.eprintf "rchls: %s: cached (%d-cell plane)\n%!" name
             (List.length lds * List.length ads)
         | Error _ -> run_and_emit name g ~lds ~ads appr ~key)
       | None -> run_and_emit name g ~lds ~ads appr ~key
     in
-    List.iter explore_one (explore_targets target)
+    List.iter explore_one (explore_targets target);
+    0
   in
   let target =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET"
@@ -886,12 +795,6 @@ let explore_cmd =
   let ads =
     Arg.(value & opt (some (list int)) None & info [ "ads" ] ~docv:"A1,A2,..."
            ~doc:"Area bounds (default: planned automatically).")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the latency-row fan-out (default: \
-                 $(b,RCHLS_DOMAINS) or the recommended domain count; 1 = \
-                 sequential).  Never changes output.")
   in
   let reference =
     Arg.(value & flag & info [ "reference" ]
@@ -918,10 +821,11 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const run $ target $ library_arg $ lds $ ads $ approach_arg $ domains
-      $ reference $ verify $ cache_dir $ trace_out_arg $ stats_arg $ check_flag)
+      const go $ target $ library_arg $ lds $ ads $ approach_arg
+      $ domains_arg "for the latency-row fan-out" "Never changes output."
+      $ reference $ verify $ cache_dir $ checking observe)
 
-(* --- serve --- *)
+(* --- serve, request, top --- *)
 
 let socket_arg =
   Arg.(value & opt string "rchls.sock" & info [ "socket" ] ~docv:"PATH"
@@ -932,65 +836,58 @@ let tcp_arg =
          ~doc:"Listen on 127.0.0.1:$(docv) instead of a Unix socket \
                (0 = ephemeral; the bound port is printed on stderr).")
 
-let serve_addr socket tcp =
+(* An address: a loopback TCP port, else a Unix-domain socket path. *)
+let address socket tcp =
   match tcp with
   | Some port -> Server.Tcp ("127.0.0.1", port)
   | None -> Server.Unix_socket socket
 
-(* [--metrics ADDR]: an integer is a loopback TCP port, anything else
-   a Unix-domain socket path — same address vocabulary as the main
-   listener. *)
-let metrics_addr spec =
-  match int_of_string_opt spec with
-  | Some port -> Server.Tcp ("127.0.0.1", port)
-  | None -> Server.Unix_socket spec
+let connect socket tcp =
+  or_die
+    (match address socket tcp with
+    | Server.Tcp (host, port) -> Client.connect_tcp ~host ~port
+    | Server.Unix_socket path -> Client.connect_unix path)
 
 let serve_cmd =
-  let run socket tcp cache_dir cache_entries domains batch_max queue_max metrics
-      access_log access_log_max_bytes trace_out stats =
+  let go socket tcp cache_dir cache_entries domains batch_max queue_max metrics
+      access_log access_log_max_bytes env =
     Telemetry.reset ();
-    with_tracing trace_out @@ fun () ->
+    with_tracing env.trace_out @@ fun () ->
     let config =
       {
-        Server.addr = serve_addr socket tcp;
+        Server.addr = address socket tcp;
         cache_dir;
         cache_entries;
         domains;
         batch_max;
         queue_max;
-        metrics = Option.map metrics_addr metrics;
+        (* [--metrics ADDR] uses the listener's address vocabulary. *)
+        metrics =
+          Option.map (fun spec -> address spec (int_of_string_opt spec)) metrics;
         access_log = Option.map (fun p -> (p, access_log_max_bytes)) access_log;
       }
     in
-    match Server.start config with
-    | Error e ->
-      Printf.eprintf "rchls: %s\n" e;
-      exit 1
-    | Ok server ->
-      (match config.Server.addr with
-      | Server.Tcp (host, _) ->
-        Printf.eprintf "rchls: serving on %s:%d\n%!" host
-          (Option.value ~default:0 (Server.port server))
-      | Server.Unix_socket path -> Printf.eprintf "rchls: serving on %s\n%!" path);
-      (match (config.Server.metrics, Server.metrics_port server) with
-      | Some (Server.Tcp (host, _)), Some port ->
-        Printf.eprintf "rchls: metrics on http://%s:%d/\n%!" host port
-      | Some (Server.Unix_socket path), _ ->
-        Printf.eprintf "rchls: metrics on %s\n%!" path
-      | _ -> ());
-      let stop = Atomic.make false in
-      let request_stop _ = Atomic.set stop true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-      while not (Atomic.get stop) do
-        try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      Printf.eprintf "rchls: shutting down\n%!";
-      Server.stop server;
-      if stats then begin
-        let rendered = Telemetry.render () in
-        if rendered <> "" then Printf.eprintf "\n%s\n%!" rendered
-      end
+    let server = or_die (Server.start config) in
+    (match config.Server.addr with
+    | Server.Tcp (host, _) ->
+      Printf.eprintf "rchls: serving on %s:%d\n%!" host
+        (Option.value ~default:0 (Server.port server))
+    | Server.Unix_socket path -> Printf.eprintf "rchls: serving on %s\n%!" path);
+    (match (config.Server.metrics, Server.metrics_port server) with
+    | Some (Server.Tcp (host, _)), Some port ->
+      Printf.eprintf "rchls: metrics on http://%s:%d/\n%!" host port
+    | Some (Server.Unix_socket path), _ -> Printf.eprintf "rchls: metrics on %s\n%!" path
+    | _ -> ());
+    let stop = Atomic.make false in
+    let request_stop _ = Atomic.set stop true in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+    while not (Atomic.get stop) do
+      try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done;
+    Printf.eprintf "rchls: shutting down\n%!";
+    Server.stop server;
+    if env.stats then print_stats ~err:true ()
   in
   let cache_dir =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -1000,11 +897,6 @@ let serve_cmd =
   let cache_entries =
     Arg.(value & opt int 4096 & info [ "cache-entries" ] ~docv:"N"
            ~doc:"Entry bound for each response-cache tier.")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains per batch (default: $(b,RCHLS_DOMAINS) or the \
-                 recommended domain count).  Responses are independent of it.")
   in
   let batch_max =
     Arg.(value & opt int 8 & info [ "batch-max" ] ~docv:"N"
@@ -1038,30 +930,23 @@ let serve_cmd =
   let doc = "Run the synthesis daemon (rchls.api/1 NDJSON over a socket)." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ tcp_arg $ cache_dir $ cache_entries $ domains
-      $ batch_max $ queue_max $ metrics $ access_log $ access_log_max_bytes
-      $ trace_out_arg $ stats_arg)
-
-(* --- request --- *)
+      const go $ socket_arg $ tcp_arg $ cache_dir $ cache_entries
+      $ domains_arg ~sequential:false "per batch" "Responses are independent of it."
+      $ batch_max $ queue_max $ metrics $ access_log $ access_log_max_bytes $ observe)
 
 let request_cmd =
-  let run socket tcp verbose timeout file =
-    let client =
-      or_die
-        (match tcp with
-        | Some port -> Client.connect_tcp ~host:"127.0.0.1" ~port
-        | None -> Client.connect_unix socket)
-    in
+  let go socket tcp verbose timeout file =
+    let client = connect socket tcp in
     Option.iter (Client.set_receive_timeout client) timeout;
     let name, ic =
       match file with
       | None | Some "-" -> ("standard input", stdin)
       | Some path ->
-        if Sys.file_exists path then (path, on_file "read" path (fun () -> open_in path))
-        else begin
+        if not (Sys.file_exists path) then begin
           Printf.eprintf "rchls: no such file %S\n" path;
           exit 1
-        end
+        end;
+        (path, on_file "read" path (fun () -> open_in path))
     in
     (* One call per input line, in order; the exit code reflects the
        worst response seen. *)
@@ -1070,44 +955,35 @@ let request_cmd =
        while true do
          let line = on_file "read" name (fun () -> input_line ic) in
          if String.trim line <> "" then begin
-           (match Client.send_raw client line with
-           | Ok () -> ()
-           | Error e ->
-             Printf.eprintf "rchls: %s\n" e;
-             exit 1);
-           match Client.recv_raw client with
-           | Error e ->
-             Printf.eprintf "rchls: %s\n" e;
-             exit 1
-           | Ok reply ->
-             print_endline reply;
-             (match Response.of_string reply with
-             | Ok ({ Response.result; _ } as r) ->
-               if verbose then begin
-                 let tier =
-                   match r.Response.cache with
-                   | Some { Response.tier = Response.Memory; _ } -> "memory"
-                   | Some { Response.tier = Response.Disk; _ } -> "disk"
-                   | None -> "computed"
-                 in
-                 let timing =
-                   match r.Response.timing with
-                   | Some t ->
-                     Printf.sprintf " total=%s queue=%s exec=%s"
-                       (Telemetry.format_ns (Int64.of_int t.Response.total_ns))
-                       (Telemetry.format_ns (Int64.of_int t.Response.queue_ns))
-                       (Telemetry.format_ns (Int64.of_int t.Response.exec_ns))
-                   | None -> ""
-                 in
-                 Printf.eprintf "rchls: id=%s status=%s tier=%s%s\n%!"
-                   (Option.value ~default:"-" r.Response.id)
-                   (match result with
-                   | Ok _ -> "ok"
-                   | Error e -> Response.error_code_name e.Response.code)
-                   tier timing
-               end;
-               (match result with Ok _ -> () | Error _ -> code := 2)
-             | Error _ -> code := max !code 1)
+           or_die (Client.send_raw client line);
+           let reply = or_die (Client.recv_raw client) in
+           print_endline reply;
+           match Response.of_string reply with
+           | Ok ({ Response.result; _ } as r) ->
+             if verbose then begin
+               let tier =
+                 match r.Response.cache with
+                 | Some { Response.tier = Response.Memory; _ } -> "memory"
+                 | Some { Response.tier = Response.Disk; _ } -> "disk"
+                 | None -> "computed"
+               in
+               let timing =
+                 match r.Response.timing with
+                 | Some t ->
+                   let ns n = Telemetry.format_ns (Int64.of_int n) in
+                   Printf.sprintf " total=%s queue=%s exec=%s" (ns t.Response.total_ns)
+                     (ns t.Response.queue_ns) (ns t.Response.exec_ns)
+                 | None -> ""
+               in
+               Printf.eprintf "rchls: id=%s status=%s tier=%s%s\n%!"
+                 (Option.value ~default:"-" r.Response.id)
+                 (match result with
+                 | Ok _ -> "ok"
+                 | Error e -> Response.error_code_name e.Response.code)
+                 tier timing
+             end;
+             if Result.is_error result then code := 2
+           | Error _ -> code := max !code 1
          end
        done
      with End_of_file -> ());
@@ -1133,42 +1009,32 @@ let request_cmd =
   in
   let doc = "Send API request lines to a running rchls serve daemon." in
   Cmd.v (Cmd.info "request" ~doc)
-    Term.(const run $ socket_arg $ tcp_arg $ verbose $ timeout $ file)
-
-(* --- top --- *)
+    Term.(const go $ socket_arg $ tcp_arg $ verbose $ timeout $ file)
 
 let top_cmd =
-  let run socket tcp interval iterations =
-    let client =
-      or_die
-        (match tcp with
-        | Some port -> Client.connect_tcp ~host:"127.0.0.1" ~port
-        | None -> Client.connect_unix socket)
+  let go socket tcp interval iterations =
+    let client = connect socket tcp in
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Printf.eprintf "rchls: %s\n" m;
+          exit 2)
+        fmt
     in
     let call job =
-      match
-        Client.call client { Request.id = Some (Request.job_kind job); job }
-      with
-      | Error e ->
-        Printf.eprintf "rchls: %s\n" e;
-        exit 1
-      | Ok { Response.result = Error e; _ } ->
-        Printf.eprintf "rchls: server error: %s\n" e.Response.message;
-        exit 2
-      | Ok { Response.result = Ok payload; _ } -> payload
+      let req = { Request.id = Some (Request.job_kind job); job } in
+      match or_die (Client.call client req) with
+      | { Response.result = Error e; _ } -> fail "server error: %s" e.Response.message
+      | { Response.result = Ok payload; _ } -> payload
     in
     let poll () =
       let stats =
         match call Request.Stats with
         | Response.Stats_snapshot s -> s
-        | _ ->
-          Printf.eprintf "rchls: unexpected payload for stats\n";
-          exit 2
+        | _ -> fail "unexpected payload for stats"
       in
       let health =
-        match call Request.Health with
-        | Response.Health_report h -> Some h
-        | _ -> None
+        match call Request.Health with Response.Health_report h -> Some h | _ -> None
       in
       (stats, health)
     in
@@ -1180,14 +1046,10 @@ let top_cmd =
     let prev_at = ref (Unix.gettimeofday ()) in
     let frames = ref 0 in
     (try
-       while
-         (not (Atomic.get stop))
-         && (iterations = 0 || !frames < iterations)
-       do
+       while (not (Atomic.get stop)) && (iterations = 0 || !frames < iterations) do
          let stats, health = poll () in
          let now = Unix.gettimeofday () in
-         let dt_s = now -. !prev_at in
-         let frame = Dashboard.render ?prev:!prev ?health ~dt_s stats in
+         let frame = Dashboard.render ?prev:!prev ?health ~dt_s:(now -. !prev_at) stats in
          if clear then print_string "\x1b[2J\x1b[H";
          print_string frame;
          flush stdout;
@@ -1195,8 +1057,7 @@ let top_cmd =
          prev_at := now;
          incr frames;
          if iterations = 0 || !frames < iterations then
-           try Unix.sleepf interval
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+           try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ()
        done
      with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     Client.close client
@@ -1213,7 +1074,7 @@ let top_cmd =
   in
   let doc = "Live dashboard for a running rchls serve daemon." in
   Cmd.v (Cmd.info "top" ~doc)
-    Term.(const run $ socket_arg $ tcp_arg $ interval $ iterations)
+    Term.(const go $ socket_arg $ tcp_arg $ interval $ iterations)
 
 let () =
   let doc = "reliability-centric high-level synthesis (DATE 2005 reproduction)" in

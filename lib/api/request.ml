@@ -97,22 +97,19 @@ let library get = Schema.dflt library_field library_source Lib_default get
 let ld get = Schema.req "ld" Schema.int get
 let ad get = Schema.req "ad" Schema.int get
 
-let strategy get =
-  Schema.(
-    dflt "strategy"
-      (enum [ ("best", Best); ("figure6", Figure6); ("bottom-up", Bottom_up) ])
-      Best get)
+let strategies = [ ("best", Best); ("figure6", Figure6); ("bottom-up", Bottom_up) ]
 
-let scheduler get =
-  Schema.(
-    dflt "scheduler"
-      (enum
-         [
-           ("density", Density);
-           ("density-reference", Density_reference);
-           ("force-directed", Force_directed);
-         ])
-      Density get)
+let schedulers =
+  [
+    ("density", Density);
+    ("density-reference", Density_reference);
+    ("force-directed", Force_directed);
+  ]
+
+let approaches = [ ("ours", Ours); ("baseline", Baseline); ("combined", Combined) ]
+let name_of table v = fst (List.find (fun (_, x) -> x = v) table)
+let strategy get = Schema.(dflt "strategy" (enum strategies) Best get)
+let scheduler get = Schema.(dflt "scheduler" (enum schedulers) Density get)
 
 let synth =
   Schema.(
@@ -159,10 +156,7 @@ let sweep ~planned =
     |+ library (fun (w : sweep) -> w.library)
     |+ bounds "lds" (fun (w : sweep) -> w.lds)
     |+ bounds "ads" (fun (w : sweep) -> w.ads)
-    |+ dflt "approach"
-         (enum [ ("ours", Ours); ("baseline", Baseline); ("combined", Combined) ])
-         Ours
-         (fun (w : sweep) -> w.approach)
+    |+ dflt "approach" (enum approaches) Ours (fun (w : sweep) -> w.approach)
     |+ scheduler (fun (w : sweep) -> w.scheduler)
     |> seal)
 

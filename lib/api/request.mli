@@ -113,6 +113,18 @@ type t = {
   job : job;
 }
 
+(** The wire name of every value, in documentation order.  The codec
+    reads these tables; the CLI builds its flag values, help text and
+    report arguments from them, and the engine-cache registry its
+    labels, so each name is spelled once. *)
+
+val strategies : (string * strategy) list
+val schedulers : (string * scheduler) list
+val approaches : (string * approach) list
+
+val name_of : (string * 'a) list -> 'a -> string
+(** [name_of table v] is [v]'s name in [table]. *)
+
 val job_kind : job -> string
 (** ["synth" | "anneal" | "sweep" | "explore" | "check" | "fuzz" |
     "ping" | "stats" | "health"]. *)

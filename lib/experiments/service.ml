@@ -77,16 +77,11 @@ type t = {
 
 let create () = { mutex = Mutex.create (); caches = Hashtbl.create 16 }
 
-let scheduler_label : Design.scheduler -> string = function
-  | `Density -> "density"
-  | `Density_reference -> "density-reference"
-  | `Force_directed -> "force-directed"
-
 let registry_key ~graph_text ~library_text scheduler =
   Printf.sprintf "%s:%s:%s"
     (Fnv.to_hex (Fnv.hash_string graph_text))
     (Fnv.to_hex (Fnv.hash_string library_text))
-    (scheduler_label scheduler)
+    (Request.name_of Request.schedulers scheduler)
 
 let engine_cache t key =
   Mutex.lock t.mutex;
@@ -165,7 +160,7 @@ let shared_cache ?service ~resolved scheduler =
 let run_synth ?service ?resolved ?domains (s : Request.synth) =
   let* r = resolved_or ?resolved s.graph s.library in
   let scheduler = scheduler_of_api s.scheduler in
-  let cache = shared_cache ?service ~resolved:r scheduler in
+  let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
     (Rc.synthesize ~scheduler
        ~strategy:(strategy_of_api s.strategy)
@@ -174,7 +169,7 @@ let run_synth ?service ?resolved ?domains (s : Request.synth) =
 let run_anneal ?service ?resolved ?domains (a : Request.anneal) =
   let* r = resolved_or ?resolved a.graph a.library in
   let scheduler = scheduler_of_api a.scheduler in
-  let cache = shared_cache ?service ~resolved:r scheduler in
+  let cache = shared_cache ?service ~resolved:r a.scheduler in
   let params =
     {
       Anneal.default_params with
@@ -201,7 +196,7 @@ let run_check ?service ?resolved ?domains (s : Request.synth) =
 let run_sweep ?service ?resolved ?domains (s : Request.sweep) =
   let* r = resolved_or ?resolved s.graph s.library in
   let scheduler = scheduler_of_api s.scheduler in
-  let cache = shared_cache ?service ~resolved:r scheduler in
+  let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
     (Sweep.run ~scheduler ?domains ?cache
        (approach_of_api s.approach)
@@ -212,7 +207,7 @@ let run_sweep ?service ?resolved ?domains (s : Request.sweep) =
 let run_explore ?service ?resolved ?domains (s : Request.sweep) =
   let* r = resolved_or ?resolved s.graph s.library in
   let scheduler = scheduler_of_api s.scheduler in
-  let cache = shared_cache ?service ~resolved:r scheduler in
+  let cache = shared_cache ?service ~resolved:r s.scheduler in
   let planned = lazy (Explore.plan r.graph r.library) in
   let lds = match s.lds with [] -> fst (Lazy.force planned) | lds -> lds in
   let ads = match s.ads with [] -> snd (Lazy.force planned) | ads -> ads in
