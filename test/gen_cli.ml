@@ -14,15 +14,13 @@ let exe = ref ""
 
 (* --- masking --------------------------------------------------------- *)
 
-let ends_with ~suffix s = String.ends_with ~suffix s
-
 (* A pretty-printed run report: every value under "timers_ns" and every
    "*_ns" field (histogram quantiles) becomes <ns>. *)
 let mask_report text =
   let in_timers = ref false in
   let mask_line line =
     let t = String.trim line in
-    if ends_with ~suffix:"\"timers_ns\": {" t then begin
+    if String.ends_with ~suffix:"\"timers_ns\": {" t then begin
       in_timers := true;
       line
     end
@@ -34,8 +32,8 @@ let mask_report text =
       match String.index_opt line ':' with
       | Some i when String.length t > 0 && t.[0] = '"' ->
         let key = String.trim (String.sub line 0 i) in
-        if !in_timers || ends_with ~suffix:"_ns\"" key then
-          let comma = if ends_with ~suffix:"," t then "," else "" in
+        if !in_timers || String.ends_with ~suffix:"_ns\"" key then
+          let comma = if String.ends_with ~suffix:"," t then "," else "" in
           String.sub line 0 (i + 1) ^ " <ns>" ^ comma
         else line
       | _ -> line
@@ -46,7 +44,7 @@ let mask_report text =
    durations become <t> (histogram rows keep their sample count). *)
 let mask_stats text =
   let is_duration v =
-    List.exists (fun u -> ends_with ~suffix:u v) [ " ns"; " us"; " ms"; " s" ]
+    List.exists (fun u -> String.ends_with ~suffix:u v) [ " ns"; " us"; " ms"; " s" ]
   in
   let mask_line line =
     let n = String.length line in
@@ -102,7 +100,8 @@ let run args =
 let section name text =
   if text <> "" then begin
     Printf.printf "-- %s\n%s" name text;
-    if not (ends_with ~suffix:"\n" text) then print_string "\n(no newline at end)\n"
+    if not (String.ends_with ~suffix:"\n" text) then
+      print_string "\n(no newline at end)\n"
   end
 
 (* One transcript entry: the command line, its exit code, its output
@@ -130,7 +129,8 @@ let subcommands =
 let fig4 = [ "synth"; "fig4"; "--ld"; "8"; "--ad"; "300" ]
 let fir16 cmd = [ cmd; "fir16"; "--ld"; "12"; "--ad"; "10" ]
 let anneal = fir16 "anneal" @ [ "--moves"; "200" ]
-let sweep = [ "sweep"; "diffeq"; "--lds"; "5,6"; "--ads"; "7,11"; "--approach"; "combined" ]
+let sweep =
+  [ "sweep"; "diffeq"; "--lds"; "5,6"; "--ads"; "7,11"; "--approach"; "combined" ]
 let json = [ "--report"; "json" ]
 
 let transcript () =
