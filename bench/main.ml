@@ -1,61 +1,34 @@
-(* Benchmark harness.
+(* Benchmark harness: the paper reproduction and the repository's gates.
 
-   Reproduction: regenerate every table and figure of the paper's
-   evaluation (Table 1, Figure 2, Figures 5/7/8/9, Tables 2a-2c) side by
-   side with the published numbers, plus an ablation table for the
-   design choices called out in DESIGN.md.  The other modes are
-   gated benchmarks of individual layers, each writing a JSON record.
+   Reproduction:  dune exec bench/main.exe [-- repro [ID]]
+     Regenerates every table and figure of the paper's evaluation
+     (Table 1, Figure 2, Figures 5/7/8/9, Tables 2a-2c) side by side
+     with the published numbers, plus an ablation table for the design
+     choices called out in DESIGN.md.  ID selects one experiment.
 
-   Reproduction:        dune exec bench/main.exe [-- repro]
-   One experiment:      dune exec bench/main.exe -- repro table2a
-   Sweep scaling:       dune exec bench/main.exe -- sweep [BENCH_sweep.json]
-     (times the Fig-8/Table-2 sweep suite sequentially vs on the
-      domain pool, checks cell-for-cell equality, and writes a
-      machine-readable JSON record with the cache counters)
-   Synthesis hot path:  dune exec bench/main.exe -- synth [BENCH_synth.json] [--reps N]
-     (times one realize and the full synthesis pipeline on each paper
-      benchmark, old-equivalent reference scheduler + sequential moves
-      vs incremental scheduler + parallel refine, asserts the designs
-      are identical, and writes a machine-readable record)
-   Telemetry overhead:  dune exec bench/main.exe -- telemetry [BENCH_telemetry.json]
-     (sharded-counter throughput alone and under all-domain
-      contention with an exactness check, and the per-span cost of
-      Trace.with_span with no sink installed)
-   Fault campaigns:     dune exec bench/main.exe -- fault [BENCH_fault.json]
-                          [--vectors N] [--width W]
-     (times scalar vs bit-parallel vs domain-parallel fault-injection
-      campaigns on the characterization circuits, verifies the reports
-      are identical node for node, and records the result)
-   Serve daemon:        dune exec bench/main.exe -- serve [BENCH_serve.json]
-     (starts an in-process rchls serve daemon on a Unix socket, load
-      tests it cold / warm / after a restart onto the same cache
-      directory, asserts payloads byte-identical across all three and
-      that the warm memory tier and the post-restart disk tier answer,
-      and fails unless the warm pass is at least 5x cold throughput)
-   Fuzz smoke:          dune exec bench/main.exe -- fuzz [BENCH_fuzz.json]
-                          [--cases N] [--seed S]
-     (runs every differential/metamorphic fuzzing property at a fixed
-      seed, times the throughput per property, measures the validity
-      checker's overhead on a full synthesis, and fails on any
-      counterexample)
-   Explore pruning:     dune exec bench/main.exe -- explore [BENCH_explore.json]
-                          [--count N]
-     (generates a fixed-seed benchmark corpus, sweeps every graph's
-      planned bound plane exhaustively and with the frontier-guided
-      explorer, asserts the grids and Pareto frontiers byte-identical,
-      reports the wall-clock speedup, and fails unless pruning saves
-      at least 5x the engine synthesis calls across the corpus)
-   Annealing:           dune exec bench/main.exe -- anneal [BENCH_anneal.json]
-                          [--count N] [--moves M]
-     (generates the same fixed-seed corpus, anneals two knee cells per
-      graph from the greedy seed, validates every annealed design with
-      the independent checker, asserts results identical across domain
-      counts 1/2/4, and fails unless every cell is at least as reliable
-      as greedy and at least 25% of cells strictly improve)
+   Gates:         dune exec bench/main.exe -- gates [ID]   (make gates)
+     Runs every gate, or the one named ID, printing one
+     `gate ID pass|FAIL <work figures>` line each, and exits 1 if any
+     gate fails:
+       sweep      the Fig-8/Table-2 sweeps give the same cells on 1
+                  domain and on the pool
+       synth      the reference scheduler on 1 domain and the
+                  incremental one on the pool give identical designs
+       fault      scalar, packed, parallel and cached fault campaigns
+                  give equal reports
+       telemetry  sharded counters stay exact under contention and
+                  every span is observed
+       serve      a live daemon answers cold, warm and after a restart
+                  with identical payloads from the expected cache
+                  tiers, warm throughput is at least 5x cold, and the
+                  metrics endpoint plus access log cost under 5%
+       explore    the pruned sweep of a fixed corpus matches the
+                  exhaustive one with at least 5x fewer synthesis calls
+       anneal     annealed knee cells are valid, never below greedy,
+                  domain-independent, and at least 25% improve
 
-   --vectors / --width are shared with `bin/main.exe characterize
-   --measured` and apply to the fault mode; there are no buried
-   vector-count literals. *)
+   Every input is a constant; the only variable is the pool size
+   (RCHLS_DOMAINS).  Timings are perfbench/'s job. *)
 
 module Experiments = Rchls_experiments.Experiments
 module Rc = Rchls_core.Reliability_centric
@@ -63,6 +36,8 @@ module Design = Rchls_core.Design
 module Benchmarks = Rchls_dfg.Benchmarks
 module Library = Rchls_charlib.Library
 module Tablefmt = Rchls_util.Tablefmt
+module Pool = Rchls_util.Pool
+module Telemetry = Rchls_util.Telemetry
 
 (* --- ablation: the documented algorithm variants ------------------- *)
 
@@ -106,34 +81,55 @@ let ablation () =
   Buffer.add_string buf (Tablefmt.render t);
   Buffer.contents buf
 
-let reproduction which =
-  let experiments =
-    Experiments.all
-    @ [
-        ("table1-measured", fun () -> Experiments.table1_measured ());
-        ("ablation", ablation);
-      ]
-  in
-  match which with
-  | None ->
-    List.iter (fun (_, f) -> print_string (f ())) experiments;
-    print_newline ()
+let experiments =
+  Experiments.all
+  @ [
+      ("table1-measured", fun () -> Experiments.table1_measured ());
+      ("ablation", ablation);
+    ]
+
+(* The whole [table], or the one entry named [id] (exit 1 if none is). *)
+let select what table = function
+  | None -> table
   | Some id -> (
-    match List.assoc_opt id experiments with
-    | Some f -> print_string (f ())
+    match List.assoc_opt id table with
+    | Some x -> [ (id, x) ]
     | None ->
-      Printf.eprintf "unknown experiment %S; available: %s\n" id
-        (String.concat ", " (List.map fst experiments));
+      Printf.eprintf "unknown %s %S; available: %s\n" what id
+        (String.concat ", " (List.map fst table));
       exit 1)
 
-(* --- sweep scaling benchmark ---------------------------------------- *)
+let reproduction which =
+  List.iter (fun (_, f) -> print_string (f ())) (select "experiment" experiments which);
+  if which = None then print_newline ()
+
+(* --- gates ---------------------------------------------------------- *)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A gate's outcome: pass or not, and the work figures it printed. *)
+type verdict = { pass : bool; figures : string }
+
+(* Passes iff no failure reason was collected; the reasons follow the
+   figures on a failing line. *)
+let verdict figures = function
+  | [] -> { pass = true; figures }
+  | reasons -> { pass = false; figures = figures ^ "; " ^ String.concat "; " reasons }
 
 module Sweep = Rchls_experiments.Sweep
 module Paper_data = Rchls_experiments.Paper_data
-module Pool = Rchls_util.Pool
-module Telemetry = Rchls_util.Telemetry
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+let cells_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Sweep.cell) (y : Sweep.cell) ->
+         x.ld = y.ld && x.ad = y.ad && x.reliability = y.reliability && x.area = y.area)
+       a b
 
 (* The sweep workloads behind Figure 8 and Tables 2(a,b,c). *)
 let sweep_suite =
@@ -160,88 +156,27 @@ let sweep_suite =
     ("table2c/diffeq-combined", Sweep.Combined, Benchmarks.diffeq, fst t2c, snd t2c);
   ]
 
-let cells_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Sweep.cell) (y : Sweep.cell) ->
-         x.ld = y.ld && x.ad = y.ad && x.reliability = y.reliability && x.area = y.area)
-       a b
-
-let sweep_bench out_path =
+let sweep_gate () =
   let domains = Pool.num_domains () in
-  Printf.printf "=== Sweep scaling: sequential vs %d domains ===\n%!" domains;
-  Telemetry.reset ();
-  let results =
-    List.map
+  let cells = ref 0 in
+  let failed =
+    List.filter_map
       (fun (name, approach, g, lds, ads) ->
-        let t0 = now_s () in
         let seq = Sweep.run ~domains:1 approach g Library.table1 ~lds ~ads in
-        let t1 = now_s () in
         let par = Sweep.run ~domains approach g Library.table1 ~lds ~ads in
-        let t2 = now_s () in
-        let seq_s = t1 -. t0 and par_s = t2 -. t1 in
-        let identical = cells_equal seq par in
-        Printf.printf "%-26s %3d cells  seq %7.3fs  par %7.3fs  x%.2f  %s\n%!" name
-          (List.length seq) seq_s par_s (seq_s /. par_s)
-          (if identical then "identical" else "MISMATCH");
-        (name, List.length seq, seq_s, par_s, identical))
+        cells := !cells + List.length seq;
+        if cells_equal seq par then None else Some (name ^ " cells differ"))
       sweep_suite
   in
-  let total_seq = List.fold_left (fun a (_, _, s, _, _) -> a +. s) 0. results in
-  let total_par = List.fold_left (fun a (_, _, _, p, _) -> a +. p) 0. results in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) results in
-  Printf.printf "total: seq %.3fs  par %.3fs  speedup x%.2f  (%s)\n%!" total_seq
-    total_par (total_seq /. total_par)
-    (if all_identical then "all cells identical" else "CELL MISMATCH");
-  (* Machine-readable record, consumed by the Makefile's bench-json
-     target and CI trend tracking. *)
-  let buf = Buffer.create 2048 in
-  let counters = [ "cache.hits"; "cache.misses"; "sched.runs"; "bind.runs"; "sweep.cells" ] in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf (Printf.sprintf "  \"all_cells_identical\": %b,\n" all_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total\": { \"seq_s\": %.6f, \"par_s\": %.6f, \"speedup\": %.3f },\n"
-       total_seq total_par (total_seq /. total_par));
-  Buffer.add_string buf "  \"counters\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map (fun c -> Printf.sprintf "\"%s\": %d" c (Telemetry.counter c)) counters));
-  Buffer.add_string buf " },\n";
-  Buffer.add_string buf "  \"suites\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (name, cells, seq_s, par_s, identical) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"cells\": %d, \"seq_s\": %.6f, \"par_s\": %.6f, \
-               \"speedup\": %.3f, \"identical\": %b }"
-              name cells seq_s par_s (seq_s /. par_s) identical)
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not all_identical then exit 1
+  verdict
+    (Printf.sprintf "%d sweeps, %d cells identical on 1 and %d domains"
+       (List.length sweep_suite) !cells domains)
+    failed
 
-(* --- synthesis hot-path benchmark ------------------------------------ *)
-
-(* Times the scheduler/engine optimizations of the incremental-density
-   work against the retained old-equivalent paths:
-
-   - ns/realize: one schedule+bind evaluation, [`Density_reference]
-     (full constrained-range recompute and distribution rebuild per
-     placed node — the historical algorithm) vs [`Density] (incremental
-     propagation over one persistent distribution);
-   - full synthesis wall: the complete Figure-6 pipeline, reference
-     scheduler + sequential move evaluation vs incremental scheduler +
-     parallel refine/recovery over the domain pool.
-
-   Both arms must produce identical designs (checked; exit 1 on any
-   mismatch — the incremental scheduler promises bit-equal results). *)
+(* The incremental-density scheduler promises designs bit-equal to the
+   retained old-equivalent reference ([`Density_reference]: a full
+   constrained-range recompute and distribution rebuild per placed
+   node), also with refine/recovery moves evaluated in parallel. *)
 let synth_suite =
   [
     ("fig4", Benchmarks.example_fig4, 6, 4);
@@ -250,65 +185,16 @@ let synth_suite =
     ("diffeq", Benchmarks.diffeq, 6, 13);
   ]
 
-let synth_bench ~reps out_path =
+let synth_gate () =
   let domains = Pool.num_domains () in
-  Printf.printf
-    "=== Synthesis hot path: reference vs incremental+parallel (%d domains, %d reps) \
-     ===\n%!"
-    domains reps;
-  Telemetry.reset ();
-  let lib = Library.table1 in
-  let results =
-    List.map
+  let failed =
+    List.filter_map
       (fun (name, g, ld, ad) ->
-        let assignment (nd : Rchls_dfg.Dfg.node) =
-          Library.most_reliable lib (Rchls_dfg.Op.resource_class nd.op)
+        let synth scheduler domains =
+          Rc.synthesize ~scheduler ~domains g Library.table1 ~ld ~ad
         in
-        let delay nd = (assignment nd).Rchls_charlib.Resource.delay in
-        (* Slack above the ASAP latency gives every node mobility — the
-           regime where the per-placement rebuilds actually hurt. *)
-        let latency = Rchls_dfg.Analysis.asap_latency g ~delay + 2 in
-        (* Interleaved best-of-reps: each repetition times both arms
-           back to back and the minimum per arm is kept, so an OS
-           scheduling or GC noise burst — which on a shared box easily
-           exceeds the measured effect for millisecond-scale runs —
-           cannot hit one arm only. *)
-        let time_realize_once scheduler =
-          let n = 10 in
-          let t0 = now_s () in
-          for _ = 1 to n do
-            match Design.realize ~scheduler g lib ~assignment ~latency with
-            | Ok _ -> ()
-            | Error e -> failwith ("synth bench: realize failed: " ^ e)
-          done;
-          (now_s () -. t0) /. float_of_int n
-        in
-        let realize_ref = ref infinity and realize_inc = ref infinity in
-        for _ = 1 to max 3 reps do
-          realize_ref := Float.min !realize_ref (time_realize_once `Density_reference);
-          realize_inc := Float.min !realize_inc (time_realize_once `Density)
-        done;
-        let realize_ref_ns = !realize_ref *. 1e9 in
-        let realize_inc_ns = !realize_inc *. 1e9 in
-        let time_synth_once ~scheduler ~domains =
-          let t0 = now_s () in
-          let r = Rc.synthesize ~scheduler ~domains g lib ~ld ~ad in
-          (now_s () -. t0, r)
-        in
-        let synth_ref = ref infinity and synth_opt = ref infinity in
-        let ref_design = ref None and opt_design = ref None in
-        for _ = 1 to max 1 reps do
-          let t, r = time_synth_once ~scheduler:`Density_reference ~domains:1 in
-          synth_ref := Float.min !synth_ref t;
-          ref_design := Some r;
-          let t, r = time_synth_once ~scheduler:`Density ~domains in
-          synth_opt := Float.min !synth_opt t;
-          opt_design := Some r
-        done;
-        let synth_ref_s = !synth_ref and synth_opt_s = !synth_opt in
-        let ref_design = Option.get !ref_design and opt_design = Option.get !opt_design in
         let identical =
-          match (ref_design, opt_design) with
+          match (synth `Density_reference 1, synth `Density domains) with
           | Ok a, Ok b ->
             Design.reliability a = Design.reliability b
             && Design.area a = Design.area b
@@ -316,55 +202,13 @@ let synth_bench ~reps out_path =
           | Error _, Error _ -> true
           | _ -> false
         in
-        Printf.printf
-          "%-8s realize %9.0f -> %9.0f ns (x%.2f)   synth %8.4f -> %8.4f s (x%.2f)  %s\n%!"
-          name realize_ref_ns realize_inc_ns
-          (realize_ref_ns /. realize_inc_ns)
-          synth_ref_s synth_opt_s
-          (synth_ref_s /. synth_opt_s)
-          (if identical then "identical" else "MISMATCH");
-        ( name,
-          Rchls_dfg.Dfg.node_count g,
-          ld,
-          ad,
-          realize_ref_ns,
-          realize_inc_ns,
-          synth_ref_s,
-          synth_opt_s,
-          identical ))
+        if identical then None else Some (name ^ " designs differ"))
       synth_suite
   in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, i) -> i) results
-  in
-  Printf.printf "(%s)\n%!"
-    (if all_identical then "all designs identical" else "DESIGN MISMATCH");
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf (Printf.sprintf "  \"reps\": %d,\n" reps);
-  Buffer.add_string buf (Printf.sprintf "  \"all_identical\": %b,\n" all_identical);
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (name, nodes, ld, ad, rref, rinc, sref, sopt, identical) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"nodes\": %d, \"ld\": %d, \"ad\": %d, \
-               \"realize_ref_ns\": %.1f, \"realize_inc_ns\": %.1f, \
-               \"realize_speedup\": %.3f, \"synth_ref_s\": %.6f, \"synth_opt_s\": \
-               %.6f, \"synth_speedup\": %.3f, \"identical\": %b }"
-              name nodes ld ad rref rinc (rref /. rinc) sref sopt (sref /. sopt)
-              identical)
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not all_identical then exit 1
-
-(* --- fault-injection campaign benchmark ----------------------------- *)
+  verdict
+    (Printf.sprintf "%d designs identical: reference on 1 domain, incremental on %d"
+       (List.length synth_suite) domains)
+    failed
 
 module Fault_sim = Rchls_soft_error.Fault_sim
 module Catalog = Rchls_circuits.Catalog
@@ -379,313 +223,125 @@ let fault_reports_equal (a : Fault_sim.report) (b : Fault_sim.report) =
          && x.ci_low = y.ci_low && x.ci_high = y.ci_high)
        a.Fault_sim.nodes b.Fault_sim.nodes
 
-let fault_bench ~vectors ~width out_path =
+(* The three characterization shapes: a small adder, a prefix adder,
+   and the 16-bit Wallace multiplier (sampled like the library
+   characterization samples multipliers). *)
+let fault_gate () =
+  let vectors = 64 and width = 16 in
   let domains = Pool.num_domains () in
-  Printf.printf
-    "=== Fault campaigns: scalar vs packed vs %d domains (%d vectors, width %d) ===\n%!"
-    domains vectors width;
-  Telemetry.reset ();
   Fault_sim.Campaign.cache_clear ();
-  (* The three characterization shapes: a small adder, a prefix adder,
-     and the 16-bit Wallace multiplier (sampled like the library
-     characterization samples multipliers). *)
-  let suite =
-    [
-      ("rca", Fault_sim.Sampling.All);
-      ("bk", Fault_sim.Sampling.All);
-      ("wmul", Fault_sim.Sampling.Strided 256);
-    ]
-  in
-  let results =
-    List.map
+  let nodes = ref 0 and injections = ref 0 in
+  let failed =
+    List.filter_map
       (fun (id, sampling) ->
         let nl = (Option.get (Catalog.find id)).Catalog.build ~width in
         let config =
           { Fault_sim.Campaign.default with vectors; sampling; domains = Some 1 }
         in
-        let t0 = now_s () in
         let scalar = Fault_sim.Campaign.run_scalar ~config nl in
-        let t1 = now_s () in
         let packed = Fault_sim.Campaign.run ~config nl in
-        let t2 = now_s () in
         Fault_sim.Campaign.cache_clear ();
         let par_config = { config with domains = None } in
         let par = Fault_sim.Campaign.run ~config:par_config nl in
-        let t3 = now_s () in
         let cached = Fault_sim.Campaign.run ~config:par_config nl in
-        let t4 = now_s () in
-        let scalar_s = t1 -. t0
-        and packed_s = t2 -. t1
-        and par_s = t3 -. t2
-        and cached_s = t4 -. t3 in
-        let identical =
-          fault_reports_equal scalar packed
-          && fault_reports_equal scalar par
-          && fault_reports_equal scalar cached
-        in
-        let injections =
+        nodes := !nodes + List.length scalar.Fault_sim.nodes;
+        injections :=
           List.fold_left
             (fun acc (n : Fault_sim.node_result) -> acc + n.injected)
-            0 scalar.Fault_sim.nodes
-        in
-        Printf.printf
-          "%-10s %4d nodes  scalar %7.3fs  packed %7.3fs (x%.1f)  par %7.3fs (x%.1f)  \
-           cached %.6fs  %s\n%!"
-          (Printf.sprintf "%s%d" id width)
-          (List.length scalar.Fault_sim.nodes)
-          scalar_s packed_s (scalar_s /. packed_s) par_s (scalar_s /. par_s) cached_s
-          (if identical then "identical" else "MISMATCH");
-        ( Printf.sprintf "%s%d" id width,
-          List.length scalar.Fault_sim.nodes,
-          injections, scalar_s, packed_s, par_s, cached_s, identical ))
-      suite
-  in
-  let all_identical = List.for_all (fun (_, _, _, _, _, _, _, i) -> i) results in
-  let total_scalar = List.fold_left (fun a (_, _, _, s, _, _, _, _) -> a +. s) 0. results in
-  let total_packed = List.fold_left (fun a (_, _, _, _, p, _, _, _) -> a +. p) 0. results in
-  let total_par = List.fold_left (fun a (_, _, _, _, _, p, _, _) -> a +. p) 0. results in
-  Printf.printf
-    "total: scalar %.3fs  packed %.3fs (x%.1f)  par %.3fs (x%.1f)  (%s)\n%!" total_scalar
-    total_packed (total_scalar /. total_packed) total_par (total_scalar /. total_par)
-    (if all_identical then "all reports identical" else "REPORT MISMATCH");
-  let buf = Buffer.create 2048 in
-  let counters =
-    [ "fault.nodes"; "fault.injections"; "fault.batches"; "fault.cache.hits";
-      "fault.cache.misses" ]
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf (Printf.sprintf "  \"vectors\": %d,\n" vectors);
-  Buffer.add_string buf (Printf.sprintf "  \"width\": %d,\n" width);
-  Buffer.add_string buf (Printf.sprintf "  \"all_identical\": %b,\n" all_identical);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"total\": { \"scalar_s\": %.6f, \"packed_s\": %.6f, \"par_s\": %.6f, \
-        \"speedup_packed\": %.3f, \"speedup_par\": %.3f },\n"
-       total_scalar total_packed total_par (total_scalar /. total_packed)
-       (total_scalar /. total_par));
-  Buffer.add_string buf "  \"counters\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map (fun c -> Printf.sprintf "\"%s\": %d" c (Telemetry.counter c)) counters));
-  Buffer.add_string buf " },\n";
-  Buffer.add_string buf "  \"suites\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (name, nodes, injections, scalar_s, packed_s, par_s, cached_s, identical) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"nodes\": %d, \"injections\": %d, \"scalar_s\": \
-               %.6f, \"packed_s\": %.6f, \"par_s\": %.6f, \"cached_s\": %.6f, \
-               \"speedup_packed\": %.3f, \"speedup_par\": %.3f, \"identical\": %b }"
-              name nodes injections scalar_s packed_s par_s cached_s
-              (scalar_s /. packed_s) (scalar_s /. par_s) identical)
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not all_identical then exit 1
-
-(* --- fuzz smoke benchmark -------------------------------------------- *)
-
-module Check = Rchls_check.Check
-module Fuzz = Rchls_check.Fuzz
-module Json = Rchls_util.Json
-
-(* Deterministic fuzzing as a benchmark arm: every property must hold
-   at the fixed seed (exit 1 with the shrunk counterexample otherwise),
-   and the record tracks cases/second per property plus the overhead
-   the installed validity checker adds to a full synthesis. *)
-let fuzz_bench ~seed ~cases out_path =
-  Printf.printf "=== Fuzz smoke: %d cases/property, seed %d ===\n%!" cases seed;
-  Telemetry.reset ();
-  let results =
-    List.map
-      (fun name ->
-        let t0 = now_s () in
-        let outcome =
-          List.hd (Fuzz.run ~properties:[ name ] ~seed ~cases ())
-        in
-        let dt = now_s () -. t0 in
-        Printf.printf "%-24s %5d cases  %7.3fs  %9.0f cases/s  %s\n%!" name
-          outcome.Fuzz.cases_run dt
-          (float_of_int outcome.Fuzz.cases_run /. dt)
-          (match outcome.Fuzz.failure with
-          | None -> "pass"
-          | Some _ -> "FAIL");
-        (match outcome.Fuzz.failure with
-        | None -> ()
-        | Some _ -> Format.printf "%a@." Fuzz.pp_outcome outcome);
-        (name, outcome.Fuzz.cases_run, dt, outcome.Fuzz.failure = None))
-      (Fuzz.property_names ())
-  in
-  let all_passed = List.for_all (fun (_, _, _, ok) -> ok) results in
-  (* Checker overhead: the same synthesis with and without the
-     validity checker validating every realized design. *)
-  let g = Benchmarks.diffeq in
-  let time_synth () =
-    let t0 = now_s () in
-    (match Rc.synthesize g Library.table1 ~ld:6 ~ad:13 with
-    | Ok _ -> ()
-    | Error _ -> failwith "fuzz bench: diffeq synthesis failed");
-    now_s () -. t0
-  in
-  let plain = ref infinity and checked = ref infinity in
-  for _ = 1 to 5 do
-    plain := Float.min !plain (time_synth ());
-    Check.enable ();
-    Fun.protect ~finally:Check.disable (fun () ->
-        checked := Float.min !checked (time_synth ()))
-  done;
-  Printf.printf "checker overhead on diffeq synth: %.4fs -> %.4fs (x%.2f)  (%s)\n%!"
-    !plain !checked (!checked /. !plain)
-    (if all_passed then "all properties passed" else "PROPERTY FAILED");
-  let record =
-    Json.Obj
+            !injections scalar.Fault_sim.nodes;
+        if List.for_all (fault_reports_equal scalar) [ packed; par; cached ] then None
+        else Some (Printf.sprintf "%s%d reports differ" id width))
       [
-        ("seed", Json.Int seed);
-        ("cases_per_property", Json.Int cases);
-        ("all_passed", Json.Bool all_passed);
-        ("fuzz_cases", Json.Int (Telemetry.counter "fuzz.cases"));
-        ("synth_plain_s", Json.Float !plain);
-        ("synth_checked_s", Json.Float !checked);
-        ("checker_overhead", Json.Float (!checked /. !plain));
-        ( "properties",
-          Json.List
-            (List.map
-               (fun (name, run, dt, ok) ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str name);
-                     ("cases", Json.Int run);
-                     ("seconds", Json.Float dt);
-                     ("passed", Json.Bool ok);
-                   ])
-               results) );
+        ("rca", Fault_sim.Sampling.All);
+        ("bk", Fault_sim.Sampling.All);
+        ("wmul", Fault_sim.Sampling.Strided 256);
       ]
   in
-  let oc = open_out out_path in
-  output_string oc (Json.to_string ~pretty:true record);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not all_passed then exit 1
-
-(* --- telemetry micro-benchmark --------------------------------------- *)
+  verdict
+    (Printf.sprintf
+       "rca/bk/wmul width %d, %d vectors: %d nodes, %d injections, scalar = packed = %d \
+        domains = cached"
+       width vectors !nodes !injections domains)
+    failed
 
 module Trace = Rchls_util.Trace
 
-(* Exercises the observability layer itself: sharded-counter
-   throughput alone and under all-domain contention (checking the
-   aggregate stays exact), and the per-span cost of [Trace.with_span]
-   with no sink installed (the always-on configuration). *)
-let telemetry_bench out_path =
+(* The observability layer itself: sharded counters stay exact alone
+   and under all-domain contention, and [Trace.with_span] with no sink
+   installed (the always-on configuration) observes every span. *)
+let telemetry_gate () =
   let domains = Pool.num_domains () in
-  Printf.printf "=== Telemetry: sharded counters, span overhead (%d domains) ===\n%!"
-    domains;
-  let iters = 2_000_000 in
-  Telemetry.reset ();
-  let t0 = now_s () in
-  for _ = 1 to iters do
-    Telemetry.incr "bench.counter"
-  done;
-  let t1 = now_s () in
-  let seq_s = t1 -. t0 in
-  let seq_exact = Telemetry.counter "bench.counter" = iters in
-  Printf.printf "counter 1 domain:   %8.1f ns/op  (%d ops, %s)\n%!"
-    (seq_s /. float_of_int iters *. 1e9)
-    iters
-    (if seq_exact then "exact" else "LOST UPDATES");
-  Telemetry.reset ();
-  let t2 = now_s () in
-  let workers =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to iters do
-              Telemetry.incr "bench.counter"
-            done))
+  let ops = 2_000_000 and spans = 200_000 in
+  let bump () =
+    for _ = 1 to ops do
+      Telemetry.incr "bench.counter"
+    done
   in
-  List.iter Domain.join workers;
-  let t3 = now_s () in
-  let par_s = t3 -. t2 in
-  let par_total = Telemetry.counter "bench.counter" in
-  let par_exact = par_total = domains * iters in
-  Printf.printf "counter %d domains:  %8.1f ns/op  (%d ops, %s)\n%!" domains
-    (par_s /. float_of_int (domains * iters) *. 1e9)
-    (domains * iters)
-    (if par_exact then "exact" else "LOST UPDATES");
   Telemetry.reset ();
-  let spans = 200_000 in
-  let t4 = now_s () in
+  bump ();
+  let seq = Telemetry.counter "bench.counter" in
+  Telemetry.reset ();
+  List.iter Domain.join (List.init domains (fun _ -> Domain.spawn bump));
+  let par = Telemetry.counter "bench.counter" in
+  Telemetry.reset ();
   for _ = 1 to spans do
-    Trace.with_span "bench.span" (fun () -> ())
+    Trace.with_span "bench.span" ignore
   done;
-  let t5 = now_s () in
-  let span_ns = (t5 -. t4) /. float_of_int spans *. 1e9 in
-  let span_exact =
-    match Telemetry.histogram "bench.span" with
-    | Some h -> h.Telemetry.count = spans
-    | None -> false
+  let observed =
+    match Telemetry.histogram "bench.span" with Some h -> h.Telemetry.count | None -> 0
   in
-  Printf.printf "with_span (no sink): %7.1f ns/span  (%d spans, %s)\n%!" span_ns spans
-    (if span_exact then "all observed" else "DROPPED OBSERVATIONS");
-  let all_exact = seq_exact && par_exact && span_exact in
-  let record =
-    Json.Obj
-      [
-        ("domains", Json.Int domains);
-        ("counter_ops", Json.Int iters);
-        ("counter_seq_ns_per_op", Json.Float (seq_s /. float_of_int iters *. 1e9));
-        ( "counter_par_ns_per_op",
-          Json.Float (par_s /. float_of_int (domains * iters) *. 1e9) );
-        ("counter_par_total", Json.Int par_total);
-        ("counter_exact", Json.Bool (seq_exact && par_exact));
-        ("spans", Json.Int spans);
-        ("span_ns", Json.Float span_ns);
-        ("span_exact", Json.Bool span_exact);
-      ]
-  in
-  let oc = open_out out_path in
-  output_string oc (Json.to_string ~pretty:true record);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not all_exact then exit 1
-
-(* --- serve: daemon throughput and the response cache ----------------- *)
+  verdict
+    (Printf.sprintf "counter %d/%d on 1 domain, %d/%d on %d; %d/%d spans observed" seq ops
+       par (domains * ops) domains observed spans)
+    (List.concat
+       [
+         (if seq = ops && par = domains * ops then [] else [ "lost counter updates" ]);
+         (if observed = spans then [] else [ "dropped span observations" ]);
+       ])
 
 module Server = Rchls_serve.Server
 module Sclient = Rchls_serve.Client
 module Api_req = Rchls_api.Request
+module Json = Rchls_util.Json
 
-(* Load-tests an in-process [rchls serve] daemon over a Unix socket:
-   a cold pass (every request computes), a warm pass (every request
-   must hit the memory tier), and a daemon restart onto the same cache
-   directory (the first repeat must hit the disk tier).  Payloads are
-   asserted byte-identical across all three, and the warm/cold
-   throughput ratio is the headline number. *)
-let serve_bench out_path =
-  Printf.printf "=== Serve: daemon throughput, two-tier response cache ===\n%!";
-  Telemetry.reset ();
-  let dir =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rchls-serve-bench-%d" (Unix.getpid ()))
+let seconds_since t0 = Int64.to_float (Int64.sub (Telemetry.now_ns ()) t0) /. 1e9
+
+(* Load-tests an in-process [rchls serve] daemon over a Unix socket: a
+   cold pass (every request computes), a warm pass (every request must
+   hit the memory tier), and a daemon restart onto the same cache
+   directory (a repeat must hit the disk tier), with payloads
+   byte-identical across all three.  The two throughput checks are the
+   only wall-clock gates.  The private directory (sockets, disk cache,
+   access log) is removed however the gate ends. *)
+let serve_gate () =
+  let dir = Filename.temp_dir "rchls-serve-gate-" "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let ok = function Ok v -> v | Error e -> failwith e in
+  (* Runs [f] against a fresh daemon on [socket] sharing the one disk
+     cache; daemon and client are closed however [f] ends.  [observed]
+     turns on the metrics endpoint and the access log. *)
+  let with_daemon ?(observed = false) socket f =
+    let socket = Filename.concat dir socket in
+    let config =
+      {
+        (Server.default_config (Server.Unix_socket socket)) with
+        Server.cache_dir = Some (Filename.concat dir "cache");
+        queue_max = 4096;
+      }
     in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let socket = Filename.concat dir "rchls.sock" in
-  let cache_dir = Filename.concat dir "cache" in
-  let config =
-    {
-      (Server.default_config (Server.Unix_socket socket)) with
-      Server.cache_dir = Some cache_dir;
-      queue_max = 4096;
-    }
+    let config =
+      if not observed then config
+      else
+        {
+          config with
+          Server.metrics = Some (Server.Tcp ("127.0.0.1", 0));
+          access_log = Some (Filename.concat dir "access.log", 1 lsl 26);
+        }
+    in
+    let server = ok (Server.start config) in
+    Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+    let client = ok (Sclient.connect_unix socket) in
+    Fun.protect ~finally:(fun () -> Sclient.close client) (fun () -> f client)
   in
   let workload =
     List.concat_map
@@ -717,27 +373,13 @@ let serve_bench out_path =
       ]
   in
   let n = List.length workload in
-  let die msg =
-    Printf.eprintf "serve bench: %s\n%!" msg;
-    exit 1
-  in
-  let ok = function Ok v -> v | Error e -> die e in
-  (* Pipelined: write the whole workload, then collect [n] responses,
-     stamping each arrival (responses correlate by id, not order). *)
+  (* Pipelined: write the whole workload, then collect [n] responses
+     (they correlate by id, not order). *)
   let run_pass client =
-    let t0 = now_s () in
+    let t0 = Telemetry.now_ns () in
     List.iter (fun r -> ok (Sclient.send client r)) workload;
-    let responses =
-      List.init n (fun _ ->
-          let line = ok (Sclient.recv_raw client) in
-          (line, (now_s () -. t0) *. 1e3))
-    in
-    (responses, now_s () -. t0)
-  in
-  let parse line =
-    match Json.of_string line with
-    | Error e -> die ("unparseable response: " ^ e)
-    | Ok j -> j
+    let responses = List.init n (fun _ -> ok (Sclient.recv_raw client)) in
+    (List.map (fun line -> ok (Json.of_string line)) responses, seconds_since t0)
   in
   (* id -> serialized result payload, the [cache] envelope field
      excluded: the bytes that must not depend on where a response came
@@ -745,173 +387,100 @@ let serve_bench out_path =
   let results_by_id responses =
     List.sort compare
       (List.map
-         (fun (line, _) ->
-           let j = parse line in
+         (fun j ->
            match (Json.member "id" j, Json.member "result" j) with
            | Some (Json.Str id), Some r -> (id, Json.to_string r)
-           | _ -> die ("response without id/result: " ^ line))
+           | _ -> failwith ("response without id/result: " ^ Json.to_string j))
          responses)
   in
   let tier_count tier responses =
     List.length
       (List.filter
-         (fun (line, _) ->
-           match Json.member "cache" (parse line) with
+         (fun j ->
+           match Json.member "cache" j with
            | Some c -> Json.member "tier" c = Some (Json.Str tier)
            | None -> false)
          responses)
   in
-  let quantile q latencies =
-    let a = Array.of_list latencies in
-    Array.sort compare a;
-    a.(min (Array.length a - 1) (int_of_float (q *. float_of_int (Array.length a))))
+  let (cold, cold_s), (warm, warm_s) =
+    with_daemon "rchls.sock" (fun c ->
+        let cold = run_pass c in
+        (cold, run_pass c))
   in
-  (* cold + warm passes against one daemon *)
-  let server = ok (Server.start config) in
-  let client = ok (Sclient.connect_unix socket) in
-  let cold, cold_s = run_pass client in
-  let warm, warm_s = run_pass client in
-  Sclient.close client;
-  Server.stop server;
-  let cold_results = results_by_id cold and warm_results = results_by_id warm in
-  if cold_results <> warm_results then
-    die "warm-pass payloads differ from cold-pass payloads";
-  let warm_mem = tier_count "memory" warm in
-  if warm_mem <> n then
-    die (Printf.sprintf "only %d/%d warm responses hit the memory tier" warm_mem n);
-  (* restart onto the same cache directory: the disk tier must answer *)
-  let server = ok (Server.start config) in
-  let client = ok (Sclient.connect_unix socket) in
-  let restart, _ = run_pass client in
-  Sclient.close client;
-  Server.stop server;
-  if results_by_id restart <> cold_results then
-    die "post-restart payloads differ from cold-pass payloads";
-  let disk_hits = tier_count "disk" restart in
-  if disk_hits = 0 then die "no disk-tier hit after daemon restart";
-  (* instrumentation overhead: a warm-tier arm with every
-     observability surface off vs one with the metrics endpoint and
-     access log on.  Both daemons are alive at once and the passes
-     alternate between them (best of 5 each), so clock-frequency and
-     scheduler drift hits both arms equally instead of biasing
-     whichever ran second. *)
-  let bare_socket = Filename.concat dir "bare.sock" in
-  let obs_socket = Filename.concat dir "obs.sock" in
-  let bare_config =
-    { config with Server.addr = Server.Unix_socket bare_socket }
-  in
-  let obs_config =
-    {
-      config with
-      Server.addr = Server.Unix_socket obs_socket;
-      metrics = Some (Server.Tcp ("127.0.0.1", 0));
-      access_log = Some (Filename.concat dir "access.log", 1 lsl 26);
-    }
-  in
-  let bare_server = ok (Server.start bare_config) in
-  let obs_server = ok (Server.start obs_config) in
-  let bare_client = ok (Sclient.connect_unix bare_socket) in
-  let obs_client = ok (Sclient.connect_unix obs_socket) in
-  ignore (run_pass bare_client);
-  ignore (run_pass obs_client);
-  (* both memory tiers warmed; one measurement is a [burst_k]-fold
-     pipelined repetition of the workload, long enough (tens of ms)
-     that per-pass scheduler noise stops dominating the comparison *)
+  let restart, _ = with_daemon "rchls.sock" run_pass in
+  let cold_results = results_by_id cold in
+  let warm_mem = tier_count "memory" warm and disk_hits = tier_count "disk" restart in
+  let speedup = cold_s /. warm_s in
+  (* Instrumentation overhead: a warm daemon with every observability
+     surface off against one with the metrics endpoint and access log
+     on.  Both are alive at once; one measurement is a [burst_k]-fold
+     repetition of the workload, long enough (tens of ms) that
+     per-pass scheduler noise stops dominating.  Reps are paired, each
+     yielding one overhead ratio, and the minimum is the gate: a
+     scheduler hiccup inflates one rep, only a real per-request cost
+     inflates every rep. *)
   let burst_k = 40 in
   let burst client =
     (* one workload outstanding at a time: pipelining the whole burst
        would deadlock once the responses overflow the socket buffer *)
-    let t0 = now_s () in
+    let t0 = Telemetry.now_ns () in
     for _ = 1 to burst_k do
       List.iter (fun r -> ok (Sclient.send client r)) workload;
       for _ = 1 to n do
         ignore (ok (Sclient.recv_raw client))
       done
     done;
-    now_s () -. t0
+    seconds_since t0
   in
-  (* Reps are paired: each rep measures both arms back to back and
-     yields one overhead ratio; the minimum over reps is the gate.  A
-     scheduler hiccup inflates a single rep's instrumented burst, but
-     only a real per-request cost can inflate every rep. *)
-  let bare_best = ref infinity and obs_best = ref infinity in
-  let overhead = ref infinity in
-  for _ = 1 to 7 do
-    let a = burst bare_client in
-    if a < !bare_best then bare_best := a;
-    let b = burst obs_client in
-    if b < !obs_best then obs_best := b;
-    overhead := Float.min !overhead ((b /. a) -. 1.)
-  done;
-  Sclient.close bare_client;
-  Sclient.close obs_client;
-  Server.stop bare_server;
-  Server.stop obs_server;
-  let base_warm_rps = float_of_int (burst_k * n) /. !bare_best
-  and instr_warm_rps = float_of_int (burst_k * n) /. !obs_best in
-  let overhead = !overhead in
-  let cold_rps = float_of_int n /. cold_s
-  and warm_rps = float_of_int n /. warm_s in
-  let speedup = warm_rps /. cold_rps in
-  let lat = List.map snd in
-  Printf.printf "%d requests (%d distinct synth jobs)\n" (3 * n) n;
-  Printf.printf "cold:    %8.1f req/s  (p50 %6.2f ms, p99 %6.2f ms)\n"
-    cold_rps (quantile 0.5 (lat cold)) (quantile 0.99 (lat cold));
-  Printf.printf "warm:    %8.1f req/s  (p50 %6.2f ms, p99 %6.2f ms)  %.0fx cold\n"
-    warm_rps (quantile 0.5 (lat warm)) (quantile 0.99 (lat warm)) speedup;
-  Printf.printf "restart: %d/%d disk-tier hits, payloads byte-identical\n"
-    disk_hits n;
-  Printf.printf
-    "instrumentation: %8.1f req/s bare, %8.1f req/s with metrics+access log \
-     (%+.1f%% overhead)\n%!"
-    base_warm_rps instr_warm_rps (100. *. overhead);
-  let record =
-    Json.Obj
-      [
-        ("requests", Json.Int n);
-        ("domains", Json.Int (Pool.num_domains ()));
-        ("batch_max", Json.Int config.Server.batch_max);
-        ("cold_s", Json.Float cold_s);
-        ("warm_s", Json.Float warm_s);
-        ("cold_rps", Json.Float cold_rps);
-        ("warm_rps", Json.Float warm_rps);
-        ("warm_speedup", Json.Float speedup);
-        ("cold_p50_ms", Json.Float (quantile 0.5 (lat cold)));
-        ("cold_p99_ms", Json.Float (quantile 0.99 (lat cold)));
-        ("warm_p50_ms", Json.Float (quantile 0.5 (lat warm)));
-        ("warm_p99_ms", Json.Float (quantile 0.99 (lat warm)));
-        ("warm_memory_hits", Json.Int warm_mem);
-        ("restart_disk_hits", Json.Int disk_hits);
-        ("payloads_identical", Json.Bool true);
-        ("baseline_warm_rps", Json.Float base_warm_rps);
-        ("instrumented_warm_rps", Json.Float instr_warm_rps);
-        ("instrumentation_overhead", Json.Float overhead);
-      ]
+  let overhead =
+    with_daemon "bare.sock" @@ fun bare ->
+    with_daemon ~observed:true "obs.sock" @@ fun obs ->
+    ignore (run_pass bare);
+    ignore (run_pass obs);
+    List.fold_left Float.min infinity
+      (List.init 7 (fun _ ->
+           let a = burst bare in
+           (burst obs /. a) -. 1.))
   in
-  let oc = open_out out_path in
-  output_string oc (Json.to_string ~pretty:true record);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if speedup < 5.0 then
-    die (Printf.sprintf "warm cache speedup %.1fx below the 5x floor" speedup);
-  if overhead >= 0.05 then
-    die
-      (Printf.sprintf
-         "metrics + access-log overhead %.1f%% breaches the 5%% budget"
-         (100. *. overhead))
-
-(* --- explore pruning benchmark --------------------------------------- *)
+  verdict
+    (Printf.sprintf
+       "%d jobs: warm %d/%d memory tier, restart %d/%d disk tier; warm x%.1f cold; \
+        metrics+access log %+.1f%%"
+       n warm_mem n disk_hits n speedup (100. *. overhead))
+    (List.concat
+       [
+         (if results_by_id warm = cold_results then [] else [ "warm payloads differ" ]);
+         (if results_by_id restart = cold_results then []
+          else [ "restart payloads differ" ]);
+         (if warm_mem = n then [] else [ "warm pass missed the memory tier" ]);
+         (if disk_hits > 0 then [] else [ "no disk-tier hit after restart" ]);
+         (if speedup >= 5.0 then [] else [ "warm speedup below the 5x floor" ]);
+         (if overhead < 0.05 then []
+          else [ "instrumentation overhead over the 5% budget" ]);
+       ])
 
 module Explore = Rchls_experiments.Explore
 module Corpus = Rchls_experiments.Corpus
+
+(* The fixed-seed 20-graph corpus both search gates run on, written to
+   a private directory that is gone once the graphs are loaded. *)
+let corpus_graphs =
+  lazy
+    (let dir = Filename.temp_dir "rchls-corpus-" "" in
+     Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+     let corpus = Corpus.generate ~dir ~seed:1 ~count:20 in
+     List.map
+       (fun (e : Corpus.entry) ->
+         match Corpus.load_graph corpus e with
+         | Ok g -> (e.Corpus.graph_name, g)
+         | Error m -> failwith m)
+       corpus.Corpus.entries)
 
 (* Every synthesis call in every approach bumps exactly one of these
    two counters (the engine per greedy direction, the redundancy layer
    per NMR pass), so their sum is the evaluation-cost currency the
    pruning gate is stated in. *)
-let synth_calls () =
-  Telemetry.counter "engine.runs" + Telemetry.counter "redundancy.runs"
+let synth_calls () = Telemetry.counter "engine.runs" + Telemetry.counter "redundancy.runs"
 
 (* A canonical rendering of the Pareto frontier (full float precision)
    so "frontiers byte-identical" is a string comparison, not a float
@@ -923,97 +492,42 @@ let frontier_bytes cells =
          Printf.sprintf "%d,%d,%.17g,%d" p.p_ld p.p_ad p.p_reliability p.p_area)
        (Explore.frontier cells))
 
-let explore_bench ~count out_path =
+let explore_gate () =
   let domains = Pool.num_domains () in
-  let dir = "_bench_corpus" in
-  let corpus = Corpus.generate ~dir ~seed:1 ~count in
-  Printf.printf
-    "=== Explore: frontier-guided pruning vs exhaustive (%d graphs, %d domains) ===\n%!"
-    count domains;
-  Telemetry.reset ();
   let lib = Library.table1 in
-  let results =
-    List.map
-      (fun (e : Corpus.entry) ->
-        let g =
-          match Corpus.load_graph corpus e with
-          | Ok g -> g
-          | Error m -> failwith m
-        in
-        let lds, ads = Explore.plan g lib in
-        let c0 = synth_calls () in
-        let t0 = now_s () in
-        let reference = Sweep.run_reference ~domains Sweep.Ours g lib ~lds ~ads in
-        let t1 = now_s () in
-        let c1 = synth_calls () in
-        let pruned, stats = Sweep.run_with_stats ~domains Sweep.Ours g lib ~lds ~ads in
-        let t2 = now_s () in
-        let c2 = synth_calls () in
-        let identical =
-          cells_equal pruned reference
-          && frontier_bytes pruned = frontier_bytes reference
-        in
-        let ref_calls = c1 - c0 and pruned_calls = c2 - c1 in
-        Printf.printf
-          "%-12s %3d cells  ref %4d calls %6.3fs   pruned %4d calls %6.3fs  %s\n%!"
-          e.Corpus.graph_name stats.Explore.cells ref_calls (t1 -. t0)
-          pruned_calls (t2 -. t1)
-          (if identical then "identical" else "MISMATCH");
-        (e, stats, ref_calls, pruned_calls, t1 -. t0, t2 -. t1, identical))
-      corpus.Corpus.entries
+  let graphs = Lazy.force corpus_graphs in
+  let ref_calls = ref 0 and pruned_calls = ref 0 in
+  let counted calls f =
+    let c0 = synth_calls () in
+    let r = f () in
+    calls := !calls + synth_calls () - c0;
+    r
   in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0. results in
-  let ref_calls = sum (fun (_, _, rc, _, _, _, _) -> rc) in
-  let pruned_calls = sum (fun (_, _, _, pc, _, _, _) -> pc) in
-  let ref_s = sumf (fun (_, _, _, _, rs, _, _) -> rs) in
-  let pruned_s = sumf (fun (_, _, _, _, _, ps, _) -> ps) in
-  let all_identical = List.for_all (fun (_, _, _, _, _, _, i) -> i) results in
-  let call_ratio = float_of_int ref_calls /. float_of_int (max 1 pruned_calls) in
-  let gate = all_identical && call_ratio >= 5.0 in
-  Printf.printf
-    "total: ref %d calls %.3fs   pruned %d calls %.3fs   call ratio x%.2f  speedup x%.2f  (%s)\n%!"
-    ref_calls ref_s pruned_calls pruned_s call_ratio
-    (ref_s /. pruned_s)
-    (if all_identical then "all frontiers identical" else "FRONTIER MISMATCH");
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf (Printf.sprintf "  \"graphs\": %d,\n" count);
-  Buffer.add_string buf (Printf.sprintf "  \"all_identical\": %b,\n" all_identical);
-  Buffer.add_string buf
+  let failed =
+    List.filter_map
+      (fun (name, g) ->
+        let lds, ads = Explore.plan g lib in
+        let reference =
+          counted ref_calls (fun () ->
+              Sweep.run_reference ~domains Sweep.Ours g lib ~lds ~ads)
+        in
+        let pruned =
+          counted pruned_calls (fun () -> Sweep.run ~domains Sweep.Ours g lib ~lds ~ads)
+        in
+        if cells_equal pruned reference && frontier_bytes pruned = frontier_bytes reference
+        then None
+        else Some (name ^ " frontier differs"))
+      graphs
+  in
+  let ratio = float_of_int !ref_calls /. float_of_int (max 1 !pruned_calls) in
+  verdict
     (Printf.sprintf
-       "  \"total\": { \"ref_calls\": %d, \"pruned_calls\": %d, \"call_ratio\": %.3f, \"ref_s\": %.6f, \"pruned_s\": %.6f, \"speedup\": %.3f },\n"
-       ref_calls pruned_calls call_ratio ref_s pruned_s (ref_s /. pruned_s));
-  Buffer.add_string buf (Printf.sprintf "  \"gate_5x_fewer_calls\": %b,\n" gate);
-  Buffer.add_string buf "  \"suites\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun ((e : Corpus.entry), (s : Explore.stats), rc, pc, rs, ps, identical) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"family\": \"%s\", \"cells\": %d, \"evaluated\": %d, \"derived\": %d, \"ref_calls\": %d, \"pruned_calls\": %d, \"ref_s\": %.6f, \"pruned_s\": %.6f, \"identical\": %b }"
-              e.Corpus.graph_name e.Corpus.family s.Explore.cells
-              s.Explore.evaluated s.Explore.derived rc pc rs ps identical)
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not gate then begin
-    if not all_identical then
-      prerr_endline "explore bench: pruned frontier diverges from the reference"
-    else
-      Printf.eprintf "explore bench: call ratio x%.2f below the 5x pruning gate\n%!"
-        call_ratio;
-    exit 1
-  end
-
-(* --- annealing benchmark ---------------------------------------------- *)
+       "%d graphs: %d -> %d engine+redundancy calls (x%.2f), cells and frontiers identical"
+       (List.length graphs) !ref_calls !pruned_calls ratio)
+    (failed @ if ratio >= 5.0 then [] else [ "call ratio below the 5x floor" ])
 
 module Anneal = Rchls_anneal.Anneal
-module Bench_check = Rchls_check.Check
+module Check = Rchls_check.Check
 
 (* A canonical full-precision rendering of one anneal outcome, so
    "identical across domain counts" is a string comparison. *)
@@ -1024,256 +538,99 @@ let anneal_bytes (greedy, annealed, (s : Anneal.stats)) =
     (Design.latency annealed) s.Anneal.attempted s.Anneal.accepted
     s.Anneal.pruned s.Anneal.exchanges s.Anneal.improved
 
-let anneal_bench ~count ~moves out_path =
-  let domains = Pool.num_domains () in
-  let dir = "_bench_corpus" in
-  let corpus = Corpus.generate ~dir ~seed:1 ~count in
-  Printf.printf
-    "=== Anneal: parallel tempering vs greedy seed (%d graphs, %d moves/chain, %d domains) ===\n%!"
-    count moves domains;
-  Telemetry.reset ();
-  let lib = Library.table1 in
-  let params = { Anneal.default_params with Anneal.moves } in
-  (* Two knee cells per graph: the plan's tightest latency bound at
-     two and three area units above the smallest bound greedy can
-     still meet.  A full (ld, ad) scan over this corpus shows greedy
-     is optimal almost everywhere else — generous areas leave it at
-     the reliability ceiling, minimal areas leave no version to trade
-     — while at a tight schedule with just enough slack for one or
-     two upgrades the greedy sacrifice order goes measurably wrong on
-     binding-contended (wide) graphs. *)
-  let cells_of g =
-    let lds, ads = Explore.plan g lib in
-    let cap = List.fold_left max 1 ads in
-    let ld = List.hd lds in
-    let rec min_feasible ad =
-      if ad > cap then None
-      else if Result.is_ok (Rc.synthesize g lib ~ld ~ad) then Some ad
-      else min_feasible (ad + 1)
-    in
-    match min_feasible 1 with
-    | None -> []
-    | Some ad -> [ (ld, ad + 2); (ld, ad + 3) ]
+(* Two knee cells per graph: the plan's tightest latency bound at two
+   and three area units above the smallest bound greedy can still meet.
+   A full (ld, ad) scan over this corpus shows greedy is optimal almost
+   everywhere else — generous areas leave it at the reliability
+   ceiling, minimal areas leave no version to trade — while at a tight
+   schedule with just enough slack for one or two upgrades the greedy
+   sacrifice order goes measurably wrong on binding-contended (wide)
+   graphs. *)
+let knee_cells g lib =
+  let lds, ads = Explore.plan g lib in
+  let cap = List.fold_left max 1 ads in
+  let ld = List.hd lds in
+  let rec min_feasible ad =
+    if ad > cap then None
+    else if Result.is_ok (Rc.synthesize g lib ~ld ~ad) then Some ad
+    else min_feasible (ad + 1)
   in
-  let results =
+  match min_feasible 1 with None -> [] | Some ad -> [ (ld, ad + 2); (ld, ad + 3) ]
+
+let anneal_gate () =
+  let lib = Library.table1 in
+  let params = { Anneal.default_params with Anneal.moves = 2000 } in
+  let cells = ref 0 and improved = ref 0 in
+  let failed =
     List.concat_map
-      (fun (e : Corpus.entry) ->
-        let g =
-          match Corpus.load_graph corpus e with
-          | Ok g -> g
-          | Error m -> failwith m
-        in
-        List.filter_map
+      (fun (name, g) ->
+        List.concat_map
           (fun (ld, ad) ->
-            let t0 = now_s () in
             let run d = Anneal.synthesize ~domains:d ~params g lib ~ld ~ad in
             match (run 1, run 2, run 4) with
             | Ok r1, Ok r2, Ok r4 ->
-              let t1 = now_s () in
               let greedy, annealed, stats = r1 in
-              let same =
-                anneal_bytes r1 = anneal_bytes r2
-                && anneal_bytes r1 = anneal_bytes r4
-              in
-              let valid = Bench_check.design_violations annealed = [] in
-              let gr = Design.reliability greedy
-              and ar = Design.reliability annealed in
-              Printf.printf
-                "%-12s ld=%3d ad=%3d  greedy %.9f  annealed %.9f  %-8s %s%s %6.3fs\n%!"
-                e.Corpus.graph_name ld ad gr ar
-                (if stats.Anneal.improved then "improved" else "kept")
-                (if valid then "valid" else "INVALID")
-                (if same then "" else " DOMAIN-MISMATCH")
-                (t1 -. t0);
-              Some (e, ld, ad, gr, ar, Design.area greedy,
-                    Design.area annealed, stats, valid, same, t1 -. t0)
-            | _ ->
-              (* Greedy found no design inside these bounds; the cell
-                 carries no annealing signal, so it is skipped (and
-                 printed) rather than gated on. *)
-              Printf.printf "%-12s ld=%3d ad=%3d  infeasible (skipped)\n%!"
-                e.Corpus.graph_name ld ad;
-              None)
-          (cells_of g))
-      corpus.Corpus.entries
+              incr cells;
+              if stats.Anneal.improved then incr improved;
+              let cell = Printf.sprintf "%s ld=%d ad=%d" name ld ad in
+              List.concat
+                [
+                  (if Check.design_violations annealed = [] then []
+                   else [ cell ^ " invalid" ]);
+                  (if Design.reliability annealed >= Design.reliability greedy then []
+                   else [ cell ^ " below greedy" ]);
+                  (if anneal_bytes r1 = anneal_bytes r2 && anneal_bytes r1 = anneal_bytes r4
+                   then []
+                   else [ cell ^ " differs across domain counts" ]);
+                ]
+            (* Greedy found no design inside these bounds; the cell
+               carries no annealing signal, so it is not gated on. *)
+            | _ -> [])
+          (knee_cells g lib))
+      (Lazy.force corpus_graphs)
   in
-  let cells = List.length results in
-  let improved =
-    List.length
-      (List.filter (fun (_, _, _, _, _, _, _, s, _, _, _) -> s.Anneal.improved)
-         results)
-  in
-  let all_valid =
-    List.for_all (fun (_, _, _, _, _, _, _, _, v, _, _) -> v) results
-  in
-  let all_dominate =
-    List.for_all (fun (_, _, _, gr, ar, _, _, _, _, _, _) -> ar >= gr) results
-  in
-  let all_domains_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, _, same, _) -> same) results
-  in
-  let improved_frac = float_of_int improved /. float_of_int (max 1 cells) in
-  let total_s =
-    List.fold_left (fun acc (_, _, _, _, _, _, _, _, _, _, s) -> acc +. s) 0.
-      results
-  in
-  let gate =
-    cells > 0 && all_valid && all_dominate && all_domains_identical
-    && improved_frac >= 0.25
-  in
-  Printf.printf
-    "total: %d cells %.3fs  improved %d (%.0f%%)  %s, %s, %s  (gate %s)\n%!"
-    cells total_s improved (100. *. improved_frac)
-    (if all_valid then "all valid" else "INVALID DESIGNS")
-    (if all_dominate then "all >= greedy" else "REGRESSION")
-    (if all_domains_identical then "domain-independent" else "DOMAIN-MISMATCH")
-    (if gate then "pass" else "FAIL");
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf (Printf.sprintf "  \"graphs\": %d,\n" count);
-  Buffer.add_string buf (Printf.sprintf "  \"moves\": %d,\n" moves);
-  Buffer.add_string buf (Printf.sprintf "  \"cells\": %d,\n" cells);
-  Buffer.add_string buf (Printf.sprintf "  \"improved\": %d,\n" improved);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"improved_frac\": %.3f,\n" improved_frac);
-  Buffer.add_string buf (Printf.sprintf "  \"all_valid\": %b,\n" all_valid);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"all_dominate_greedy\": %b,\n" all_dominate);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_identical\": %b,\n" all_domains_identical);
-  Buffer.add_string buf (Printf.sprintf "  \"total_s\": %.6f,\n" total_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"gate_quarter_improved\": %b,\n" gate);
-  Buffer.add_string buf "  \"suites\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun ((e : Corpus.entry), ld, ad, gr, ar, ga, aa,
-                (s : Anneal.stats), valid, same, secs) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"family\": \"%s\", \"ld\": %d, \"ad\": %d, \"greedy_r\": %.17g, \"annealed_r\": %.17g, \"greedy_area\": %d, \"annealed_area\": %d, \"moves\": %d, \"accepted\": %d, \"pruned\": %d, \"exchanges\": %d, \"improved\": %b, \"valid\": %b, \"domains_identical\": %b, \"seconds\": %.6f }"
-              e.Corpus.graph_name e.Corpus.family ld ad gr ar ga aa
-              s.Anneal.attempted s.Anneal.accepted s.Anneal.pruned
-              s.Anneal.exchanges s.Anneal.improved valid same secs)
-          results));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out_path;
-  if not gate then begin
-    if cells = 0 then prerr_endline "anneal bench: no feasible cells"
-    else if not all_valid then
-      prerr_endline "anneal bench: an annealed design failed validation"
-    else if not all_dominate then
-      prerr_endline "anneal bench: an annealed design regressed below greedy"
-    else if not all_domains_identical then
-      prerr_endline "anneal bench: results differ across domain counts"
-    else
-      Printf.eprintf
-        "anneal bench: improved only %.0f%% of cells, below the 25%% gate\n%!"
-        (100. *. improved_frac);
-    exit 1
-  end
+  let frac = float_of_int !improved /. float_of_int (max 1 !cells) in
+  verdict
+    (Printf.sprintf
+       "%d cells, %d improved (%.0f%%), all valid, >= greedy and identical at domains 1/2/4"
+       !cells !improved (100. *. frac))
+    (List.concat
+       [
+         failed;
+         (if !cells > 0 then [] else [ "no feasible cells" ]);
+         (if frac >= 0.25 then [] else [ "fewer than 25% of cells improved" ]);
+       ])
 
-(* Extract the --vectors / --width flags (shared with bin/main.exe's
-   measured characterization) from a mode's trailing arguments. *)
-let parse_flags ~vectors ~width rest =
-  let usage name = failwith (Printf.sprintf "%s expects an integer argument" name) in
-  let rec go positional vectors width = function
-    | [] -> (List.rev positional, vectors, width)
-    | "--vectors" :: v :: tl -> (
-      match int_of_string_opt v with
-      | Some n when n > 0 -> go positional n width tl
-      | _ -> usage "--vectors")
-    | [ "--vectors" ] -> usage "--vectors"
-    | "--width" :: v :: tl -> (
-      match int_of_string_opt v with
-      | Some n when n > 0 -> go positional vectors n tl
-      | _ -> usage "--width")
-    | [ "--width" ] -> usage "--width"
-    | x :: tl -> go (x :: positional) vectors width tl
+let gate_table =
+  [
+    ("sweep", sweep_gate);
+    ("synth", synth_gate);
+    ("fault", fault_gate);
+    ("telemetry", telemetry_gate);
+    ("serve", serve_gate);
+    ("explore", explore_gate);
+    ("anneal", anneal_gate);
+  ]
+
+let gates which =
+  let passed =
+    List.map
+      (fun (name, gate) ->
+        let { pass; figures } =
+          try gate () with Failure msg -> { pass = false; figures = msg }
+        in
+        Printf.printf "gate %s %s %s\n%!" name (if pass then "pass" else "FAIL") figures;
+        pass)
+      (select "gate" gate_table which)
   in
-  go [] vectors width rest
+  if not (List.for_all Fun.id passed) then exit 1
 
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "repro" :: rest -> reproduction (match rest with [] -> None | id :: _ -> Some id)
-  | _ :: "sweep" :: rest ->
-    sweep_bench (match rest with path :: _ -> path | [] -> "BENCH_sweep.json")
-  | _ :: "synth" :: rest ->
-    let rec split reps positional = function
-      | [] -> (reps, List.rev positional)
-      | "--reps" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> split n positional tl
-        | _ -> failwith "--reps expects a positive integer")
-      | [ "--reps" ] -> failwith "--reps expects a positive integer"
-      | x :: tl -> split reps (x :: positional) tl
-    in
-    let reps, positional = split 5 [] rest in
-    synth_bench ~reps
-      (match positional with path :: _ -> path | [] -> "BENCH_synth.json")
-  | _ :: "telemetry" :: rest ->
-    telemetry_bench (match rest with path :: _ -> path | [] -> "BENCH_telemetry.json")
-  | _ :: "serve" :: rest ->
-    serve_bench (match rest with path :: _ -> path | [] -> "BENCH_serve.json")
-  | _ :: "fault" :: rest ->
-    let positional, vectors, width = parse_flags ~vectors:64 ~width:16 rest in
-    fault_bench ~vectors ~width
-      (match positional with path :: _ -> path | [] -> "BENCH_fault.json")
-  | _ :: "fuzz" :: rest ->
-    let rec split seed cases positional = function
-      | [] -> (seed, cases, List.rev positional)
-      | "--seed" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n -> split n cases positional tl
-        | None -> failwith "--seed expects an integer")
-      | [ "--seed" ] -> failwith "--seed expects an integer"
-      | "--cases" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> split seed n positional tl
-        | _ -> failwith "--cases expects a positive integer")
-      | [ "--cases" ] -> failwith "--cases expects a positive integer"
-      | x :: tl -> split seed cases (x :: positional) tl
-    in
-    let seed, cases, positional = split 42 1000 [] rest in
-    fuzz_bench ~seed ~cases
-      (match positional with path :: _ -> path | [] -> "BENCH_fuzz.json")
-  | _ :: "explore" :: rest ->
-    let rec split count positional = function
-      | [] -> (count, List.rev positional)
-      | "--count" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> split n positional tl
-        | _ -> failwith "--count expects a positive integer")
-      | [ "--count" ] -> failwith "--count expects a positive integer"
-      | x :: tl -> split count (x :: positional) tl
-    in
-    let count, positional = split 20 [] rest in
-    explore_bench ~count
-      (match positional with path :: _ -> path | [] -> "BENCH_explore.json")
-  | _ :: "anneal" :: rest ->
-    let rec split count moves positional = function
-      | [] -> (count, moves, List.rev positional)
-      | "--count" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> split n moves positional tl
-        | _ -> failwith "--count expects a positive integer")
-      | [ "--count" ] -> failwith "--count expects a positive integer"
-      | "--moves" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> split count n positional tl
-        | _ -> failwith "--moves expects a positive integer")
-      | [ "--moves" ] -> failwith "--moves expects a positive integer"
-      | x :: tl -> split count moves (x :: positional) tl
-    in
-    let count, moves, positional = split 20 2000 [] rest in
-    anneal_bench ~count ~moves
-      (match positional with path :: _ -> path | [] -> "BENCH_anneal.json")
-  | [] | [ _ ] -> reproduction None
-  | _ :: mode :: _ ->
-    Printf.eprintf "bench: unknown mode %S\n" mode;
+  match Array.to_list Sys.argv with
+  | [] | [ _ ] | [ _; "repro" ] -> reproduction None
+  | [ _; "repro"; id ] -> reproduction (Some id)
+  | [ _; "gates" ] -> gates None
+  | [ _; "gates"; id ] -> gates (Some id)
+  | _ ->
+    prerr_endline "usage: main.exe [repro [EXPERIMENT] | gates [GATE]]";
     exit 2
