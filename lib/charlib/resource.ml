@@ -22,7 +22,8 @@ let validate r =
   if r.id = "" then Error "resource id must be non-empty"
   else if r.area <= 0 then Error (r.id ^ ": area must be positive")
   else if r.delay <= 0 then Error (r.id ^ ": delay must be positive")
-  else if r.reliability <= 0. || r.reliability > 1. then
+  (* Written so that [nan] fails too: every comparison with it is false. *)
+  else if not (r.reliability > 0. && r.reliability <= 1.) then
     Error (r.id ^ ": reliability must lie in (0,1]")
   else Ok ()
 

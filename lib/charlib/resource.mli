@@ -26,7 +26,8 @@ val class_name : op_class -> string
 val class_of_name : string -> op_class option
 
 val validate : t -> (unit, string) result
-(** Positive area/delay, reliability in (0, 1], non-empty id. *)
+(** Positive area/delay, reliability in (0, 1] (so neither [nan] nor an
+    infinity), non-empty id. *)
 
 val pp : Format.formatter -> t -> unit
 (** ["add1 (Adder 1): class=add area=1 delay=2 R=0.99900"]. *)

@@ -29,7 +29,10 @@ module Library = Rchls_charlib.Library
 
 type approach = Baseline  (** ref [3] *) | Ours | Combined
 
+val approach_of_api : Rchls_api.Request.approach -> approach
+
 val approach_name : approach -> string
+(** The approach's wire name, from [Rchls_api.Request.approaches]. *)
 
 type cell = {
   ld : int;

@@ -18,34 +18,39 @@ let read_file path =
   | exception Sys_error msg -> Error (Printf.sprintf "cannot read %S: %s" path msg)
   | exception End_of_file -> Error (Printf.sprintf "cannot read %S: it shrank while read" path)
 
-let load_graph spec =
-  match Benchmarks.find spec with
-  | Some g -> Ok g
-  | None ->
-    if Sys.file_exists spec then
-      let* text = read_file spec in
-      Parse.of_text text
-    else
-      Error
-        (Printf.sprintf "unknown benchmark %S (known: %s) and no such file" spec
-           (String.concat ", " (List.map fst Benchmarks.all)))
+type 'a input = Builtin of string * 'a | Text of string
 
-let load_library = function
-  | None -> Ok Library.table1
-  | Some path ->
-    if Sys.file_exists path then
-      let* text = read_file path in
-      Library.of_text text
+let graph_input = function
+  | Request.Inline text -> Ok (Text text)
+  | Request.Named spec -> (
+    match Benchmarks.find spec with
+    | Some g -> Ok (Builtin (spec, g))
+    | None ->
+      if Sys.file_exists spec then Result.map (fun text -> Text text) (read_file spec)
+      else
+        Error
+          (Printf.sprintf "unknown benchmark %S (known: %s) and no such file" spec
+             (String.concat ", " (List.map fst Benchmarks.all))))
+
+let library_input = function
+  | Request.Lib_default -> Ok (Builtin ("table1", Library.table1))
+  | Request.Lib_file path ->
+    if Sys.file_exists path then Result.map (fun text -> Text text) (read_file path)
     else Error (Printf.sprintf "no such library file %S" path)
+  | Request.Lib_inline text -> Ok (Text text)
 
-let graph_of_source = function
-  | Request.Named spec -> load_graph spec
-  | Request.Inline text -> Parse.of_text text
+let value_of parse = function Builtin (_, v) -> Ok v | Text text -> parse text
 
-let library_of_source = function
-  | Request.Lib_default -> Ok Library.table1
-  | Request.Lib_file path -> load_library (Some path)
-  | Request.Lib_inline text -> Library.of_text text
+let load_graph spec =
+  let* input = graph_input (Request.Named spec) in
+  value_of Parse.of_text input
+
+let load_library path =
+  let source =
+    match path with None -> Request.Lib_default | Some path -> Request.Lib_file path
+  in
+  let* input = library_input source in
+  value_of Library.of_text input
 
 let covers g lib =
   let offered cls =

@@ -3,7 +3,7 @@
 
     Historically each entry point re-implemented "benchmark name or
     [.dfg] file path" resolution; this module is the single copy.  The
-    [*_of_source] functions extend the same rules to the typed
+    [*_input] functions extend the same rules to the typed
     {!Rchls_api.Request} sources, so a job means the same thing
     whether it arrives as a CLI argument or on the serve socket.
 
@@ -24,15 +24,28 @@ val load_library :
 (** [None] is the paper's Table-1 library; [Some path] parses a
     library file. *)
 
-val graph_of_source :
-  Rchls_api.Request.source -> (Rchls_dfg.Dfg.t, string) result
-(** [Named spec] resolves exactly like {!load_graph}; [Inline text]
-    parses the carried [.dfg] text. *)
+(** {1 Request sources} *)
 
-val library_of_source :
-  Rchls_api.Request.library_source -> (Rchls_charlib.Library.t, string) result
-(** [Lib_default] is Table 1, [Lib_file] loads a server-side path,
-    [Lib_inline] parses the carried text. *)
+(** Where a source's value comes from: a built-in value, named, or the
+    exact text it parses from (inline, or a file's contents as read
+    now). *)
+type 'a input = Builtin of string * 'a | Text of string
+
+val graph_input :
+  Rchls_api.Request.source -> (Rchls_dfg.Dfg.t input, string) result
+(** [Named spec] is a built-in benchmark when {!Rchls_dfg.Benchmarks.find}
+    knows it, otherwise the file's text; [Inline text] is the text.
+    [Error] exactly as {!load_graph}. *)
+
+val library_input :
+  Rchls_api.Request.library_source ->
+  (Rchls_charlib.Library.t input, string) result
+(** [Lib_default] is the built-in Table 1 (named ["table1"]), [Lib_file]
+    the file's text, [Lib_inline] the text. *)
+
+val value_of :
+  (string -> ('a, string) result) -> 'a input -> ('a, string) result
+(** The built-in value, or the text parsed. *)
 
 val covers : Rchls_dfg.Dfg.t -> Rchls_charlib.Library.t -> (unit, string) result
 (** [Ok ()] when [lib] has at least one version of every operation

@@ -21,10 +21,7 @@ let strategy_of_api : Request.strategy -> Rc.strategy = function
   | Request.Figure6 -> `Figure6
   | Request.Bottom_up -> `Bottom_up
 
-let approach_of_api : Request.approach -> Sweep.approach = function
-  | Request.Ours -> Sweep.Ours
-  | Request.Baseline -> Sweep.Baseline
-  | Request.Combined -> Sweep.Combined
+let approach_of_api = Explore.approach_of_api
 
 let summary_of_design d =
   {
@@ -77,6 +74,10 @@ type t = {
 
 let create () = { mutex = Mutex.create (); caches = Hashtbl.create 16 }
 
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
 let registry_key ~graph_text ~library_text scheduler =
   Printf.sprintf "%s:%s:%s"
     (Fnv.to_hex (Fnv.hash_string graph_text))
@@ -84,10 +85,7 @@ let registry_key ~graph_text ~library_text scheduler =
     (Request.name_of Request.schedulers scheduler)
 
 let engine_cache t key =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  locked t.mutex (fun () ->
       match Hashtbl.find_opt t.caches key with
       | Some c -> c
       | None ->
@@ -96,10 +94,7 @@ let engine_cache t key =
         c)
 
 let engine_cache_stats t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  locked t.mutex (fun () ->
       Hashtbl.fold (fun k c acc -> (k, Engine.cache_stats c) :: acc) t.caches []
       |> List.sort compare)
 
@@ -114,9 +109,13 @@ type resolved = {
 
 let ( let* ) = Result.bind
 
-let resolve graph_src library_src =
-  let* graph = Loader.graph_of_source graph_src in
-  let* library = Loader.library_of_source library_src in
+(* Parse and render in the order the sources are named, so the first
+   failing source names the error. *)
+let resolve_inputs graph_input library_input =
+  let* graph = Result.bind graph_input (Loader.value_of Rchls_dfg.Parse.of_text) in
+  let* library =
+    Result.bind library_input (Loader.value_of Rchls_charlib.Library.of_text)
+  in
   Ok
     {
       graph;
@@ -124,6 +123,70 @@ let resolve graph_src library_src =
       graph_text = Rchls_dfg.Parse.to_text graph;
       library_text = Rchls_charlib.Library.to_text library;
     }
+
+let resolve graph_src library_src =
+  resolve_inputs (Loader.graph_input graph_src) (Loader.library_input library_src)
+
+(* --- the resolve memo ------------------------------------------------ *)
+
+(* Process-wide, like [Fault_sim]'s report memo: {!cache_key} takes no
+   [t].  Keyed on the exact source texts (a built-in's name, otherwise
+   the inline text or the file's contents as read by this call), never
+   on a digest, so no collision can hand one graph another's
+   resolution, and an edited file is a new key.  Errors are never
+   stored: a failing source fails the same way on every call.  The
+   memo is cleared whole when an insert would pass either bound.  The
+   shared graph and library values are only read after construction. *)
+let memo_max_entries = 256
+let memo_max_bytes = 4 lsl 20
+
+let memo : (unit Loader.input * unit Loader.input, resolved) Hashtbl.t =
+  Hashtbl.create 64
+let memo_bytes = ref 0
+let memo_mutex = Mutex.create ()
+
+let input_key : _ Loader.input -> unit Loader.input = function
+  | Loader.Builtin (name, _) -> Loader.Builtin (name, ())
+  | Loader.Text text -> Loader.Text text
+
+let input_bytes : unit Loader.input -> int = function
+  | Loader.Builtin (name, ()) -> String.length name
+  | Loader.Text text -> String.length text
+
+let memo_store key r =
+  let bytes = input_bytes (fst key) + input_bytes (snd key) in
+  if bytes <= memo_max_bytes then
+    locked memo_mutex (fun () ->
+        if not (Hashtbl.mem memo key) then begin
+          if
+            Hashtbl.length memo >= memo_max_entries
+            || !memo_bytes + bytes > memo_max_bytes
+          then begin
+            Hashtbl.reset memo;
+            memo_bytes := 0
+          end;
+          Hashtbl.add memo key r;
+          memo_bytes := !memo_bytes + bytes
+        end)
+
+(* [store] keeps a miss's resolution.  Only {!cache_key} stores: the
+   executors look up (a served miss finds what its key stored) but a
+   one-shot caller, such as an explore over a corpus, never fills the
+   memo with inputs no request will repeat. *)
+let resolve_memo ~store graph_src library_src =
+  match (Loader.graph_input graph_src, Loader.library_input library_src) with
+  | Ok gi, Ok li -> (
+    let key = (input_key gi, input_key li) in
+    match locked memo_mutex (fun () -> Hashtbl.find_opt memo key) with
+    | Some r ->
+      Telemetry.incr "service.resolve.hits";
+      Ok r
+    | None ->
+      Telemetry.incr "service.resolve.misses";
+      let result = resolve_inputs (Ok gi) (Ok li) in
+      if store then Result.iter (memo_store key) result;
+      result)
+  | graph_input, library_input -> resolve_inputs graph_input library_input
 
 let cache_key job =
   match (job : Request.job) with
@@ -134,7 +197,7 @@ let cache_key job =
   | Request.Check { graph; library; _ }
   | Request.Sweep { graph; library; _ }
   | Request.Explore { graph; library; _ } ->
-    let* r = resolve graph library in
+    let* r = resolve_memo ~store:true graph library in
     Ok
       (Request.cache_key ~graph_text:r.graph_text ~library_text:r.library_text
          job)
@@ -145,7 +208,11 @@ let cache_key job =
    operation class the graph uses; {!cache_key} does not, so a served
    hit pays nothing for it. *)
 let resolved_or ?resolved graph library =
-  let* r = match resolved with Some r -> Ok r | None -> resolve graph library in
+  let* r =
+    match resolved with
+    | Some r -> Ok r
+    | None -> resolve_memo ~store:false graph library
+  in
   let* () = Loader.covers r.graph r.library in
   Ok r
 

@@ -57,13 +57,37 @@ val resolve :
   Request.source -> Request.library_source -> (resolved, string) result
 (** Load both inputs ({!Loader}) and render their canonical texts —
     the texts feed {!Request.cache_key}, so a benchmark requested by
-    name and the same graph sent inline hash identically. *)
+    name and the same graph sent inline hash identically.  Always
+    loads afresh; the served path goes through the memo below. *)
 
 val cache_key : Request.job -> (int64 option, string) result
-(** The job's response-cache key: resolve its sources, then
-    {!Request.cache_key} over the canonical texts.  [Ok None] for
-    jobs that are never cached ({!Request.Ping}); [Error] when a
-    source fails to load. *)
+(** The job's response-cache key: resolve its sources through the
+    resolve memo, then {!Request.cache_key} over the canonical texts.
+    [Ok None] for jobs that are never cached ({!Request.Ping}); [Error]
+    when a source fails to load. *)
+
+(** {2 The resolve memo}
+
+    {!cache_key}, and every executor called without [?resolved], look
+    a source pair up in one process-wide memo before loading it; only
+    {!cache_key} stores what it loaded, so a served miss resolves once
+    while one-shot executor calls leave the memo as it was.  The
+    key is the exact source texts, compared as strings: a built-in
+    benchmark's (or [Lib_default]'s) name, otherwise the inline text or
+    the file's contents, read again on every call so an edited file is
+    a new key.  A hit skips parsing and canonical rendering; the key
+    and every payload are those of {!resolve}.  Failed loads are never
+    stored.  Each lookup counts [service.resolve.hits] or
+    [service.resolve.misses] (a source that cannot be read at all is no
+    lookup).  The memo is emptied whole when an insert would pass
+    either bound; it is safe to share across threads and domains. *)
+
+val memo_max_entries : int
+(** Source pairs held at most. *)
+
+val memo_max_bytes : int
+(** Total key bytes (source texts and names) held at most; a pair
+    larger than this is never stored. *)
 
 (** {1 Executors}
 

@@ -159,10 +159,10 @@ let run g ~delay ~latency =
 
 (* The historical algorithm: a fresh constrained-range pass and a fresh
    distribution per placed node.  Kept as the oracle for the
-   incremental path (QCheck equivalence) and as the "before" arm of
-   [bench synth].  It shares [Density.Dist]'s cost rendering and
-   [least_dense], so any divergence from [run] isolates a propagation
-   bug rather than float noise. *)
+   incremental path (QCheck equivalence) and as the reference arm of
+   the [synth] gate of [bench gates].  It shares [Density.Dist]'s cost
+   rendering and [least_dense], so any divergence from [run] isolates a
+   propagation bug rather than float noise. *)
 let run_reference g ~delay ~latency =
   Rchls_util.Trace.with_span "sched.density_reference" @@ fun () ->
   Rchls_util.Telemetry.incr "sched.reference_runs";

@@ -1,6 +1,6 @@
 (** A minimal client for the {!Server} NDJSON protocol, used by the
-    [rchls request] subcommand, the socket tests and the [bench serve]
-    load generator.
+    [rchls request] subcommand, the socket tests, the [serve] gate of
+    [bench gates] and the perfbench load generator.
 
     {!send} and {!recv} are independent so callers can pipeline: write
     a whole batch of requests, then collect the responses.  Responses

@@ -37,7 +37,8 @@ let default_config addr =
 (* [fd] is owned here, not by the channels: [close_conn] closes it
    exactly once, under [write_mutex], and sets [closed] so that no
    late response reaches a descriptor number another thread may since
-   have opened. *)
+   have opened.  A failed write sets [closed] too (the peer is gone),
+   leaving the close to [close_conn]. *)
 type conn = {
   fd : Unix.file_descr;
   ic : in_channel;
@@ -86,9 +87,10 @@ let locked m f =
 (* --- wire output ---------------------------------------------------- *)
 
 (* A dead peer must not kill the server: write failures only mean the
-   response has no reader anymore.  Every write is counted — response
-   bytes are a first-class serving metric — and the byte count comes
-   back so the caller can access-log it. *)
+   response has no reader anymore (SIGPIPE is ignored, see [start]), and
+   the first one on a connection counts a disconnect.  Every write is
+   counted — response bytes are a first-class serving metric — and the
+   byte count comes back so the caller can access-log it. *)
 let write_line conn line =
   let len = String.length line + 1 in
   Telemetry.incr "serve.responses";
@@ -99,7 +101,9 @@ let write_line conn line =
           output_string conn.oc line;
           output_char conn.oc '\n';
           flush conn.oc
-        with Sys_error _ | Unix.Unix_error _ -> ());
+        with Sys_error _ | Unix.Unix_error _ ->
+          Telemetry.incr "serve.disconnects";
+          conn.closed <- true);
   len
 
 let respond conn (r : Response.t) = write_line conn (Response.to_string r)
@@ -507,6 +511,7 @@ let preregister config =
       "serve.hits.memory"; "serve.hits.disk"; "serve.misses";
       "serve.overloaded"; "serve.batches"; "serve.pings"; "serve.malformed";
       "serve.admin.stats"; "serve.admin.health"; "serve.scrapes";
+      "serve.disconnects";
     ];
   Telemetry.gauge_set "serve.queue_depth" 0;
   Telemetry.gauge_set "serve.inflight" 0;
@@ -518,6 +523,9 @@ let preregister config =
     [ "serve.request"; "serve.queue_wait"; "serve.exec" ]
 
 let start config =
+  (* A write to a peer that has hung up must fail with EPIPE, which
+     [write_line] counts, instead of ending the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let disk =
     match config.cache_dir with
     | None -> Ok None

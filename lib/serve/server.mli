@@ -47,7 +47,9 @@
 
     - {b counters} — [serve.requests], [serve.hits.memory]/[.disk],
       [serve.misses], [serve.overloaded], [serve.batches],
-      [serve.responses], [serve.response_bytes], plus admin traffic
+      [serve.responses], [serve.response_bytes], [serve.disconnects]
+      (connections whose peer hung up before a response was written;
+      counted once each, at the first failed write), plus admin traffic
       ([serve.pings], [serve.admin.stats]/[.health], [serve.scrapes],
       [serve.malformed]) — all pre-registered at {!start} so a scrape
       before any traffic already carries every series at zero;
@@ -105,7 +107,12 @@ type t
 
 val start : config -> (t, string) result
 (** Bind, listen and spawn the accept + scheduler threads.  [Error]
-    on an unbindable socket or unusable cache directory. *)
+    on an unbindable socket or unusable cache directory.
+
+    Sets [SIGPIPE] to be ignored for the whole process (and leaves it
+    so after {!stop}): a client that hangs up before its response is
+    written must cost one counted disconnect, not the process, and the
+    default action of [SIGPIPE] is to end it. *)
 
 val port : t -> int option
 (** The actually bound TCP port ([Some] even when the config said

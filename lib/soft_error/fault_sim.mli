@@ -16,7 +16,8 @@
     Wilson-interval estimates with optional early termination, and
     memoizes reports by netlist fingerprint.  The scalar reference
     engine ({!Campaign.run_scalar}) produces bit-identical reports —
-    the differential oracle for tests and the [bench fault] mode. *)
+    the differential oracle for tests and the [fault] gate of
+    [bench gates]. *)
 
 (** Which candidate nodes a campaign characterizes. *)
 module Sampling : sig

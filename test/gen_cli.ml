@@ -177,6 +177,13 @@ let transcript () =
   entry (fir16 "anneal" @ [ "-L"; "addonly.lib" ]);
   entry [ "sweep"; "fir16"; "--lds"; "12"; "--ads"; "10"; "-L"; "addonly.lib" ];
   entry [ "explore"; "fir16"; "-L"; "addonly.lib" ];
+  (* a library whose add1 and mul1 reliabilities are not numbers *)
+  Out_channel.with_open_bin "nan.lib" (fun oc ->
+      output_string oc
+        "add1 \"Adder 1\" add rca 1 2 nan\n\
+         mul1 \"Multiplier 1\" mul csmul 2 2 nan\n\
+         mul2 \"Multiplier 2\" mul lfmul 4 1 0.969\n");
+  entry [ "synth"; "fir16"; "--ld"; "12"; "--ad"; "40"; "-L"; "nan.lib" ];
   (* files that cannot be written *)
   entry (fig4 @ [ "--dot"; "/nonexistent/x.dot" ]);
   entry (fig4 @ [ "--trace-out"; "/nonexistent/t.json" ])

@@ -452,11 +452,11 @@ let test_response_unknown_field_rejected () =
 (* --- cache keys ------------------------------------------------------- *)
 
 
-let synth_job ?(ld = 14) ?(ad = 9) graph =
+let synth_job ?(library = Request.Lib_default) ?(ld = 14) ?(ad = 9) graph =
   Request.Synth
     {
       Request.graph;
-      library = Request.Lib_default;
+      library;
       ld;
       ad;
       strategy = Request.Best;
@@ -589,6 +589,135 @@ let test_diskcache_survives_reopen () =
   let d' = check_ok "reopen" (Diskcache.open_dir dir) in
   Alcotest.(check (option string)) "found after reopen" (Some "persisted")
     (Diskcache.find d' 7L)
+
+(* --- the resolve memo --------------------------------------------------- *)
+
+(* The key {!Service.cache_key} would give without its memo. *)
+let fresh_key = function
+  | Request.Synth { Request.graph; library; _ } as job ->
+    let r = check_ok "resolve" (Service.resolve graph library) in
+    Request.cache_key ~graph_text:r.Service.graph_text
+      ~library_text:r.Service.library_text job
+  | _ -> Alcotest.fail "fresh_key takes a synth job"
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let memo_dir = lazy (temp_dir "rchls-memo")
+
+(* Generated graphs sent inline, as a file path, or replaced by a
+   built-in name; with the default or an inline library; each keyed
+   twice, so the second call is served by the memo. *)
+let prop_memo_key_matches_fresh =
+  QCheck2.Test.make ~name:"memoized cache_key = fresh Request.cache_key" ~count:200
+    Gen.(
+      quad
+        (Rchls_check.Gen.qcheck_dag ~max_nodes:16 ())
+        (int_range 0 2)
+        (int_range 0 (List.length Benchmarks.all - 1))
+        bool)
+    (fun (g, form, builtin, inline_lib) ->
+      let text = Parse.to_text g in
+      let graph =
+        match form with
+        | 0 -> Request.Inline text
+        | 1 ->
+          let path =
+            Filename.concat (Lazy.force memo_dir)
+              (Printf.sprintf "g%d.dfg" (Random.bits ()))
+          in
+          write_file path text;
+          Request.Named path
+        | _ -> Request.Named (fst (List.nth Benchmarks.all builtin))
+      in
+      let library =
+        if inline_lib then
+          Request.Lib_inline (Rchls_charlib.Library.to_text Rchls_charlib.Library.table1)
+        else Request.Lib_default
+      in
+      let job = synth_job ~library graph in
+      let want = fresh_key job in
+      want <> None
+      && check_ok "first" (Service.cache_key job) = want
+      && check_ok "second" (Service.cache_key job) = want)
+
+let test_memo_file_rewritten () =
+  let path = Filename.concat (Lazy.force memo_dir) "rewritten.dfg" in
+  let key () = check_ok "key" (Service.cache_key (synth_job (Request.Named path))) in
+  write_file path (Parse.to_text Benchmarks.example_fig4);
+  let before = key () in
+  write_file path (Parse.to_text Benchmarks.diffeq);
+  let after = key () in
+  Alcotest.(check bool) "an edited file is a new key" true (before <> after);
+  Alcotest.(check bool) "keyed as the new contents" true
+    (after = fresh_key (synth_job (Request.Named "diffeq")))
+
+let test_memo_errors_not_stored () =
+  let error job =
+    match Service.cache_key job with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "a bad source produced a key"
+  in
+  let unknown = synth_job (Request.Named "nosuch") in
+  let first = error unknown in
+  Alcotest.(check bool) "names the benchmark" true
+    (contains ~affix:"unknown benchmark \"nosuch\"" first);
+  Alcotest.(check string) "same error twice" first (error unknown);
+  let garbled = synth_job (Request.Inline "node\n") in
+  Alcotest.(check string) "same parse error twice" (error garbled) (error garbled)
+
+let test_memo_counters () =
+  let hits () = Telemetry.counter "service.resolve.hits" in
+  let misses () = Telemetry.counter "service.resolve.misses" in
+  let moved what ~h ~m f =
+    let h0 = hits () and m0 = misses () in
+    f ();
+    Alcotest.(check (pair int int)) what (h, m) (hits () - h0, misses () - m0)
+  in
+  (* a text no other test sends *)
+  let text = Parse.to_text Benchmarks.fir16 ^ "# counted\n" in
+  let job = synth_job ~ld:12 ~ad:40 (Request.Inline text) in
+  let key () = ignore (check_ok "key" (Service.cache_key job)) in
+  moved "first key misses" ~h:0 ~m:1 key;
+  moved "second key hits" ~h:1 ~m:0 key;
+  moved "the executor reuses the entry" ~h:1 ~m:0 (fun () ->
+      ignore (Service.run_job ~domains:1 job));
+  moved "resolve bypasses the memo" ~h:0 ~m:0 (fun () ->
+      ignore (Service.resolve (Request.Inline text) Request.Lib_default));
+  let unkeyed = synth_job ~ld:12 ~ad:40 (Request.Inline (text ^ "# unkeyed\n")) in
+  moved "an executor's miss is not stored" ~h:0 ~m:2 (fun () ->
+      ignore (Service.run_job ~domains:1 unkeyed);
+      ignore (Service.cache_key unkeyed));
+  let garbled = synth_job (Request.Inline "node\n") in
+  moved "a failed parse misses every time" ~h:0 ~m:2 (fun () ->
+      ignore (Service.cache_key garbled);
+      ignore (Service.cache_key garbled));
+  moved "an unreadable source is no lookup" ~h:0 ~m:0 (fun () ->
+      ignore (Service.cache_key (synth_job (Request.Named "nosuch"))))
+
+let test_memo_bounded () =
+  let misses () = Telemetry.counter "service.resolve.misses" in
+  let want = fresh_key (synth_job (Request.Named "fig4")) in
+  let base = Parse.to_text Benchmarks.example_fig4 in
+  (* distinct raw texts of one graph: one entry each, one cache key *)
+  let variant i = synth_job (Request.Inline (Printf.sprintf "%s# bound %d\n" base i)) in
+  for i = 0 to Service.memo_max_entries do
+    Alcotest.(check bool) "key while filling" true
+      (check_ok "key" (Service.cache_key (variant i)) = want)
+  done;
+  let m0 = misses () in
+  Alcotest.(check bool) "evicted entry keys the same" true
+    (check_ok "key" (Service.cache_key (variant 0)) = want);
+  Alcotest.(check int) "the first entry was evicted" 1 (misses () - m0);
+  let huge =
+    synth_job
+      (Request.Inline (base ^ "# " ^ String.make Service.memo_max_bytes 'x' ^ "\n"))
+  in
+  let m0 = misses () in
+  Alcotest.(check bool) "oversized text keys the same" true
+    (check_ok "key" (Service.cache_key huge) = want
+    && check_ok "key" (Service.cache_key huge) = want);
+  Alcotest.(check int) "an oversized text is never stored" 2 (misses () - m0)
 
 (* --- the live daemon -------------------------------------------------- *)
 
@@ -1060,6 +1189,68 @@ let test_serve_observability_consistency () =
           h.Response.queue_max
       | _ -> Alcotest.fail "expected a health report")
 
+(* A client that hangs up before its replies are written must cost the
+   daemon one counted disconnect, not its life: a write to the dead
+   socket raises SIGPIPE, whose default action ends the process.  The
+   client pipelines an explore job and a run of pings, then closes; the
+   reader answers the pings while the line buffer still holds them.
+   Afterwards the counter, the scrape and the access log still agree. *)
+let test_serve_survives_client_hangup () =
+  Telemetry.reset ();
+  let dir = temp_dir "rchls-hangup" in
+  let socket = Filename.concat dir "s.sock" in
+  let log_path = Filename.concat dir "access.log" in
+  let config =
+    {
+      (Server.default_config (Server.Unix_socket socket)) with
+      Server.domains = Some 1;
+      metrics = Some (Server.Tcp ("127.0.0.1", 0));
+      access_log = Some (log_path, 1 lsl 20);
+    }
+  in
+  let server = check_ok "server start" (Server.start config) in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let explore =
+    req_line
+      {|"id":"x","job":"explore","params":{"graph":{"name":"ewf"},"lds":[14,16,18,20],"ads":[4,6,8,10,12,14]}|}
+  in
+  let ping = req_line {|"job":"ping"|} in
+  let c = check_ok "connect" (Client.connect_unix socket) in
+  check_ok "send"
+    (Client.send_raw c (String.concat "\n" (explore :: List.init 200 (fun _ -> ping))));
+  Client.close c;
+  let until what ok =
+    let deadline = Unix.gettimeofday () +. 60. in
+    while (not (ok ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    if not (ok ()) then Alcotest.failf "timed out waiting for %s" what
+  in
+  with_client socket (fun c ->
+      match
+        check_ok "health"
+          (Client.call c { Request.id = Some "h"; job = Request.Health })
+      with
+      | { Response.result = Ok (Response.Health_report h); _ } ->
+        Alcotest.(check bool) "healthy" true h.Response.healthy
+      | _ -> Alcotest.fail "expected a health report");
+  (* [stats] flushes the access log; the explore job is logged once the
+     scheduler has computed it and failed to deliver it. *)
+  let log_records () =
+    with_client socket (fun c ->
+        ignore (check_ok "stats" (Client.call c { Request.id = None; job = Request.Stats })));
+    List.length (read_lines log_path)
+  in
+  until "the explore job's log record" (fun () -> log_records () = 1);
+  Alcotest.(check int) "one disconnect counted" 1
+    (Telemetry.counter "serve.disconnects");
+  Alcotest.(check int) "counter = log records" 1 (Telemetry.counter "serve.requests");
+  let _, body = http_get (Option.get (Server.metrics_port server)) "/" in
+  Alcotest.(check int) "scrape = log records" 1
+    (scrape_value body "rchls_serve_requests_total");
+  Alcotest.(check int) "scrape counts the disconnect" 1
+    (scrape_value body "rchls_serve_disconnects_total")
+
 let () =
   Alcotest.run "api"
     [
@@ -1101,6 +1292,12 @@ let () =
             test_cache_key_form_independent;
           Alcotest.test_case "parameter sensitive" `Quick
             test_cache_key_param_sensitive;
+          QCheck_alcotest.to_alcotest prop_memo_key_matches_fresh;
+          Alcotest.test_case "memo: rewritten file" `Quick test_memo_file_rewritten;
+          Alcotest.test_case "memo: errors not stored" `Quick
+            test_memo_errors_not_stored;
+          Alcotest.test_case "memo: counters" `Quick test_memo_counters;
+          Alcotest.test_case "memo: bounded" `Quick test_memo_bounded;
         ] );
       ( "diskcache",
         [
@@ -1123,5 +1320,7 @@ let () =
             test_serve_close_owns_descriptor;
           Alcotest.test_case "observability consistency" `Quick
             test_serve_observability_consistency;
+          Alcotest.test_case "survives a client hang-up" `Quick
+            test_serve_survives_client_hangup;
         ] );
     ]

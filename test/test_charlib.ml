@@ -34,7 +34,10 @@ let test_validate_rejects () =
   bad { sample with Resource.area = 0 } "zero area";
   bad { sample with Resource.delay = -1 } "negative delay";
   bad { sample with Resource.reliability = 0. } "zero reliability";
-  bad { sample with Resource.reliability = 1.1 } "reliability > 1"
+  bad { sample with Resource.reliability = 1.1 } "reliability > 1";
+  bad { sample with Resource.reliability = Float.nan } "nan reliability";
+  bad { sample with Resource.reliability = Float.infinity } "infinite reliability";
+  bad { sample with Resource.reliability = Float.neg_infinity } "-infinite reliability"
 
 let test_class_names () =
   Alcotest.(check bool) "add" true (Resource.class_of_name "add" = Some Resource.Add);

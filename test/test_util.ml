@@ -335,6 +335,13 @@ let prop_fill_lanes_matches_bool =
         batches
       && Rng.int64 packed = Rng.int64 scalar)
 
+let prop_fnv_fold_string_matches_fold_byte =
+  QCheck2.Test.make ~name:"Fnv.fold_string = fold_byte fold" ~count:500
+    QCheck2.Gen.(pair int64 (string_size ~gen:char (int_range 0 300)))
+    (fun (h, s) ->
+      Fnv.fold_string h s
+      = String.fold_left (fun h c -> Fnv.fold_byte h (Char.code c)) h s)
+
 let test_rng_fill_lanes_bounds () =
   let r = Rng.create 4 in
   let before = Rng.copy r in
@@ -477,6 +484,7 @@ let () =
             prop_mean_between_min_max;
             prop_rng_int_range;
             prop_fill_lanes_matches_bool;
+            prop_fnv_fold_string_matches_fold_byte;
             prop_wilson_brackets_proportion;
           ] );
     ]
