@@ -16,16 +16,16 @@ let priorities g ~delay =
    of re-filtering every node at every step, and no [Schedule.t]
    construction — callers probing many limit vectors (the min-area
    packer) read the achieved latency straight off.  Dispatch order is
-   identical to the historical whole-graph filter: the pool is sorted
-   by (priority desc, id asc) each step and non-fitting operations stay
-   pooled. *)
-(* A dispatcher precomputes everything that does not depend on the
+   identical to the historical whole-graph filter: the pool is kept
+   sorted by (priority desc, id asc) and non-fitting operations stay
+   pooled.
+   A dispatcher precomputes everything that does not depend on the
    limit vector — delays, dense group codes (so occupancy is a flat
    int-array lookup instead of a polymorphic-hash table keyed by
    (group, step) tuples; group keys are strings in the synthesis path),
-   predecessor counts — and owns reusable scratch arrays.  Callers
-   probing many limit vectors against one priority (the min-area
-   packer) pay the setup once. *)
+   predecessor counts, each node's rank under the priority order — and
+   owns reusable scratch arrays.  Callers probing many limit vectors
+   against one priority (the min-area packer) pay the setup once. *)
 type 'k dispatcher = {
   g : Dfg.t;
   n : int;
@@ -35,15 +35,17 @@ type 'k dispatcher = {
   gcodes : int array;
   reps : 'k array;  (* representative group value per dense code *)
   pred_count : int array;
+  rank : int array;  (* position of each node under (prio desc, id asc) *)
   (* scratch, reset per dispatch *)
   starts : int array;
   busy : int array;
+  blocked : bool array;
   pending : int array;
   ready_at : int array;
   buckets : int list array;
 }
 
-let dispatcher g ~delay ~group =
+let dispatcher g ~delay ~group ~prio =
   let n = Dfg.node_count g in
   let delays = Array.init n (fun id -> delay (Dfg.node g id)) in
   (* Fully sequential execution is the worst case. *)
@@ -64,6 +66,10 @@ let dispatcher g ~delay ~group =
   let reps = Array.of_list (List.rev !reps) in
   let max_delay = Array.fold_left max 1 delays in
   let row = horizon + max_delay + 2 in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare prio.(b) prio.(a)) order;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) order;
   {
     g;
     n;
@@ -73,40 +79,48 @@ let dispatcher g ~delay ~group =
     gcodes;
     reps;
     pred_count = Array.init n (fun id -> List.length (Dfg.preds g id));
+    rank;
     starts = Array.make n (-1);
     busy = Array.make (Array.length reps * row) 0;
+    blocked = Array.make (Array.length reps) false;
     pending = Array.make n 0;
     ready_at = Array.make n 0;
     buckets = Array.make (horizon + 2) [];
   }
 
-(* One dispatch under [limits] (indexed by dense group code) and
-   [prio].  Returns the start array (aliasing the dispatcher's scratch
-   — consume before the next dispatch) and the achieved latency. *)
-let dispatch t ~limits ~prio =
-  let { g; n; delays; horizon; row; gcodes; _ } = t in
-  let starts = t.starts and busy = t.busy in
+let groups t = t.reps
+let group_code t id = t.gcodes.(id)
+let blocked t = t.blocked
+
+(* One dispatch under [limits] (indexed by dense group code).  Returns
+   the start array (aliasing the dispatcher's scratch — consume before
+   the next dispatch) and the achieved latency; [blocked] is left
+   holding which groups had an operation fail its fit check.  The pool
+   stays sorted by rank: each step sorts only its arrivals and merges
+   them in, and [List.filter] keeps the order of what stays. *)
+let dispatch t ~limits =
+  let { g; n; delays; horizon; row; gcodes; rank; _ } = t in
+  let starts = t.starts and busy = t.busy and blocked = t.blocked in
   let pending = t.pending and ready_at = t.ready_at and buckets = t.buckets in
   Array.fill starts 0 n (-1);
   Array.fill busy 0 (Array.length busy) 0;
+  Array.fill blocked 0 (Array.length blocked) false;
   Array.blit t.pred_count 0 pending 0 n;
   Array.fill ready_at 0 n 0;
   Array.fill buckets 0 (Array.length buckets) [];
   for id = 0 to n - 1 do
     if pending.(id) = 0 then buckets.(0) <- id :: buckets.(0)
   done;
+  let by_rank a b = Int.compare rank.(a) rank.(b) in
   let pool = ref [] in
   let unscheduled = ref n in
   let latency = ref 0 in
   let step = ref 0 in
   while !unscheduled > 0 do
-    pool := List.rev_append buckets.(!step) !pool;
     let ready =
-      List.sort
-        (fun a b ->
-          let c = compare prio.(b) prio.(a) in
-          if c <> 0 then c else compare a b)
-        !pool
+      match buckets.(!step) with
+      | [] -> !pool
+      | arrivals -> List.merge by_rank (List.sort by_rank arrivals) !pool
     in
     pool :=
       List.filter
@@ -133,7 +147,8 @@ let dispatch t ~limits ~prio =
                 if pending.(sc) = 0 then
                   buckets.(ready_at.(sc)) <- sc :: buckets.(ready_at.(sc)))
               (Dfg.succs g id)
-          end;
+          end
+          else blocked.(k) <- true;
           not fits)
         ready;
     incr step;
@@ -151,14 +166,6 @@ let check_limits g ~group ~limit =
     Error (Printf.sprintf "group of node %s has non-positive limit" nd.name)
   | None -> Ok ()
 
-let run_starts ~priority g ~delay ~group ~limit =
-  match check_limits g ~group ~limit with
-  | Error _ as e -> e
-  | Ok () ->
-    let t = dispatcher g ~delay ~group in
-    let starts, lat = dispatch t ~limits:(limits_of t ~limit) ~prio:priority in
-    Ok (Array.copy starts, lat)
-
 let run ?priority_latency g ~delay ~group ~limit =
   match check_limits g ~group ~limit with
   | Error e -> Error e
@@ -170,8 +177,8 @@ let run ?priority_latency g ~delay ~group ~limit =
         Array.map (fun latest -> -latest) (Analysis.alap g ~delay ~latency:horizon)
       | _ -> priorities g ~delay
     in
-    let t = dispatcher g ~delay ~group in
-    let starts, _ = dispatch t ~limits:(limits_of t ~limit) ~prio in
+    let t = dispatcher g ~delay ~group ~prio in
+    let starts, _ = dispatch t ~limits:(limits_of t ~limit) in
     Schedule.make g ~delay ~starts
 
 (* The historical dispatch loop, kept verbatim as the old-equivalent
@@ -239,6 +246,3 @@ let run_exn ?priority_latency g ~delay ~group ~limit =
   match run ?priority_latency g ~delay ~group ~limit with
   | Ok s -> s
   | Error e -> failwith ("List_sched.run: " ^ e)
-
-let minimum_latency_with_limits g ~delay ~group ~limit =
-  Result.map Schedule.latency (run g ~delay ~group ~limit)

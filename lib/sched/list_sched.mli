@@ -43,46 +43,45 @@ val run_reference :
     Reference arm of the synthesis benchmark and oracle for the
     dispatch-equivalence property tests. *)
 
-val run_starts :
-  priority:int array ->
-  Dfg.t ->
-  delay:(Dfg.node -> int) ->
-  group:(Dfg.node -> 'k) ->
-  limit:('k -> int) ->
-  (int array * int, string) result
-(** The dispatch loop alone, with a caller-supplied priority array
-    (higher = first; index by node id): returns the start array and
-    the achieved latency without building a [Schedule.t].  The dispatch
-    order is exactly {!run}'s. *)
-
 (** {2 Reusable dispatcher}
 
     For callers probing many limit vectors against one graph and
     priority (the min-area packer): the per-graph setup — delays,
-    dense group codes, predecessor counts, scratch arrays — is paid
-    once, and each {!dispatch} only resets scratch. *)
+    dense group codes, predecessor counts, the priority order, scratch
+    arrays — is paid once, and each {!dispatch} only resets scratch. *)
 
 type 'k dispatcher
 
 val dispatcher :
-  Dfg.t -> delay:(Dfg.node -> int) -> group:(Dfg.node -> 'k) -> 'k dispatcher
+  Dfg.t ->
+  delay:(Dfg.node -> int) ->
+  group:(Dfg.node -> 'k) ->
+  prio:int array ->
+  'k dispatcher
+(** [prio] is indexed by node id; higher is dispatched first, ties by
+    ascending id. *)
+
+val groups : 'k dispatcher -> 'k array
+(** One representative group value per dense group code, codes in
+    order of first occurrence by node id. *)
+
+val group_code : 'k dispatcher -> int -> int
+(** Dense group code of a node id. *)
 
 val limits_of : 'k dispatcher -> limit:('k -> int) -> int array
 (** Evaluate [limit] once per distinct group, indexed by the
     dispatcher's dense group codes, for {!dispatch}. *)
 
-val dispatch : 'k dispatcher -> limits:int array -> prio:int array -> int array * int
+val dispatch : 'k dispatcher -> limits:int array -> int array * int
 (** One dispatch run; same order as {!run}.  The returned start array
     aliases the dispatcher's scratch: copy it before the next
-    {!dispatch} if it must survive.  Raises on non-positive limits via
-    non-termination guard only — callers must validate limits
-    (see {!run_starts}). *)
+    {!dispatch} if it must survive.  Limits must be positive (a
+    non-positive one trips the no-progress guard). *)
 
-val minimum_latency_with_limits :
-  Dfg.t ->
-  delay:(Dfg.node -> int) ->
-  group:(Dfg.node -> 'k) ->
-  limit:('k -> int) ->
-  (int, string) result
-(** Latency achieved by {!run} — a (not necessarily tight) upper bound
-    on the optimum under those resource limits. *)
+val blocked : 'k dispatcher -> bool array
+(** After a {!dispatch}: per dense group code, whether some operation
+    of the group failed its fit check.  A group that was never blocked
+    cannot change the dispatch when its limit alone is raised — every
+    check it passed still passes, and no other group reads its limit —
+    so raising it yields the same starts and latency.  Aliases the
+    dispatcher's scratch like the start array. *)

@@ -14,66 +14,81 @@ let run g ~delay ~group ~group_area ~latency =
   if latency < min_latency then
     Error (Printf.sprintf "latency bound %d below ASAP latency %d" latency min_latency)
   else begin
-    (* Distinct groups with their op populations. *)
-    let groups = ref [] in
-    List.iter
-      (fun (nd : Dfg.node) ->
-        let k = group nd in
-        match List.assoc_opt k !groups with
-        | Some c -> groups := (k, c + delay nd) :: List.remove_assoc k !groups
-        | None -> groups := (k, delay nd) :: !groups)
-      (Dfg.nodes g);
-    let limits = Hashtbl.create 8 in
-    List.iter
-      (fun (k, busy) ->
-        Hashtbl.replace limits k (max 1 ((busy + latency - 1) / latency)))
-      !groups;
     (* ALAP urgency against the target horizon — feasible here (the
        bound was just checked), and identical for every limit vector
-       probed below, so it is computed once instead of per probe.
-       Probes run on raw start arrays ([List_sched.run_starts]); only
-       the winning schedule is materialized and validated. *)
+       probed below, so it is computed once instead of per probe, and
+       the dispatcher ranks the nodes by it once.  Probes call
+       [List_sched.dispatch] on raw start arrays; only the winning
+       schedule is materialized and validated. *)
     let priority =
       Array.map (fun latest -> -latest) (Analysis.alap g ~delay ~latency)
     in
-    (* One dispatcher for the whole limit-vector search; probes only
-       reset its scratch.  Limits are [max 1 ...] by construction, so
-       the positivity check [List_sched.run] does is vacuous here. *)
-    let disp = List_sched.dispatcher g ~delay ~group in
-    let schedule_with limit_fn =
-      let starts, lat =
-        List_sched.dispatch disp
-          ~limits:(List_sched.limits_of disp ~limit:limit_fn)
-          ~prio:priority
-      in
-      (* [starts] aliases dispatcher scratch; the fit loop keeps
-         candidate schedules across probes. *)
-      (Array.copy starts, lat)
+    let disp = List_sched.dispatcher g ~delay ~group ~prio:priority in
+    let reps = List_sched.groups disp in
+    let ngroups = Array.length reps in
+    (* Per dense group code: op population and last position in
+       [Dfg.nodes].  Probes run in descending last position — the
+       order the reference's assoc list ends up in — because the
+       first group wins gain ties. *)
+    let busy = Array.make ngroups 0 and last = Array.make ngroups 0 in
+    List.iteri
+      (fun i (nd : Dfg.node) ->
+        let c = List_sched.group_code disp nd.id in
+        busy.(c) <- busy.(c) + delay nd;
+        last.(c) <- i)
+      (Dfg.nodes g);
+    let order = Array.init ngroups Fun.id in
+    Array.sort (fun a b -> Int.compare last.(b) last.(a)) order;
+    let limits =
+      Array.map (fun b -> max 1 ((b + latency - 1) / latency)) busy
     in
-    let current () = schedule_with (fun k -> Hashtbl.find limits k) in
-    let rec fit (starts, lat) =
+    (* Limits are [max 1 ...] by construction, so the positivity check
+       [List_sched.run] does is vacuous here.  A candidate carries its
+       starts, latency and blocked-group flags, copied out of the
+       dispatcher's scratch because the fit loop keeps candidates
+       across probes. *)
+    let probes = ref 0 and skipped = ref 0 in
+    let schedule () =
+      incr probes;
+      let starts, lat = List_sched.dispatch disp ~limits in
+      (Array.copy starts, lat, Array.copy (List_sched.blocked disp))
+    in
+    let rec fit ((starts, lat, blocked) as current) =
       if lat <= latency then Schedule.make g ~delay ~starts
       else begin
         (* Tentatively raise each group's limit by one; commit the one
            with the best latency reduction per unit area (ties: first
-           group). *)
+           group).  A group none of whose operations was refused a
+           slot cannot move the dispatch when its limit rises (see
+           [List_sched.blocked]), so its probe would return [current]
+           exactly, at gain 0: skip the dispatch and use that. *)
         let best = ref None in
-        List.iter
-          (fun (k, _) ->
-            let bump k' = if k' = k then Hashtbl.find limits k + 1 else Hashtbl.find limits k' in
-            let ((_, lat') as s) = schedule_with bump in
+        Array.iter
+          (fun c ->
+            let ((_, lat', _) as s) =
+              if blocked.(c) then begin
+                limits.(c) <- limits.(c) + 1;
+                let s = schedule () in
+                limits.(c) <- limits.(c) - 1;
+                s
+              end
+              else begin
+                incr skipped;
+                current
+              end
+            in
             let gain =
-              float_of_int (lat - lat') /. float_of_int (max 1 (group_area k))
+              float_of_int (lat - lat') /. float_of_int (max 1 (group_area reps.(c)))
             in
             match !best with
             | Some (_, _, bg) when bg >= gain -> ()
-            | _ -> best := Some (k, s, gain))
-          !groups;
+            | _ -> best := Some (c, s, gain))
+          order;
         match !best with
         | None -> Error "min_area: no groups (bug)"
-        | Some (k, s, gain) ->
+        | Some (c, s, gain) ->
           if gain > 0. then begin
-            Hashtbl.replace limits k (Hashtbl.find limits k + 1);
+            limits.(c) <- limits.(c) + 1;
             fit s
           end
           else begin
@@ -81,14 +96,15 @@ let run g ~delay ~group ~group_area ~latency =
                groups relaxed together): raise every group.  Once all
                limits saturate, the list schedule equals ASAP, which
                fits — so this terminates. *)
-            List.iter
-              (fun (k', _) -> Hashtbl.replace limits k' (Hashtbl.find limits k' + 1))
-              !groups;
-            fit (current ())
+            Array.iteri (fun c l -> limits.(c) <- l + 1) limits;
+            fit (schedule ())
           end
       end
     in
-    fit (current ())
+    let result = fit (schedule ()) in
+    Rchls_util.Telemetry.add "sched.probes" !probes;
+    Rchls_util.Telemetry.add "sched.probes_skipped" !skipped;
+    result
   end
 
 (* Old-equivalent shape: per-probe ALAP-priority recompute and a

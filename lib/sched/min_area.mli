@@ -17,7 +17,10 @@ val run :
   latency:int ->
   (Schedule.t, string) result
 (** Fails only if [latency] is below the ASAP latency (unreachable even
-    with unbounded resources). *)
+    with unbounded resources).  Counts the list-scheduling dispatches it
+    runs in [sched.probes], and in [sched.probes_skipped] the probes it
+    answers without one: raising the limit of a group that the current
+    dispatch never blocked reproduces that dispatch exactly. *)
 
 val run_reference :
   Dfg.t ->

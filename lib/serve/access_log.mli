@@ -38,7 +38,9 @@ type record = {
   exec_ns : int;
   total_ns : int;
   bytes : int;  (** response line length on the wire *)
-  status : string;  (** ["ok"] or the response error code *)
+  status : string;
+      (** ["ok"], the response error code, or ["disconnected"] when the
+          client hung up before the response was written ([bytes] 0) *)
 }
 
 val open_log : ?max_bytes:int -> string -> (t, string) result

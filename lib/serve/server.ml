@@ -88,23 +88,33 @@ let locked m f =
 
 (* A dead peer must not kill the server: write failures only mean the
    response has no reader anymore (SIGPIPE is ignored, see [start]), and
-   the first one on a connection counts a disconnect.  Every write is
-   counted — response bytes are a first-class serving metric — and the
-   byte count comes back so the caller can access-log it. *)
+   the first one on a connection counts a disconnect.  Every written
+   line is counted — response bytes are a first-class serving metric —
+   and its byte count comes back so the caller can access-log it;
+   [None] means nothing was written (the connection was already closed
+   or the write failed). *)
 let write_line conn line =
-  let len = String.length line + 1 in
-  Telemetry.incr "serve.responses";
-  Telemetry.add "serve.response_bytes" len;
-  locked conn.write_mutex (fun () ->
-      if not conn.closed then
+  let written =
+    locked conn.write_mutex (fun () ->
+        (not conn.closed)
+        &&
         try
           output_string conn.oc line;
           output_char conn.oc '\n';
-          flush conn.oc
+          flush conn.oc;
+          true
         with Sys_error _ | Unix.Unix_error _ ->
           Telemetry.incr "serve.disconnects";
-          conn.closed <- true);
-  len
+          conn.closed <- true;
+          false)
+  in
+  if written then begin
+    let len = String.length line + 1 in
+    Telemetry.incr "serve.responses";
+    Telemetry.add "serve.response_bytes" len;
+    Some len
+  end
+  else None
 
 let respond conn (r : Response.t) = write_line conn (Response.to_string r)
 
@@ -119,8 +129,17 @@ let elapsed_ns since = Int64.to_int (Int64.sub (Telemetry.now_ns ()) since)
 (* One access-log record + the [serve.request] rolling window per
    decoded request; admin kinds ([ping]/[stats]/[health]) are kept out
    of both so [serve.requests] always equals the number of log
-   records covering the same interval. *)
-let account t ~arrival ~id ~kind ~tier ~queue_ns ~exec_ns ~bytes ~status =
+   records covering the same interval.  [written] is what [write_line]
+   reported: a response nobody received is logged with status
+   [disconnected] and zero bytes, and counted in [serve.undelivered]. *)
+let account t ~arrival ~id ~kind ~tier ~queue_ns ~exec_ns ~status written =
+  let bytes, status =
+    match written with
+    | Some bytes -> (bytes, status)
+    | None ->
+      Telemetry.incr "serve.undelivered";
+      (0, "disconnected")
+  in
   let total_ns = elapsed_ns arrival in
   Telemetry.observe_window "serve.request" (Int64.of_int total_ns);
   Option.iter
@@ -236,9 +255,9 @@ let handle_line t conn line =
       let kind = Request.job_kind job in
       match Service.cache_key job with
       | Error msg ->
-        let bytes = respond_error conn ~id Response.Bad_request msg in
-        account t ~arrival ~id ~kind ~tier:None ~queue_ns:0 ~exec_ns:0 ~bytes
+        account t ~arrival ~id ~kind ~tier:None ~queue_ns:0 ~exec_ns:0
           ~status:"bad_request"
+          (respond_error conn ~id Response.Bad_request msg)
       | Ok key -> (
         match Option.bind key (cache_find t) with
         | Some (tier, payload_json) ->
@@ -250,26 +269,22 @@ let handle_line t conn line =
           let timing =
             { Response.queue_ns = 0; exec_ns; total_ns = elapsed_ns arrival }
           in
-          let bytes =
-            write_line conn
-              (Response.assemble_raw ~id
-                 ~cache:
-                   (Some { Response.tier; key = Fnv.to_hex (Option.get key) })
-                 ~timing payload_json)
-          in
           account t ~arrival ~id ~kind ~tier:(Some (tier_label tier)) ~queue_ns:0
-            ~exec_ns ~bytes ~status:"ok"
+            ~exec_ns ~status:"ok"
+            (write_line conn
+               (Response.assemble_raw ~id
+                  ~cache:
+                    (Some { Response.tier; key = Fnv.to_hex (Option.get key) })
+                  ~timing payload_json))
         | None ->
           Telemetry.incr "serve.misses";
           if not (enqueue t { conn; id; req = job; key; arrival }) then begin
             Telemetry.incr "serve.overloaded";
-            let bytes =
-              respond_error conn ~id Response.Overloaded
-                (Printf.sprintf "job queue is full (%d queued jobs)"
-                   t.config.queue_max)
-            in
             account t ~arrival ~id ~kind ~tier:None ~queue_ns:0 ~exec_ns:0
-              ~bytes ~status:"overloaded"
+              ~status:"overloaded"
+              (respond_error conn ~id Response.Overloaded
+                 (Printf.sprintf "job queue is full (%d queued jobs)"
+                    t.config.queue_max))
           end))
 
 (* --- the batch scheduler -------------------------------------------- *)
@@ -287,52 +302,58 @@ let run_batch t batch =
        ([~domains:1]) so a batch never oversubscribes the machine.
        Determinism: every job is a pure function of its request, so
        neither the batch composition nor the pool width can change a
-       payload. *)
+       payload.  A job whose client has already hung up is not run:
+       its answer could only be discarded.  [closed] is read without
+       the write lock; a stale [false] costs one computed answer that
+       [write_line] then declines to write. *)
     Pool.map ?domains:t.config.domains
       (fun job ->
-        let started = Telemetry.now_ns () in
-        let result =
-          Trace.with_span "serve.job" ~attrs:(job_attrs job) (fun () ->
-              Service.run_job ~service:t.service ~domains:1 job.req)
-        in
-        (result, Int64.sub (Telemetry.now_ns ()) started))
+        if job.conn.closed then None
+        else
+          let started = Telemetry.now_ns () in
+          let result =
+            Trace.with_span "serve.job" ~attrs:(job_attrs job) (fun () ->
+                Service.run_job ~service:t.service ~domains:1 job.req)
+          in
+          Some (result, Int64.sub (Telemetry.now_ns ()) started))
       batch
   in
   Telemetry.gauge_set "serve.inflight" 0;
   List.iter2
-    (fun job (result, exec) ->
+    (fun job outcome ->
       let kind = Request.job_kind job.req in
       let queue_ns = Int64.to_int (Int64.sub dequeued job.arrival) in
-      let exec_ns = Int64.to_int exec in
       Telemetry.observe_window "serve.queue_wait" (Int64.of_int queue_ns);
-      Telemetry.observe_window "serve.exec" exec;
-      let timing () =
-        { Response.queue_ns; exec_ns; total_ns = elapsed_ns job.arrival }
-      in
-      match result with
-      | Error e ->
-        let bytes =
-          respond job.conn
-            {
-              Response.id = job.id;
-              result = Error e;
-              cache = None;
-              timing = Some (timing ());
-            }
-        in
+      match outcome with
+      | None ->
         account t ~arrival:job.arrival ~id:job.id ~kind ~tier:None ~queue_ns
-          ~exec_ns ~bytes
-          ~status:(Response.error_code_name e.code)
-      | Ok payload ->
-        let payload_json = Json.to_string (Response.payload_to_json payload) in
-        Option.iter (fun key -> cache_store t key payload_json) job.key;
-        let bytes =
-          write_line job.conn
-            (Response.assemble_raw ~id:job.id ~cache:None ~timing:(timing ())
-               payload_json)
+          ~exec_ns:0 ~status:"disconnected" None
+      | Some (result, exec) -> (
+        let exec_ns = Int64.to_int exec in
+        Telemetry.observe_window "serve.exec" exec;
+        let timing () =
+          { Response.queue_ns; exec_ns; total_ns = elapsed_ns job.arrival }
         in
-        account t ~arrival:job.arrival ~id:job.id ~kind ~tier:None ~queue_ns
-          ~exec_ns ~bytes ~status:"ok")
+        match result with
+        | Error e ->
+          account t ~arrival:job.arrival ~id:job.id ~kind ~tier:None ~queue_ns
+            ~exec_ns
+            ~status:(Response.error_code_name e.Response.code)
+            (respond job.conn
+               {
+                 Response.id = job.id;
+                 result = Error e;
+                 cache = None;
+                 timing = Some (timing ());
+               })
+        | Ok payload ->
+          let payload_json = Json.to_string (Response.payload_to_json payload) in
+          Option.iter (fun key -> cache_store t key payload_json) job.key;
+          account t ~arrival:job.arrival ~id:job.id ~kind ~tier:None ~queue_ns
+            ~exec_ns ~status:"ok"
+            (write_line job.conn
+               (Response.assemble_raw ~id:job.id ~cache:None ~timing:(timing ())
+                  payload_json))))
     batch results
 
 let scheduler_loop t =
@@ -511,7 +532,7 @@ let preregister config =
       "serve.hits.memory"; "serve.hits.disk"; "serve.misses";
       "serve.overloaded"; "serve.batches"; "serve.pings"; "serve.malformed";
       "serve.admin.stats"; "serve.admin.health"; "serve.scrapes";
-      "serve.disconnects";
+      "serve.disconnects"; "serve.undelivered";
     ];
   Telemetry.gauge_set "serve.queue_depth" 0;
   Telemetry.gauge_set "serve.inflight" 0;

@@ -47,9 +47,13 @@
 
     - {b counters} — [serve.requests], [serve.hits.memory]/[.disk],
       [serve.misses], [serve.overloaded], [serve.batches],
-      [serve.responses], [serve.response_bytes], [serve.disconnects]
-      (connections whose peer hung up before a response was written;
-      counted once each, at the first failed write), plus admin traffic
+      [serve.responses], [serve.response_bytes] (lines actually
+      written), [serve.disconnects] (connections whose peer hung up
+      before a response was written; counted once each, at the first
+      failed write), [serve.undelivered] (accounted requests whose
+      response was never written, logged with status [disconnected];
+      a queued job whose client is already gone is not computed),
+      plus admin traffic
       ([serve.pings], [serve.admin.stats]/[.health], [serve.scrapes],
       [serve.malformed]) — all pre-registered at {!start} so a scrape
       before any traffic already carries every series at zero;

@@ -1192,9 +1192,14 @@ let test_serve_observability_consistency () =
 (* A client that hangs up before its replies are written must cost the
    daemon one counted disconnect, not its life: a write to the dead
    socket raises SIGPIPE, whose default action ends the process.  The
-   client pipelines an explore job and a run of pings, then closes; the
-   reader answers the pings while the line buffer still holds them.
-   Afterwards the counter, the scrape and the access log still agree. *)
+   client pipelines an explore job, a run of pings and a second explore
+   job, then closes; the reader answers the pings while the line buffer
+   still holds them, and the first failed write marks the connection
+   closed before the second job is even read.  With one job per batch
+   the scheduler reaches that job only after the first is done, so it
+   must not compute it.  Neither answer is delivered, so both are
+   logged as [disconnected] with zero bytes, and the counter, the
+   scrape and the access log still agree. *)
 let test_serve_survives_client_hangup () =
   Telemetry.reset ();
   let dir = temp_dir "rchls-hangup" in
@@ -1204,6 +1209,7 @@ let test_serve_survives_client_hangup () =
     {
       (Server.default_config (Server.Unix_socket socket)) with
       Server.domains = Some 1;
+      batch_max = 1;
       metrics = Some (Server.Tcp ("127.0.0.1", 0));
       access_log = Some (log_path, 1 lsl 20);
     }
@@ -1214,10 +1220,12 @@ let test_serve_survives_client_hangup () =
     req_line
       {|"id":"x","job":"explore","params":{"graph":{"name":"ewf"},"lds":[14,16,18,20],"ads":[4,6,8,10,12,14]}|}
   in
+  let late = req_line {|"id":"y","job":"explore","params":{"graph":{"name":"fig4"}}|} in
   let ping = req_line {|"job":"ping"|} in
   let c = check_ok "connect" (Client.connect_unix socket) in
   check_ok "send"
-    (Client.send_raw c (String.concat "\n" (explore :: List.init 200 (fun _ -> ping))));
+    (Client.send_raw c
+       (String.concat "\n" ((explore :: List.init 200 (fun _ -> ping)) @ [ late ])));
   Client.close c;
   let until what ok =
     let deadline = Unix.gettimeofday () +. 60. in
@@ -1234,20 +1242,39 @@ let test_serve_survives_client_hangup () =
       | { Response.result = Ok (Response.Health_report h); _ } ->
         Alcotest.(check bool) "healthy" true h.Response.healthy
       | _ -> Alcotest.fail "expected a health report");
-  (* [stats] flushes the access log; the explore job is logged once the
-     scheduler has computed it and failed to deliver it. *)
+  (* [stats] flushes the access log; each explore job is logged once
+     the scheduler has reached it and failed to deliver its answer. *)
   let log_records () =
     with_client socket (fun c ->
         ignore (check_ok "stats" (Client.call c { Request.id = None; job = Request.Stats })));
-    List.length (read_lines log_path)
+    List.map (fun l -> check_ok "log json" (Json.of_string l)) (read_lines log_path)
   in
-  until "the explore job's log record" (fun () -> log_records () = 1);
+  until "both explore jobs' log records" (fun () -> List.length (log_records ()) = 2);
+  let records = log_records () in
+  let field name r =
+    match Option.bind (Json.member name r) Json.to_int_opt with
+    | Some v -> v
+    | None -> Alcotest.failf "log record lacks %s" name
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "logged as disconnected" true
+        (Json.member "status" r = Some (Json.Str "disconnected"));
+      Alcotest.(check int) "no bytes delivered" 0 (field "bytes" r))
+    records;
+  (match List.find_opt (fun r -> Json.member "id" r = Some (Json.Str "y")) records with
+  | Some r -> Alcotest.(check int) "late job not computed" 0 (field "exec_ns" r)
+  | None -> Alcotest.fail "no log record for the late job");
   Alcotest.(check int) "one disconnect counted" 1
     (Telemetry.counter "serve.disconnects");
-  Alcotest.(check int) "counter = log records" 1 (Telemetry.counter "serve.requests");
+  Alcotest.(check int) "counter = log records" 2 (Telemetry.counter "serve.requests");
+  Alcotest.(check int) "undelivered = log records" 2
+    (Telemetry.counter "serve.undelivered");
   let _, body = http_get (Option.get (Server.metrics_port server)) "/" in
-  Alcotest.(check int) "scrape = log records" 1
+  Alcotest.(check int) "scrape = log records" 2
     (scrape_value body "rchls_serve_requests_total");
+  Alcotest.(check int) "scrape counts the undelivered" 2
+    (scrape_value body "rchls_serve_undelivered_total");
   Alcotest.(check int) "scrape counts the disconnect" 1
     (scrape_value body "rchls_serve_disconnects_total")
 

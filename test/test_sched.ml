@@ -351,6 +351,101 @@ let prop_min_area_equals_reference =
       | Error _, Error _ -> true
       | _ -> false)
 
+(* Per-node versions for the multi-group packer properties, as
+   (delay, area): three adders, then three multipliers, chosen per node
+   by [picks]; a node's group is its version's index.  Versions 0/1 and
+   3/4 share class, delay and area, so gain ties between groups are
+   common and the first-group tie-break decides them; grouping by
+   version gives up to six groups, enough for probes of groups that
+   were never blocked. *)
+let versions = [| (1, 2); (1, 2); (2, 1); (2, 4); (2, 4); (3, 3) |]
+
+let gen_picks = QCheck2.Gen.(list_size (int_range 1 12) (int_bound 2))
+
+let version_of picks (nd : Dfg.node) =
+  let pick = List.nth picks (nd.id mod List.length picks) in
+  match Op.resource_class nd.op with Resource.Add -> pick | Resource.Mul -> 3 + pick
+
+let gen_dag_wide = Rchls_check.Gen.qcheck_dag ~max_nodes:30 ~edge_factor:1 ()
+
+let min_area_by_version g picks ~slack =
+  let group = version_of picks in
+  let delay nd = fst versions.(group nd) in
+  let group_area v = snd versions.(v) in
+  let latency = Analysis.asap_latency g ~delay + slack in
+  ( Min_area.run g ~delay ~group ~group_area ~latency,
+    Min_area.run_reference g ~delay ~group ~group_area ~latency )
+
+let prop_min_area_versions_equal_reference =
+  QCheck2.Test.make ~name:"min-area packer by version = historical reference"
+    ~count:1000
+    QCheck2.Gen.(triple gen_dag_wide gen_picks (int_range 0 3))
+    (fun (g, picks, slack) ->
+      match min_area_by_version g picks ~slack with
+      | Ok a, Ok b ->
+        List.for_all
+          (fun (nd : Dfg.node) -> Schedule.start a nd.id = Schedule.start b nd.id)
+          (Dfg.nodes g)
+      | Error _, Error _ -> true
+      | _ -> false)
+
+(* Two fixed cases of the version grouping, checked start for start:
+   on ewf with all six versions at its ASAP latency some fit round meets
+   a group that was never blocked, so the skipped probe is reached; on
+   ar with picks [1;2;0;0;1] two groups tie on a positive gain, so
+   probing the groups in any order but the reference's changes the
+   result. *)
+let test_min_area_versions_on_benchmarks () =
+  let check name picks ~slack =
+    let g = Option.get (Benchmarks.find name) in
+    match min_area_by_version g picks ~slack with
+    | Ok a, Ok b ->
+      List.iter
+        (fun (nd : Dfg.node) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s+%d %s" name slack nd.name)
+            (Schedule.start b nd.id) (Schedule.start a nd.id))
+        (Dfg.nodes g)
+    | _ -> Alcotest.failf "%s: packer failed at a feasible latency" name
+  in
+  Rchls_util.Telemetry.reset ();
+  check "ewf" [ 0; 1; 2 ] ~slack:0;
+  Alcotest.(check bool) "some probe skipped" true
+    (Rchls_util.Telemetry.counter "sched.probes_skipped" > 0);
+  check "ar" [ 1; 2; 0; 0; 1 ] ~slack:0;
+  check "ar" [ 1; 2; 0; 0; 1 ] ~slack:1
+
+(* The lemma the packer's skip rests on: when [dispatch] reports a group
+   as never blocked, raising that group's limit alone reproduces the
+   dispatch start for start. *)
+let prop_unblocked_raise_changes_nothing =
+  QCheck2.Test.make ~name:"raising a never-blocked group's limit changes nothing"
+    ~count:300
+    QCheck2.Gen.(
+      quad gen_dag_wide gen_picks
+        (list_size (return 6) (int_range 1 3))
+        (list_size (return 16) (int_bound 3)))
+    (fun (g, picks, lims, prios) ->
+      let group = version_of picks in
+      let delay nd = fst versions.(group nd) in
+      let prio = Array.init (Dfg.node_count g) (fun id -> List.nth prios (id mod 16)) in
+      let disp = List_sched.dispatcher g ~delay ~group ~prio in
+      let limits = List_sched.limits_of disp ~limit:(List.nth lims) in
+      let starts, lat = List_sched.dispatch disp ~limits in
+      let starts = Array.copy starts in
+      let blocked = Array.copy (List_sched.blocked disp) in
+      let same = ref true in
+      Array.iteri
+        (fun c was_blocked ->
+          if not was_blocked then begin
+            let raised = Array.copy limits in
+            raised.(c) <- raised.(c) + 1;
+            let starts', lat' = List_sched.dispatch disp ~limits:raised in
+            if lat' <> lat || starts' <> starts then same := false
+          end)
+        blocked;
+      !same)
+
 let prop_min_area_never_beats_lower_bound =
   QCheck2.Test.make ~name:"min-area concurrency >= occupancy lower bound" ~count:100
     gen_dag (fun g ->
@@ -405,6 +500,8 @@ let () =
           Alcotest.test_case "rejects infeasible" `Quick test_min_area_rejects_infeasible;
           Alcotest.test_case "mixed groups terminate" `Quick
             test_min_area_mixed_groups_terminates;
+          Alcotest.test_case "version groups on benchmarks" `Quick
+            test_min_area_versions_on_benchmarks;
         ] );
       ( "force-directed",
         [
@@ -418,5 +515,7 @@ let () =
             prop_min_area_never_beats_lower_bound;
             prop_incremental_density_equals_reference;
             prop_list_dispatch_equals_reference; prop_min_area_equals_reference;
+            prop_min_area_versions_equal_reference;
+            prop_unblocked_raise_changes_nothing;
           ] );
     ]
