@@ -253,11 +253,7 @@ let synth_params =
   let scheduler_arg =
     enum_arg "scheduler" ~docv:"SCHED" ~default:Request.Density Request.schedulers
       ~last:" or "
-      ~notes:
-        [
-          (Request.Density, "the paper's, incremental");
-          (Request.Density_reference, "full-recompute oracle, same schedules");
-        ]
+      ~notes:[ (Request.Density, "the paper's, incremental") ]
       "Scheduler"
   in
   let make graph lib ld ad strategy scheduler =
@@ -698,7 +694,7 @@ let explore_targets spec =
     [ (name, or_die (Loader.load_graph spec)) ]
 
 let explore_cmd =
-  let go target lib_file lds ads approach domains reference verify cache_dir env =
+  let go target lib_file lds ads approach domains verify cache_dir env =
     run ~stats_err:true env @@ fun () ->
     let lib = or_die (Loader.load_library lib_file) in
     let library_text = Library.to_text lib in
@@ -706,26 +702,13 @@ let explore_cmd =
     let lds = Option.value ~default:[] lds and ads = Option.value ~default:[] ads in
     let run_and_emit name g ~lds ~ads appr ~key =
       let cache = Rchls_core.Engine.create_cache () in
-      let run_pruned () = Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads in
-      let run_exhaustive () =
-        let cells = Sweep.run_reference ?domains ~cache appr g lib ~lds ~ads in
-        let n = List.length cells in
-        (cells, { Explore.cells = n; evaluated = n; derived = 0 })
-      in
-      let cells, exp_stats =
-        if verify then begin
-          let pc, ps = run_pruned () in
-          let rc, _ = run_exhaustive () in
-          if pc <> rc then begin
-            Printf.eprintf
-              "rchls: %s: pruned sweep diverges from the exhaustive reference\n" name;
-            exit 3
-          end;
-          (pc, ps)
-        end
-        else if reference then run_exhaustive ()
-        else run_pruned ()
-      in
+      let cells, exp_stats = Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads in
+      if verify && cells <> Sweep.run_reference ?domains ~cache appr g lib ~lds ~ads
+      then begin
+        Printf.eprintf "rchls: %s: pruned sweep diverges from the exhaustive reference\n"
+          name;
+        exit 3
+      end;
       let points = Explore.frontier cells in
       let payload_json =
         Json.to_string
@@ -796,12 +779,6 @@ let explore_cmd =
     Arg.(value & opt (some (list int)) None & info [ "ads" ] ~docv:"A1,A2,..."
            ~doc:"Area bounds (default: planned automatically).")
   in
-  let reference =
-    Arg.(value & flag & info [ "reference" ]
-           ~doc:"Synthesize every cell exhaustively (the oracle) instead of \
-                 pruning by certified area intervals.  The frontier is \
-                 identical; only the evaluated/derived statistics differ.")
-  in
   let verify =
     Arg.(value & flag & info [ "verify" ]
            ~doc:"Run both the pruned explorer and the exhaustive reference \
@@ -823,7 +800,7 @@ let explore_cmd =
     Term.(
       const go $ target $ library_arg $ lds $ ads $ approach_arg
       $ domains_arg "for the latency-row fan-out" "Never changes output."
-      $ reference $ verify $ cache_dir $ checking observe)
+      $ verify $ cache_dir $ checking observe)
 
 (* --- serve, request, top --- *)
 

@@ -4,7 +4,7 @@ module Fnv = Rchls_util.Fnv
 type source = Named of string | Inline of string
 type library_source = Lib_default | Lib_file of string | Lib_inline of string
 type strategy = Best | Figure6 | Bottom_up
-type scheduler = Density | Density_reference | Force_directed
+type scheduler = Density | Force_directed
 type approach = Ours | Baseline | Combined
 
 type synth = {
@@ -99,12 +99,7 @@ let ad get = Schema.req "ad" Schema.int get
 
 let strategies = [ ("best", Best); ("figure6", Figure6); ("bottom-up", Bottom_up) ]
 
-let schedulers =
-  [
-    ("density", Density);
-    ("density-reference", Density_reference);
-    ("force-directed", Force_directed);
-  ]
+let schedulers = [ ("density", Density); ("force-directed", Force_directed) ]
 
 let approaches = [ ("ours", Ours); ("baseline", Baseline); ("combined", Combined) ]
 let name_of table v = fst (List.find (fun (_, x) -> x = v) table)

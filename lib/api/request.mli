@@ -36,7 +36,7 @@ type library_source =
   | Lib_inline of string  (** literal library text *)
 
 type strategy = Best | Figure6 | Bottom_up
-type scheduler = Density | Density_reference | Force_directed
+type scheduler = Density | Force_directed
 type approach = Ours | Baseline | Combined
 
 type synth = {

@@ -41,7 +41,7 @@ let checked_nmr t =
    oversubscribe.  [cache] is one sharded evaluation cache shared by
    every cell (cells with nearby bounds realize many identical
    assignments). *)
-let raw_cell_certified ?scheduler ?refine ?cache approach g lib ~ld ~ad =
+let raw_cell_certified ?scheduler ?cache approach g lib ~ld ~ad =
   let cert = ref (1, max_int) in
   let raw =
     match approach with
@@ -53,10 +53,7 @@ let raw_cell_certified ?scheduler ?refine ?cache approach g lib ~ld ~ad =
       | Ok t -> checked_nmr t
       | Error _ -> (None, None))
     | Ours -> (
-      match
-        Rc.synthesize ?scheduler ?refine ?cache ~domains:1 ~certificate:cert g
-          lib ~ld ~ad
-      with
+      match Rc.synthesize ?scheduler ?cache ~domains:1 ~certificate:cert g lib ~ld ~ad with
       | Ok d -> (Some (Design.reliability d), Some (Design.area d))
       | Error _ -> (None, None))
     | Combined -> (
@@ -69,8 +66,8 @@ let raw_cell_certified ?scheduler ?refine ?cache approach g lib ~ld ~ad =
   in
   (raw, !cert)
 
-let raw_cell ?scheduler ?refine ?cache approach g lib ~ld ~ad =
-  fst (raw_cell_certified ?scheduler ?refine ?cache approach g lib ~ld ~ad)
+let raw_cell ?scheduler ?cache approach g lib ~ld ~ad =
+  fst (raw_cell_certified ?scheduler ?cache approach g lib ~ld ~ad)
 
 (* Monotone envelope: a cell inherits any dominated cell's better
    result.  The winner of cell (ld, ad) is its own raw result when

@@ -56,7 +56,6 @@ type point = {
 
 val raw_cell :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
   Rchls_dfg.Dfg.t ->
@@ -70,7 +69,6 @@ val raw_cell :
 
 val raw_cell_certified :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
   Rchls_dfg.Dfg.t ->

@@ -13,7 +13,6 @@ module Telemetry = Rchls_util.Telemetry
 
 let scheduler_of_api : Request.scheduler -> Design.scheduler = function
   | Request.Density -> `Density
-  | Request.Density_reference -> `Density_reference
   | Request.Force_directed -> `Force_directed
 
 let strategy_of_api : Request.strategy -> Rc.strategy = function

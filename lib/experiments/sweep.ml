@@ -45,15 +45,14 @@ let cell_span ~ld ~ad f =
    {!run_reference} — enforced by the [explore-differential] fuzz
    property registered below.  [sweep.cells]/"sweep.cell" spans count
    only the cells that actually synthesize. *)
-let run_with_stats ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads =
+let run_with_stats ?scheduler ?domains ?cache approach g lib ~lds ~ads =
   let lds, ads = sorted_bounds ~lds ~ads in
   let cache =
     match cache with Some c -> c | None -> Rchls_core.Engine.create_cache ()
   in
   let evaluate ~ld ~ad =
     cell_span ~ld ~ad (fun () ->
-        Explore.raw_cell_certified ?scheduler ?refine ~cache approach g lib ~ld
-          ~ad)
+        Explore.raw_cell_certified ?scheduler ~cache approach g lib ~ld ~ad)
   in
   let raw, stats =
     sweep_span g approach ~n_cells:(List.length lds * List.length ads)
@@ -61,12 +60,12 @@ let run_with_stats ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads =
   in
   (envelope ~n_ads:(List.length ads) raw, stats)
 
-let run ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads =
-  fst (run_with_stats ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads)
+let run ?scheduler ?domains ?cache approach g lib ~lds ~ads =
+  fst (run_with_stats ?scheduler ?domains ?cache approach g lib ~lds ~ads)
 
 (* The historical exhaustive sweep, kept verbatim as the oracle the
    pruned path is differentially checked against. *)
-let run_reference ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads =
+let run_reference ?scheduler ?domains ?cache approach g lib ~lds ~ads =
   let lds, ads = sorted_bounds ~lds ~ads in
   let grid = List.concat_map (fun ld -> List.map (fun ad -> (ld, ad)) ads) lds in
   let cache =
@@ -77,7 +76,7 @@ let run_reference ?scheduler ?refine ?domains ?cache approach g lib ~lds ~ads =
         Pool.map ?domains
           (fun (ld, ad) ->
             cell_span ~ld ~ad (fun () ->
-                ((ld, ad), raw_cell ?scheduler ?refine ~cache approach g lib ~ld ~ad)))
+                ((ld, ad), raw_cell ?scheduler ~cache approach g lib ~ld ~ad)))
           grid)
   in
   envelope ~n_ads:(List.length ads) raw

@@ -37,7 +37,6 @@ type cell = Explore.cell = {
 
 val run :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?domains:int ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
@@ -59,7 +58,6 @@ val run :
 
 val run_with_stats :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?domains:int ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
@@ -73,7 +71,6 @@ val run_with_stats :
 
 val run_reference :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?domains:int ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
@@ -88,7 +85,6 @@ val run_reference :
 
 val raw_cell :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?refine:bool ->
   ?cache:Rchls_core.Engine.cache ->
   approach ->
   Rchls_dfg.Dfg.t ->

@@ -165,6 +165,7 @@ let transcript () =
   (* error exits *)
   entry [ "synth"; "nosuch"; "--ld"; "1"; "--ad"; "1" ];
   entry [ "synth"; "fig4" ];
+  entry (fig4 @ [ "--scheduler"; "density-reference" ]);
   entry [ "bench"; "nosuch" ];
   entry [ "experiment"; "nosuch" ];
   entry [ "library"; "-L"; "nosuch.lib" ];

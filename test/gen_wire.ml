@@ -52,7 +52,7 @@ let requests =
         lds = [ 5; 6 ];
         ads = [ 3; 4 ];
         approach = Request.Combined;
-        scheduler = Request.Density_reference;
+        scheduler = Request.Force_directed;
       };
     Request.Explore
       {
@@ -202,6 +202,7 @@ let bad_requests =
     req {|"job":"synth","params":{"graph":{"name":"ewf"},"ad":1}|};
     req {|"job":"synth","params":{"graph":{"name":"ewf"},"ld":"14","ad":1}|};
     req {|"job":"check","params":{"graph":{"name":"ewf"},"ld":1,"ad":1,"strategy":"fastest"}|};
+    req {|"job":"synth","params":{"graph":{"name":"ewf"},"ld":1,"ad":1,"scheduler":"density-reference"}|};
     req {|"job":"anneal","params":{"graph":{"name":"ewf","text":"x"},"ld":1,"ad":1}|};
     req {|"job":"synth","params":{"graph":{"name":"ewf"},"library":{"default":true,"file":"a"},"ld":1,"ad":1}|};
     req {|"job":"sweep","params":{"graph":{"name":"ewf"},"lds":[1,"2"],"ads":[1]}|};

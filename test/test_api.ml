@@ -55,9 +55,7 @@ let gen_library_source =
 let gen_strategy =
   Gen.oneofl [ Request.Best; Request.Figure6; Request.Bottom_up ]
 
-let gen_scheduler =
-  Gen.oneofl
-    [ Request.Density; Request.Density_reference; Request.Force_directed ]
+let gen_scheduler = Gen.oneofl [ Request.Density; Request.Force_directed ]
 
 let gen_approach = Gen.oneofl [ Request.Ours; Request.Baseline; Request.Combined ]
 let gen_bound = Gen.int_range 0 1000

@@ -259,6 +259,33 @@ let test_frontier_dominance () =
   Alcotest.(check (list int)) "empty grid" []
     (List.map (fun (p : Explore.point) -> p.Explore.p_ld) (Explore.frontier []))
 
+let test_min_area_query () =
+  (* "Least area with latency <= ld and R >= rmin", read off the
+     frontier of a plane spanning latency 1..ld and area 1..20 past the
+     planned bounds. *)
+  List.iter
+    (fun (name, g, ld, rmin, expected) ->
+      let ads = List.init (List.fold_left max 0 (snd (Explore.plan g lib)) + 20) succ in
+      let cells = Sweep.run Sweep.Ours g lib ~lds:(List.init ld succ) ~ads in
+      let areas =
+        List.filter_map
+          (fun (p : Explore.point) ->
+            if p.p_ld <= ld && p.p_reliability >= rmin -. 1e-12 then Some p.p_area
+            else None)
+          (Explore.frontier cells)
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s ld=%d rmin=%.2f" name ld rmin)
+        (Some expected)
+        (match List.sort compare areas with a :: _ -> Some a | [] -> None))
+    [
+      ("diffeq", Benchmarks.diffeq, 7, 0.75, 7);
+      ("diffeq", Benchmarks.diffeq, 6, 0.90, 13);
+      ("diffeq", Benchmarks.diffeq, 9, 0.60, 6);
+      ("fir16", Benchmarks.fir16, 12, 0.80, 9);
+      ("ewf", Benchmarks.ewf, 15, 0.70, 8);
+    ]
+
 (* --- generated corpus --- *)
 
 module Corpus = Rchls_experiments.Corpus
@@ -358,6 +385,7 @@ let () =
           Alcotest.test_case "certificate replays" `Slow
             test_certificate_replays_identically;
           Alcotest.test_case "frontier dominance" `Quick test_frontier_dominance;
+          Alcotest.test_case "min-area query" `Slow test_min_area_query;
         ] );
       ( "corpus",
         [
