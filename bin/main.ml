@@ -240,6 +240,15 @@ let run ?sinks ?(stats_err = false) env f =
   if env.stats then print_stats ~err:(stats_err || env.report) ();
   if code <> 0 then exit code
 
+(* A job with a parameter outside its domain ([Request.validate]) is
+   refused before anything runs, as cmdliner refuses a malformed flag:
+   the message and the usage line on stderr, exit 124.  Otherwise [k]
+   runs. *)
+let validated job k =
+  match Request.validate job with
+  | Ok () -> `Ok (k ())
+  | Error (field, problem) -> `Error (true, Printf.sprintf "option '--%s': %s" field problem)
+
 (* --- synth and anneal --- *)
 
 (* The synthesis parameters synth and anneal share: the request fields
@@ -327,6 +336,7 @@ let synth_cmd =
       if env.report then Printf.eprintf "rchls: wrote %s\n%!" path
       else Printf.printf "wrote %s\n" path
     in
+    validated (Request.Synth job) @@ fun () ->
     run ~sinks:(if trace then [ decision_printer ] else []) env @@ fun () ->
     synthesize_and_print ~command:"synth" ~args ~report:env.report job
       (fun resolved -> Service.run_synth ~resolved job)
@@ -343,7 +353,7 @@ let synth_cmd =
   in
   let doc = "Synthesize a data-flow graph under latency and area bounds." in
   Cmd.v (Cmd.info "synth" ~doc)
-    Term.(const go $ synth_params $ dot $ trace $ checking (reporting observe))
+    Term.(ret (const go $ synth_params $ dot $ trace $ checking (reporting observe)))
 
 let anneal_cmd =
   let go ((s : Request.synth), args) seed moves chains exchange env =
@@ -360,6 +370,7 @@ let anneal_cmd =
           ("exchange", Json.Int exchange);
         ]
     in
+    validated (Request.Anneal job) @@ fun () ->
     run env @@ fun () ->
     synthesize_and_print ~command:"anneal" ~args ~report:env.report s
       (fun resolved -> Service.run_anneal ~resolved job)
@@ -386,12 +397,13 @@ let anneal_cmd =
   in
   Cmd.v (Cmd.info "anneal" ~doc)
     Term.(
-      const go $ synth_params
-      $ knob "seed" p.seed "Annealer RNG seed."
-      $ knob "moves" p.moves "Moves attempted per chain."
-      $ knob "chains" p.chains "Replica chains on the temperature ladder."
-      $ knob "exchange" p.exchange "Moves between temperature-exchange attempts."
-      $ checking (reporting observe))
+      ret
+        (const go $ synth_params
+        $ knob "seed" p.seed "Annealer RNG seed."
+        $ knob "moves" p.moves "Moves attempted per chain."
+        $ knob "chains" p.chains "Replica chains on the temperature ladder."
+        $ knob "exchange" p.exchange "Moves between temperature-exchange attempts."
+        $ checking (reporting observe)))
 
 (* --- sweep --- *)
 
@@ -402,11 +414,12 @@ let approach_arg =
 
 let sweep_cmd =
   let go graph lib_file lds ads approach domains env =
-    run env @@ fun () ->
     let job =
       { Request.graph = Request.Named graph; library = library_source lib_file; lds;
         ads; approach; scheduler = Request.Density }
     in
+    validated (Request.Sweep job) @@ fun () ->
+    run env @@ fun () ->
     let r = or_die (Service.resolve job.graph job.library) in
     let cells = or_die (Service.run_sweep ~resolved:r ?domains job) in
     (if env.report then
@@ -445,12 +458,13 @@ let sweep_cmd =
   let doc = "Sweep a latency x area bounds grid." in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const go $ graph_arg $ library_arg
-      $ bounds "lds" "L1,L2,..." "Latency bounds to sweep."
-      $ bounds "ads" "A1,A2,..." "Area bounds to sweep."
-      $ approach_arg
-      $ domains_arg "for the grid" ""
-      $ checking (reporting observe))
+      ret
+        (const go $ graph_arg $ library_arg
+        $ bounds "lds" "L1,L2,..." "Latency bounds to sweep."
+        $ bounds "ads" "A1,A2,..." "Area bounds to sweep."
+        $ approach_arg
+        $ domains_arg "for the grid" ""
+        $ checking (reporting observe)))
 
 (* --- characterize --- *)
 
@@ -695,11 +709,16 @@ let explore_targets spec =
 
 let explore_cmd =
   let go target lib_file lds ads approach domains verify cache_dir env =
+    let lds = Option.value ~default:[] lds and ads = Option.value ~default:[] ads in
+    validated
+      (Request.Explore
+         { Request.graph = Request.Named target; library = library_source lib_file; lds;
+           ads; approach; scheduler = Request.Density })
+    @@ fun () ->
     run ~stats_err:true env @@ fun () ->
     let lib = or_die (Loader.load_library lib_file) in
     let library_text = Library.to_text lib in
     let disk = Option.map (fun dir -> or_die (Diskcache.open_dir dir)) cache_dir in
-    let lds = Option.value ~default:[] lds and ads = Option.value ~default:[] ads in
     let run_and_emit name g ~lds ~ads appr ~key =
       let cache = Rchls_core.Engine.create_cache () in
       let cells, exp_stats = Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads in
@@ -798,9 +817,10 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const go $ target $ library_arg $ lds $ ads $ approach_arg
-      $ domains_arg "for the latency-row fan-out" "Never changes output."
-      $ verify $ cache_dir $ checking observe)
+      ret
+        (const go $ target $ library_arg $ lds $ ads $ approach_arg
+        $ domains_arg "for the latency-row fan-out" "Never changes output."
+        $ verify $ cache_dir $ checking observe))
 
 (* --- serve, request, top --- *)
 

@@ -225,75 +225,80 @@ let remove_node st slot n =
     st.area <- st.area - slot.res.Resource.area
   end
 
-(* Move kind 1: reassign node [n] to a different library version of its
-   class.  Legal iff the new delay still fits before every successor
-   and the latency bound; rehosts onto the first compatible instance of
-   the new version (slots order) or a fresh one.  The only move kind
-   with a nonzero energy delta. *)
-let try_version_move st rng temp =
-  let n = Rng.int rng (Array.length st.version) in
+(* The versions a move of node [n] draws from: its class's library
+   versions other than the current one, in library order. *)
+let alternatives st n =
   let v = st.version.(n) in
-  let nd = Dfg.node st.g n in
-  let alts =
-    List.filter
-      (fun (r : Resource.t) -> r.Resource.id <> v.Resource.id)
-      (Library.versions st.lib (Op.resource_class nd.Dfg.op))
+  List.filter
+    (fun (r : Resource.t) -> r.Resource.id <> v.Resource.id)
+    (Library.versions st.lib (Op.resource_class (Dfg.node st.g n).Dfg.op))
+
+(* What moving node [n] to version [v'] meets before the Metropolis
+   draw: [`Rejected] when the new delay overruns a successor or the
+   latency bound, or the rehosted design the area bound; [`Pruned] when
+   the occupancy lower bound already rules it out; otherwise [`Live
+   target], where the node would be rehosted on the first compatible
+   instance of [v'] (slots order) or, for [None], a fresh one. *)
+let version_verdict st n (v' : Resource.t) =
+  let v = st.version.(n) in
+  let s = st.start.(n) in
+  let finish' = s + v'.Resource.delay in
+  let legal =
+    finish' <= st.ld && List.for_all (fun m -> finish' <= st.start.(m)) (Dfg.succs st.g n)
   in
-  if alts = [] then `Rejected
+  if not legal then `Rejected
+  else if lb_with st ~removed:(v.Resource.id, v.Resource.delay) ~added:v' > st.ad then
+    `Pruned
   else begin
-    let v' = List.nth alts (Rng.int rng (List.length alts)) in
-    let s = st.start.(n) in
-    let finish' = s + v'.Resource.delay in
-    let legal =
-      finish' <= st.ld && List.for_all (fun m -> finish' <= st.start.(m)) (Dfg.succs st.g n)
+    let old_slot = st.host.(n) in
+    let freed = match old_slot.ops with [ _ ] -> old_slot.res.Resource.area | _ -> 0 in
+    let target =
+      List.find_opt
+        (fun sl -> sl.res.Resource.id = v'.Resource.id && slot_fits st sl ~excluding:n s finish')
+        st.slots
     in
-    if not legal then `Rejected
-    else if lb_with st ~removed:(v.Resource.id, v.Resource.delay) ~added:v' > st.ad then
-      `Pruned
-    else begin
-      let old_slot = st.host.(n) in
-      let freed =
-        match old_slot.ops with [ _ ] -> old_slot.res.Resource.area | _ -> 0
-      in
-      let target =
-        List.find_opt
-          (fun sl ->
-            sl.res.Resource.id = v'.Resource.id && slot_fits st sl ~excluding:n s finish')
-          st.slots
-      in
-      let added_area = match target with Some _ -> 0 | None -> v'.Resource.area in
-      if st.area - freed + added_area > st.ad then `Rejected
-      else begin
-        let delta = neg_log v'.Resource.reliability -. neg_log v.Resource.reliability in
-        if not (accept ~rng ~temp ~delta) then `Rejected
-        else begin
-          remove_node st old_slot n;
-          let slot =
-            match target with
-            | Some sl -> sl
-            | None ->
-              let sl = { res = v'; ops = [] } in
-              st.slots <- st.slots @ [ sl ];
-              st.area <- st.area + v'.Resource.area;
-              sl
-          in
-          slot.ops <- n :: slot.ops;
-          st.host.(n) <- slot;
-          st.version.(n) <- v';
-          st.energy <- st.energy +. delta;
-          busy_shift st ~removed:v ~added:v';
-          `Accepted
-        end
-      end
-    end
+    let added_area = match target with Some _ -> 0 | None -> v'.Resource.area in
+    if st.area - freed + added_area > st.ad then `Rejected else `Live target
   end
 
-(* Move kind 2: move node [n]'s start step within the window left by
-   its predecessors, successors and the latency bound.  Zero energy
-   delta (always accepted when legal); the value is unlocking sharing
-   and version moves that the current packing forbids. *)
-let try_nudge st rng =
+(* Move kind 1: reassign node [n] to a different library version of its
+   class (see [version_verdict]).  The only move kind with a nonzero
+   energy delta. *)
+let try_version_move st rng temp =
   let n = Rng.int rng (Array.length st.version) in
+  match alternatives st n with
+  | [] -> `Rejected
+  | alts -> (
+    let v = st.version.(n) in
+    let v' = List.nth alts (Rng.int rng (List.length alts)) in
+    match version_verdict st n v' with
+    | (`Rejected | `Pruned) as outcome -> outcome
+    | `Live target ->
+      let delta = neg_log v'.Resource.reliability -. neg_log v.Resource.reliability in
+      if not (accept ~rng ~temp ~delta) then `Rejected
+      else begin
+        remove_node st st.host.(n) n;
+        let slot =
+          match target with
+          | Some sl -> sl
+          | None ->
+            let sl = { res = v'; ops = [] } in
+            st.slots <- st.slots @ [ sl ];
+            st.area <- st.area + v'.Resource.area;
+            sl
+        in
+        slot.ops <- n :: slot.ops;
+        st.host.(n) <- slot;
+        st.version.(n) <- v';
+        st.energy <- st.energy +. delta;
+        busy_shift st ~removed:v ~added:v';
+        `Accepted
+      end)
+
+(* The start steps [lo, hi] node [n] may move to: after its last
+   predecessor finishes, finishing by its first successor's start and
+   the latency bound.  Empty when [hi < lo]. *)
+let nudge_window st n =
   let d = st.version.(n).Resource.delay in
   let lo =
     List.fold_left
@@ -303,16 +308,57 @@ let try_nudge st rng =
   let hi =
     List.fold_left (fun acc m -> min acc st.start.(m)) st.ld (Dfg.succs st.g n) - d
   in
+  (lo, hi)
+
+(* Can node [n] start at [s'] on its own instance? *)
+let nudge_fits st n s' =
+  s' <> st.start.(n)
+  && slot_fits st st.host.(n) ~excluding:n s' (s' + st.version.(n).Resource.delay)
+
+(* Move kind 2: move node [n]'s start step within [nudge_window].  Zero
+   energy delta (always accepted when legal); the value is unlocking
+   sharing and version moves that the current packing forbids. *)
+let try_nudge st rng =
+  let n = Rng.int rng (Array.length st.version) in
+  let lo, hi = nudge_window st n in
   if hi < lo then `Rejected
   else begin
     let s' = lo + Rng.int rng (hi - lo + 1) in
-    if s' = st.start.(n) then `Rejected
-    else if not (slot_fits st st.host.(n) ~excluding:n s' (s' + d)) then `Rejected
+    if not (nudge_fits st n s') then `Rejected
     else begin
       st.start.(n) <- s';
       `Accepted
     end
   end
+
+(* The other instances of node [n]'s version that can host it. *)
+let rebind_candidates st n =
+  let v = st.version.(n) in
+  let s = st.start.(n) in
+  let f = s + v.Resource.delay in
+  let home = st.host.(n) in
+  List.filter
+    (fun sl -> sl != home && sl.res.Resource.id = v.Resource.id && slot_fits st sl ~excluding:n s f)
+    st.slots
+
+(* The same-version operations on instances other than node [n]'s, in
+   node order. *)
+let swap_partners st n =
+  let v = st.version.(n) in
+  let home = st.host.(n) in
+  let partners = ref [] in
+  Array.iteri
+    (fun m (vm : Resource.t) ->
+      if m <> n && vm.Resource.id = v.Resource.id && st.host.(m) != home then
+        partners := m :: !partners)
+    st.version;
+  List.rev !partners
+
+(* Do nodes [n] and [m] fit each other's instances? *)
+let swap_fits st n m =
+  let span i = (st.start.(i), st.start.(i) + st.version.(i).Resource.delay) in
+  let s, f = span n and ms, mf = span m in
+  slot_fits st st.host.(m) ~excluding:m s f && slot_fits st st.host.(n) ~excluding:n ms mf
 
 (* Move kind 3: migrate node [n] to another compatible instance of its
    version (possibly emptying — and freeing — its old instance), or
@@ -320,39 +366,21 @@ let try_nudge st rng =
    instance when both fit each other's slots.  Zero energy delta. *)
 let try_rebind st rng =
   let n = Rng.int rng (Array.length st.version) in
-  let v = st.version.(n) in
-  let s = st.start.(n) in
-  let f = s + v.Resource.delay in
   let home = st.host.(n) in
-  let candidates =
-    List.filter
-      (fun sl ->
-        sl != home && sl.res.Resource.id = v.Resource.id && slot_fits st sl ~excluding:n s f)
-      st.slots
-  in
-  match candidates with
-  | _ :: _ ->
+  match rebind_candidates st n with
+  | _ :: _ as candidates ->
     let sl = List.nth candidates (Rng.int rng (List.length candidates)) in
     remove_node st home n;
     sl.ops <- n :: sl.ops;
     st.host.(n) <- sl;
     `Accepted
   | [] -> (
-    let partners = ref [] in
-    Array.iteri
-      (fun m (vm : Resource.t) ->
-        if m <> n && vm.Resource.id = v.Resource.id && st.host.(m) != home then
-          partners := m :: !partners)
-      st.version;
-    match List.rev !partners with
+    match swap_partners st n with
     | [] -> `Rejected
     | partners ->
       let m = List.nth partners (Rng.int rng (List.length partners)) in
-      let other = st.host.(m) in
-      let ms = st.start.(m) in
-      let mf = ms + st.version.(m).Resource.delay in
-      if slot_fits st other ~excluding:m s f && slot_fits st home ~excluding:n ms mf
-      then begin
+      if swap_fits st n m then begin
+        let other = st.host.(m) in
         home.ops <- m :: List.filter (fun x -> x <> n) home.ops;
         other.ops <- n :: List.filter (fun x -> x <> m) other.ops;
         st.host.(n) <- other;
@@ -360,6 +388,57 @@ let try_rebind st rng =
         `Accepted
       end
       else `Rejected)
+
+(* --- the frozen-state proof ------------------------------------------ *)
+
+(* A state is frozen when no move of any kind can be accepted from it,
+   whatever the draw: every version move is rejected or pruned before
+   [accept], no nudge fits, no node has a rebind candidate and no swap
+   fits.  Such a state never changes, so a chain from it is fully
+   described by the draws [step] makes and these tables of their
+   outcomes, per node: one flag per alternative version ([alternatives]
+   order) saying whether the occupancy bound prunes it, the width of
+   the nudge window, and the number of swap partners. *)
+type frozen = { prunes : bool array array; widths : int array; partners : int array }
+
+exception Live
+
+(* [Some] tables iff [st] is frozen.  Nudges and rebind candidates are
+   the cheapest kinds to check and the likeliest to be live, so they go
+   first, and the first live move ends the proof. *)
+let frozen st =
+  let nodes = Array.length st.version in
+  try
+    let widths =
+      Array.init nodes (fun n ->
+          let lo, hi = nudge_window st n in
+          for s' = lo to hi do
+            if nudge_fits st n s' then raise Live
+          done;
+          max 0 (hi - lo + 1))
+    in
+    for n = 0 to nodes - 1 do
+      if rebind_candidates st n <> [] then raise Live
+    done;
+    let partners =
+      Array.init nodes (fun n ->
+          let ps = swap_partners st n in
+          if List.exists (swap_fits st n) ps then raise Live;
+          List.length ps)
+    in
+    let prunes =
+      Array.init nodes (fun n ->
+          Array.of_list
+            (List.map
+               (fun v' ->
+                 match version_verdict st n v' with
+                 | `Live _ -> raise Live
+                 | `Pruned -> true
+                 | `Rejected -> false)
+               (alternatives st n)))
+    in
+    Some { prunes; widths; partners }
+  with Live -> None
 
 (* --- chains ----------------------------------------------------------- *)
 
@@ -391,6 +470,29 @@ let run_moves ch k =
     | `Accepted ->
       ch.accepted <- ch.accepted + 1;
       if better_than ch.st ch.best then ch.best <- snap_of ch.st
+  done
+
+(* [run_moves] on a frozen chain, without evaluating a move: the draws
+   [step] makes, in its order — the kind, the node, then the
+   alternative only when the node has one, the nudge offset only when
+   its window is non-empty, the swap partner only when it has one — and
+   the outcome of each read off the tables.  Nothing is accepted, so
+   the chain's state and incumbent stay as they are. *)
+let replay_moves fz ch k =
+  let nodes = Array.length fz.widths in
+  for _ = 1 to k do
+    ch.attempted <- ch.attempted + 1;
+    let kind = Rng.int ch.rng 4 in
+    let n = Rng.int ch.rng nodes in
+    if kind <= 1 then begin
+      let prunes = fz.prunes.(n) in
+      let alts = Array.length prunes in
+      if alts > 0 && prunes.(Rng.int ch.rng alts) then ch.pruned <- ch.pruned + 1
+    end
+    else begin
+      let width = if kind = 2 then fz.widths.(n) else fz.partners.(n) in
+      if width > 0 then ignore (Rng.int ch.rng width)
+    end
   done
 
 (* Deterministic parallel tempering: adjacent-in-temperature pairs,
@@ -490,12 +592,16 @@ let improve ?domains ?(params = default_params) ~ld ~ad seed_design =
       let total = max 0 params.moves in
       let rounds = (total + per_round - 1) / per_round in
       let exchanged = ref 0 in
+      (* every chain starts from [base], and a frozen state stays frozen
+         whatever the temperature exchanges do: they swap temperatures,
+         and no move of a frozen state reaches the Metropolis draw *)
+      let run = match frozen base with Some fz -> replay_moves fz | None -> run_moves in
       for r = 0 to rounds - 1 do
         let k = min per_round (total - (r * per_round)) in
         (* each chain mutates only its own state and stream; Pool.map
            preserves input order and joins before returning, so the
            round is identical for every domain count *)
-        ignore (Pool.map ?domains (fun ch -> run_moves ch k; ch.cid) chains);
+        ignore (Pool.map ?domains (fun ch -> run ch k; ch.cid) chains);
         if r < rounds - 1 then exchange_temps chains xrng r exchanged
       done;
       let winner =
@@ -575,6 +681,44 @@ let run_chain_for_test ?(seed = 1) ?(temp = 0.08) ?(moves = 200) ~ld ~ad d =
       | Error e -> failwith ("anneal state failed to package: " ^ e))
   done;
   List.rev !acc
+
+let frozen_replay_check ?(seed = 1) ~ld ~ad d =
+  let st = state_of_design d ~ld ~ad in
+  match frozen st with
+  | None -> Ok false
+  | Some fz ->
+    let moves = 400 in
+    let rng = Rng.create seed in
+    let chain () =
+      {
+        cid = 0;
+        st = copy_state st;
+        rng = Rng.copy rng;
+        temp = default_params.t0;
+        best = snap_of st;
+        attempted = 0;
+        accepted = 0;
+        pruned = 0;
+      }
+    in
+    let moved = chain () and replayed = chain () in
+    run_moves moved moves;
+    replay_moves fz replayed moves;
+    (* splitmix64 maps its state to the next draw one to one, so equal
+       next draws mean equal stream states *)
+    let next_moved = Rng.int64 moved.rng and next_replayed = Rng.int64 replayed.rng in
+    if moved.accepted <> 0 then
+      Error
+        (Printf.sprintf "a state proven frozen accepted %d of %d moves (ld %d ad %d)"
+           moved.accepted moves ld ad)
+    else if moved.attempted <> replayed.attempted || moved.pruned <> replayed.pruned then
+      Error
+        (Printf.sprintf
+           "replay disagrees with the moves: attempted %d vs %d, pruned %d vs %d (ld %d ad %d)"
+           moved.attempted replayed.attempted moved.pruned replayed.pruned ld ad)
+    else if not (Int64.equal next_moved next_replayed) then
+      Error (Printf.sprintf "replay leaves the RNG stream elsewhere (ld %d ad %d)" ld ad)
+    else Ok true
 
 let optimum ?(max_nodes = 6) g lib ~ld ~ad =
   let n = Dfg.node_count g in
@@ -777,3 +921,17 @@ let () =
           (Printf.sprintf
              "anneal result depends on the domain count:\n  1 -> %s\n  2 -> %s\n  4 -> %s"
              r1 r2 r4))
+
+(* The greedy seed of a fuzz cell, checked by [frozen_replay_check]. *)
+let frozen_replay_case ~aux spec =
+  let g = Gen.graph_of_spec spec in
+  let lib = Gen.random_library aux in
+  let ld, ad = fuzz_bounds ~aux g lib in
+  let seed = 1 + Rng.int aux 1_000_000 in
+  match Engine.synthesize g lib ~ld ~ad with
+  | Error _ -> Ok false
+  | Ok greedy -> frozen_replay_check ~seed ~ld ~ad greedy
+
+let () =
+  Fuzz.register_property ~name:"anneal-frozen-replay" (fun ~aux spec ->
+      Result.map ignore (frozen_replay_case ~aux spec))

@@ -34,6 +34,18 @@
     lower bound [sum_v area_v * ceil(busy_v / ld)] (DESIGN.md §14/§15)
     — counted in the [anneal.pruned] telemetry.
 
+    Before the first move, the seed state is checked once for being
+    {e frozen}: no nudge target fits, no node has a rebind candidate,
+    no swap fits, and every version move is illegal, pruned or over
+    the area bound before it reaches the Metropolis draw.  A frozen
+    state can never change (temperature exchanges swap temperatures
+    only), so its chains are replayed instead of run: each makes the
+    RNG draws a move would make, in the same order, and reads each
+    outcome off per-node tables built by the check.  Statistics, the
+    result and the RNG streams are those of running every move (DESIGN.md
+    §15); a state that is not frozen pays only for the checks up to its
+    first live move.
+
     The annealer is seeded from the greedy engine's result and keeps
     the incumbent best, so the annealed design is {e never worse than
     greedy by construction}; it replaces the greedy result only when
@@ -120,6 +132,22 @@ val run_chain_for_test :
     accepted move (raises [Failure] if any visited state fails to
     package) — the move-legality tests validate each with the
     independent checker. *)
+
+val frozen_replay_check : ?seed:int -> ld:int -> ad:int -> Design.t -> (bool, string) result
+(** Test surface for the frozen-state replay.  [Ok false] when the
+    design's state is not proven frozen.  Otherwise one chain runs 400
+    moves one by one at the hottest default temperature and one replays
+    them, each from its own copy of the RNG seeded with [seed]
+    (default 1): [Ok true] when the moving chain accepted nothing and
+    the two agree on the moves attempted, the moves pruned and the
+    final RNG state, [Error] naming the first disagreement. *)
+
+val frozen_replay_case : aux:Rng.t -> Rchls_check.Gen.spec -> (bool, string) result
+(** The [anneal-frozen-replay] fuzz property on one case:
+    {!frozen_replay_check} on the greedy design of the blueprint's
+    graph under a random library and knee bounds drawn from [aux]
+    ([Ok false] also when greedy finds no design).  Exposed so a test
+    can count the cases that reach a frozen state. *)
 
 val optimum : ?max_nodes:int -> Dfg.t -> Library.t -> ld:int -> ad:int -> float option
 (** The {e true} optimum reliability under the bounds, by exhaustive

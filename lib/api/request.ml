@@ -58,6 +58,52 @@ type job =
 
 type t = { id : string option; job : job }
 
+(* --- parameter domains ------------------------------------------------ *)
+
+(* Each bound and annealer knob has a lower limit; the first parameter
+   below its limit is reported as (field, problem).  The decoder and the
+   CLI both check through here. *)
+let at_least lo name v =
+  if v >= lo then Ok () else Error (name, Printf.sprintf "must be at least %d (got %d)" lo v)
+
+let all_at_least lo name vs =
+  match List.find_opt (fun v -> v < lo) vs with
+  | None -> Ok ()
+  | Some v -> Error (name, Printf.sprintf "entries must be at least %d (got %d)" lo v)
+
+let ( let* ) = Result.bind
+
+let bounds_valid ~ld ~ad =
+  let* () = at_least 1 "ld" ld in
+  at_least 1 "ad" ad
+
+let synth_valid (s : synth) = bounds_valid ~ld:s.ld ~ad:s.ad
+
+let anneal_valid (a : anneal) =
+  let* () = bounds_valid ~ld:a.ld ~ad:a.ad in
+  let* () = at_least 0 "moves" a.moves in
+  let* () = at_least 1 "chains" a.chains in
+  at_least 1 "exchange" a.exchange
+
+let sweep_valid (w : sweep) =
+  let* () = all_at_least 1 "lds" w.lds in
+  all_at_least 1 "ads" w.ads
+
+let validate = function
+  | Synth s | Check s -> synth_valid s
+  | Anneal a -> anneal_valid a
+  | Sweep w | Explore w -> sweep_valid w
+  | Fuzz _ | Ping | Stats | Health -> Ok ()
+
+(* Seal a job record whose decoded values must pass [valid]. *)
+let seal_valid valid r =
+  Schema.seal_with
+    (fun what v ->
+      match valid v with
+      | Ok () -> Ok v
+      | Error (name, problem) -> Error (Printf.sprintf "%s: field %S %s" what name problem))
+    r
+
 (* --- field descriptors (one list per record; both directions derive
    from it) ---------------------------------------------------------- *)
 
@@ -116,7 +162,7 @@ let synth =
     |+ ad (fun (s : synth) -> s.ad)
     |+ strategy (fun (s : synth) -> s.strategy)
     |+ scheduler (fun (s : synth) -> s.scheduler)
-    |> seal)
+    |> seal_valid synth_valid)
 
 (* The synth fields plus the annealer's knobs, every knob defaulted to
    [Rchls_anneal.Anneal.default_params]'s value — a bare synth request
@@ -135,7 +181,7 @@ let anneal =
     |+ dflt "moves" int 2000 (fun (a : anneal) -> a.moves)
     |+ dflt "chains" int 4 (fun (a : anneal) -> a.chains)
     |+ dflt "exchange" int 50 (fun (a : anneal) -> a.exchange)
-    |> seal)
+    |> seal_valid anneal_valid)
 
 (* An explore job has the shape of a sweep, but its bound lists may be
    omitted (or empty): the explorer then plans the plane itself from
@@ -153,7 +199,7 @@ let sweep ~planned =
     |+ bounds "ads" (fun (w : sweep) -> w.ads)
     |+ dflt "approach" (enum approaches) Ours (fun (w : sweep) -> w.approach)
     |+ scheduler (fun (w : sweep) -> w.scheduler)
-    |> seal)
+    |> seal_valid sweep_valid)
 
 let fuzz =
   Schema.(

@@ -125,6 +125,16 @@ val approaches : (string * approach) list
 val name_of : (string * 'a) list -> 'a -> string
 (** [name_of table v] is [v]'s name in [table]. *)
 
+val validate : job -> (unit, string * string) result
+(** The parameter domains: latency and area bounds, and every entry of
+    a sweep's or an explore's bound lists, at least 1; annealer
+    [chains] and [exchange] at least 1 and [moves] at least 0.
+    [Error (field, problem)] names the first parameter outside its
+    domain, e.g. [("ld", "must be at least 1 (got 0)")].  {!decode}
+    rejects such a job with ["<kind>.params: field \"ld\" must be at
+    least 1 (got 0)"]; the CLI rejects its flags through the same
+    check. *)
+
 val job_kind : job -> string
 (** ["synth" | "anneal" | "sweep" | "explore" | "check" | "fuzz" |
     "ping" | "stats" | "health"]. *)

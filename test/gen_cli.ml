@@ -166,6 +166,14 @@ let transcript () =
   entry [ "synth"; "nosuch"; "--ld"; "1"; "--ad"; "1" ];
   entry [ "synth"; "fig4" ];
   entry (fig4 @ [ "--scheduler"; "density-reference" ]);
+  (* parameters below their lower limits *)
+  entry [ "synth"; "fir16"; "--ld"; "0"; "--ad"; "10" ];
+  entry [ "synth"; "fig4"; "--ld"; "5"; "--ad"; "0" ];
+  entry [ "sweep"; "fig4"; "--lds"; "0,5"; "--ads"; "3" ];
+  entry [ "explore"; "fig4"; "--ads"; "4,-1" ];
+  entry (fir16 "anneal" @ [ "--chains=-3" ]);
+  entry (fir16 "anneal" @ [ "--exchange=-1" ]);
+  entry (fir16 "anneal" @ [ "--moves=-5" ]);
   entry [ "bench"; "nosuch" ];
   entry [ "experiment"; "nosuch" ];
   entry [ "library"; "-L"; "nosuch.lib" ];

@@ -208,6 +208,14 @@ let bad_requests =
     req {|"job":"sweep","params":{"graph":{"name":"ewf"},"lds":[1,"2"],"ads":[1]}|};
     req {|"job":"ping","params":{"x":1}|};
     req {|"job":"fuzz","params":{"properties":"bind"}|};
+    (* parameters below their lower limits *)
+    req {|"job":"synth","params":{"graph":{"name":"fir16"},"ld":0,"ad":10}|};
+    req {|"job":"check","params":{"graph":{"name":"fig4"},"ld":5,"ad":0}|};
+    req {|"job":"sweep","params":{"graph":{"name":"fig4"},"lds":[0,5],"ads":[3]}|};
+    req {|"job":"explore","params":{"graph":{"name":"fig4"},"ads":[4,-1]}|};
+    req {|"job":"anneal","params":{"graph":{"name":"fir16"},"ld":12,"ad":10,"chains":-3}|};
+    req {|"job":"anneal","params":{"graph":{"name":"fir16"},"ld":12,"ad":10,"exchange":-1}|};
+    req {|"job":"anneal","params":{"graph":{"name":"fir16"},"ld":12,"ad":10,"moves":-5}|};
   ]
 
 let resp = Printf.sprintf {|{"api":"rchls.api/1","status":"ok","result":%s}|}

@@ -205,6 +205,102 @@ let test_pinned_benchmarks () =
       (Benchmarks.ar_lattice, 10, 12, true, "0.74406497229783741", "0.76226772399677467");
     ]
 
+(* --- the frozen-state replay ------------------------------------------ *)
+
+(* The fuzz property over seeded cases: wherever the proof calls the
+   greedy seed frozen, replaying a chain must agree draw for draw with
+   running it move by move.  Enough cases are run that some reach a
+   frozen state, so the agreement is checked, not assumed. *)
+let test_frozen_replay_fuzz_cases () =
+  let frozen = ref 0 in
+  for seed = 1 to 300 do
+    let spec = Gen.random_spec (Rng.create seed) in
+    match Anneal.frozen_replay_case ~aux:(Rng.create (1000 + seed)) spec with
+    | Ok true -> incr frozen
+    | Ok false -> ()
+    | Error e -> Alcotest.failf "case %d: %s" seed e
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d frozen cases reached" !frozen) true (!frozen >= 1)
+
+(* A hand-placed design over [Library.table1]: per node its operation,
+   version id and start step, the graph's edges, and the instances as
+   (version id, hosted nodes), indexed per version in list order. *)
+let placed_design ~name nodes ~edges instances =
+  let ops = Array.of_list (List.map (fun (op, _, _) -> op) nodes) in
+  let version = Array.of_list (List.map (fun (_, v, _) -> Library.find_exn lib v) nodes) in
+  let starts = Array.of_list (List.map (fun (_, _, s) -> s) nodes) in
+  let g = Gen.graph_of_spec ~name { Gen.ops; edges } in
+  let ( let* ) = Result.bind in
+  let design =
+    let* schedule =
+      Rchls_sched.Schedule.make g ~delay:(fun nd -> version.(nd.Dfg.id).Resource.delay) ~starts
+    in
+    let counts = Hashtbl.create 4 in
+    let* binding =
+      Rchls_binding.Binding.of_instances ~node_count:(Array.length ops)
+        (List.map
+           (fun (v, hosted) ->
+             let index = Option.value ~default:0 (Hashtbl.find_opt counts v) in
+             Hashtbl.replace counts v (index + 1);
+             { Rchls_binding.Binding.resource = Library.find_exn lib v; index; ops = hosted })
+           instances)
+    in
+    Design.of_parts g lib ~assignment:(fun nd -> version.(nd.Dfg.id)) ~schedule ~binding
+  in
+  match design with
+  | Error e -> Alcotest.failf "%s does not build: %s" name e
+  | Ok d ->
+    Alcotest.(check (list string)) (name ^ " legal") []
+      (List.map (fun v -> v.Check.invariant) (Check.design_violations d));
+    d
+
+(* A frozen state whose nodes have swap partners, which no greedy seed
+   of the benchmarks or the fuzz cases has: at ld 4 every start is
+   pinned by its neighbours; the adders n [0,2) and a [2,4) share one
+   add1 and b [1,3) has the other, so neither a rebind nor a swap
+   fits; the multipliers p [0,1) and s [3,4) share one mul2; every
+   faster adder is pruned at ad 6 and the slower multiplier overruns
+   a successor. *)
+let test_frozen_replay_with_partners () =
+  let d =
+    placed_design ~name:"partners"
+      [
+        (Op.Add, "add1", 0); (Op.Add, "add1", 2); (Op.Mul, "mul2", 0); (Op.Add, "add1", 1);
+        (Op.Mul, "mul2", 3);
+      ]
+      ~edges:[ (0, 1); (2, 3); (3, 4) ]
+      [ ("add1", [ 0; 1 ]); ("add1", [ 3 ]); ("mul2", [ 2; 4 ]) ]
+  in
+  List.iter
+    (fun seed ->
+      match Anneal.frozen_replay_check ~seed ~ld:4 ~ad:6 d with
+      | Ok frozen -> Alcotest.(check bool) (Printf.sprintf "seed %d frozen" seed) true frozen
+      | Error e -> Alcotest.failf "seed %d: %s" seed e)
+    [ 1; 2; 3 ];
+  (* one more area unit lets b onto a faster adder: no longer frozen *)
+  Alcotest.(check (result bool string)) "ad 7 is live" (Ok false)
+    (Anneal.frozen_replay_check ~ld:4 ~ad:7 d)
+
+(* The proof must see a live rebind on its own: the adder chain
+   x [0,2), y [2,4), z [4,6) shares one add1 and m [3,5) has the
+   other, pinned by a multiplier chain p1 p2 p3 -> m -> q.  x fits
+   m's instance, so it can move there, while every swap and every
+   other rebind collides, every start is pinned and every faster adder
+   is pruned at ad 6.  A proof that missed the rebind would call the
+   state frozen, and the chain run move by move would then accept it. *)
+let test_frozen_proof_sees_lone_rebind () =
+  let d =
+    placed_design ~name:"lone-rebind"
+      [
+        (Op.Add, "add1", 0); (Op.Add, "add1", 2); (Op.Add, "add1", 4); (Op.Mul, "mul2", 0);
+        (Op.Mul, "mul2", 1); (Op.Mul, "mul2", 2); (Op.Add, "add1", 3); (Op.Mul, "mul2", 5);
+      ]
+      ~edges:[ (0, 1); (1, 2); (3, 4); (4, 5); (5, 6); (6, 7) ]
+      [ ("add1", [ 0; 1; 2 ]); ("add1", [ 6 ]); ("mul2", [ 3; 4; 5; 7 ]) ]
+  in
+  Alcotest.(check (result bool string)) "not frozen" (Ok false)
+    (Anneal.frozen_replay_check ~ld:6 ~ad:6 d)
+
 (* --- the exhaustive oracle -------------------------------------------- *)
 
 (* Bounds that exercise the knee of a small graph: latency one step
@@ -309,6 +405,12 @@ let () =
           Alcotest.test_case "domain-count invariant" `Quick test_domain_count_invariance;
         ] );
       ("pinned", [ Alcotest.test_case "paper benchmarks" `Quick test_pinned_benchmarks ]);
+      ( "frozen",
+        [
+          Alcotest.test_case "fuzz cases replay" `Quick test_frozen_replay_fuzz_cases;
+          Alcotest.test_case "swap partners replay" `Quick test_frozen_replay_with_partners;
+          Alcotest.test_case "lone rebind is live" `Quick test_frozen_proof_sees_lone_rebind;
+        ] );
       ( "oracle",
         [
           Alcotest.test_case "annealer bounded by optimum" `Quick test_oracle_bounds_annealer;

@@ -60,13 +60,16 @@ let gen_scheduler = Gen.oneofl [ Request.Density; Request.Force_directed ]
 let gen_approach = Gen.oneofl [ Request.Ours; Request.Baseline; Request.Combined ]
 let gen_bound = Gen.int_range 0 1000
 
+(* A request's latency and area bounds start at 1 ([Request.validate]). *)
+let gen_request_bound = Gen.int_range 1 1000
+
 let gen_synth =
   Gen.(
     map
       (fun (graph, library, ld, ad, strategy, scheduler) ->
         { Request.graph; library; ld; ad; strategy; scheduler })
-      (tup6 gen_source gen_library_source gen_bound gen_bound gen_strategy
-         gen_scheduler))
+      (tup6 gen_source gen_library_source gen_request_bound gen_request_bound
+         gen_strategy gen_scheduler))
 
 let gen_sweep =
   Gen.(
@@ -74,8 +77,8 @@ let gen_sweep =
       (fun (graph, library, lds, ads, approach, scheduler) ->
         { Request.graph; library; lds; ads; approach; scheduler })
       (tup6 gen_source gen_library_source
-         (list_size (int_range 0 5) gen_bound)
-         (list_size (int_range 0 5) gen_bound)
+         (list_size (int_range 0 5) gen_request_bound)
+         (list_size (int_range 0 5) gen_request_bound)
          gen_approach gen_scheduler))
 
 let gen_fuzz =
@@ -103,8 +106,8 @@ let gen_anneal =
           exchange;
         })
       (tup2
-         (tup6 gen_source gen_library_source gen_bound gen_bound gen_strategy
-            gen_scheduler)
+         (tup6 gen_source gen_library_source gen_request_bound gen_request_bound
+            gen_strategy gen_scheduler)
          (tup4 (int_range 0 10_000) (int_range 0 10_000) (int_range 1 16)
             (int_range 1 500))))
 
@@ -401,6 +404,60 @@ let test_anneal_decode () =
   ignore
     (expect_error "anneal requires bounds"
        (req_line {|"job":"anneal","params":{"graph":{"name":"ewf"},"ld":19}|}))
+
+(* Each bound and annealer knob is checked against its lower limit,
+   inclusive, by [Request.validate] and by the decoder alike. *)
+let test_parameter_domains () =
+  let anneal ?(ld = 8) ?(ad = 300) ?(moves = 2000) ?(chains = 4) ?(exchange = 50) () =
+    Request.Anneal
+      {
+        Request.graph = Request.Named "fig4";
+        library = Request.Lib_default;
+        ld;
+        ad;
+        strategy = Request.Best;
+        scheduler = Request.Density;
+        seed = 1;
+        moves;
+        chains;
+        exchange;
+      }
+  in
+  let sweep lds ads =
+    Request.Sweep
+      {
+        Request.graph = Request.Named "fig4";
+        library = Request.Lib_default;
+        lds;
+        ads;
+        approach = Request.Ours;
+        scheduler = Request.Density;
+      }
+  in
+  let verdict job =
+    match Request.validate job with Ok () -> "ok" | Error (field, _) -> field
+  in
+  List.iter
+    (fun (what, job, expected) ->
+      Alcotest.(check string) what expected (verdict job);
+      let decoded = Request.of_string (Request.to_string { Request.id = None; job }) in
+      Alcotest.(check bool)
+        (what ^ ": decode agrees")
+        (expected = "ok")
+        (Result.is_ok decoded))
+    [
+      ("lowest bounds", anneal ~ld:1 ~ad:1 (), "ok");
+      ("no moves", anneal ~moves:0 (), "ok");
+      ("one chain, exchange every move", anneal ~chains:1 ~exchange:1 (), "ok");
+      ("ld 0", anneal ~ld:0 (), "ld");
+      ("ad -2", anneal ~ad:(-2) (), "ad");
+      ("moves -5", anneal ~moves:(-5) (), "moves");
+      ("chains 0", anneal ~chains:0 (), "chains");
+      ("exchange -1", anneal ~exchange:(-1) (), "exchange");
+      ("empty lists", sweep [] [], "ok");
+      ("lds entry 0", sweep [ 5; 0 ] [ 3 ], "lds");
+      ("ads entry 0", sweep [ 5 ] [ 0 ], "ads");
+    ]
 
 let test_explore_bounds_optional () =
   (* An explore job is a sweep whose bound lists may be omitted — the
@@ -948,6 +1005,31 @@ let test_serve_rejects_malformed () =
               ("check", {|"ld":12,"ad":10|});
               ("sweep", {|"lds":[12],"ads":[10]|});
               ("explore", {|"lds":[12],"ads":[10]|});
+            ];
+          (* A parameter outside its domain is bad_request naming the
+             field, never internal. *)
+          List.iter
+            (fun (job, params, field) ->
+              check_ok "send"
+                (Client.send_raw c
+                   (req_line
+                      (Printf.sprintf {|"job":"%s","params":{"graph":{"name":"fig4"},%s}|}
+                         job params)));
+              match check_ok "recv" (Client.recv c) with
+              | { Response.result = Error { code = Response.Bad_request; message }; _ } ->
+                Alcotest.(check bool)
+                  (job ^ " names " ^ field) true
+                  (contains ~affix:(Printf.sprintf "field %S must be at least" field) message
+                  || contains ~affix:(Printf.sprintf "field %S entries" field) message)
+              | _ -> Alcotest.failf "%s with a bad %s: expected bad_request" job field)
+            [
+              ("synth", {|"ld":0,"ad":10|}, "ld");
+              ("check", {|"ld":5,"ad":0|}, "ad");
+              ("sweep", {|"lds":[0,5],"ads":[3]|}, "lds");
+              ("explore", {|"ads":[4,-1]|}, "ads");
+              ("anneal", {|"ld":8,"ad":300,"chains":-3|}, "chains");
+              ("anneal", {|"ld":8,"ad":300,"exchange":-1|}, "exchange");
+              ("anneal", {|"ld":8,"ad":300,"moves":-5|}, "moves");
             ]))
 
 (* Connection teardown must close each socket descriptor exactly once.
@@ -1298,6 +1380,7 @@ let () =
             test_missing_required_rejected;
           Alcotest.test_case "defaults applied" `Quick test_defaults_applied;
           Alcotest.test_case "anneal decode" `Quick test_anneal_decode;
+          Alcotest.test_case "parameter domains" `Quick test_parameter_domains;
           Alcotest.test_case "explore bounds optional" `Quick
             test_explore_bounds_optional;
           Alcotest.test_case "explore job executes" `Slow
