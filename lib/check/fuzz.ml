@@ -340,9 +340,11 @@ let builtin_properties =
    sweep in [Rchls_experiments] registers its pruned-vs-reference
    differential here — it cannot be a built-in because this library
    sits below the experiments layer).  Registered properties append
-   after the built-ins in registration order, so the case streams of
-   existing properties — keyed by position in the full list — never
-   shift when one is added. *)
+   after the built-ins in registration order.  Case streams are keyed
+   by position in the full list, so adding a property leaves the
+   built-ins and every earlier registration where they were, but moves
+   each property registered after it — including ones from a library
+   that initializes later, whatever the order of their source. *)
 let registered : property list ref = ref []
 
 let register_property ~name run =

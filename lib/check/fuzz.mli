@@ -60,8 +60,12 @@ val register_property :
     this way at module-initialization time).  The property receives
     the generated blueprint and the auxiliary random stream, and
     reports a counterexample through [Error]; failures shrink exactly
-    like the built-ins'.  Appending never shifts the case streams of
-    existing properties (they are keyed by list position).  Raises
+    like the built-ins'.  Case streams are keyed by position in
+    {!property_names}: a new property never shifts the built-ins or
+    the properties registered before it, but it shifts every property
+    registered after it (library initialization order decides which
+    those are: [Rchls_anneal]'s properties register before
+    [Rchls_experiments]' [explore-differential]).  Raises
     [Invalid_argument] on a duplicate name. *)
 
 val run :

@@ -29,18 +29,18 @@ let check_assignment g assignment =
          (Resource.class_name (assignment nd).Resource.op_class))
   | None -> Ok ()
 
-let realize ?(scheduler = `Density) g lib ~assignment ~latency =
+let first_schedule ?(scheduler = `Density) g ~delay ~latency =
+  match scheduler with
+  | `Density -> Rchls_sched.Density_sched.run g ~delay ~latency
+  | `Density_reference -> Rchls_sched.Density_sched.run_reference g ~delay ~latency
+  | `Force_directed -> Rchls_sched.Force_directed.run g ~delay ~latency
+
+let realize_scheduled ?(scheduler = `Density) g lib ~assignment ~latency ~schedule =
   match check_assignment g assignment with
   | Error e -> Error e
   | Ok () ->
     let delay (nd : Dfg.node) = (assignment nd).Resource.delay in
-    let sched_result =
-      match scheduler with
-      | `Density -> Rchls_sched.Density_sched.run g ~delay ~latency
-      | `Density_reference -> Rchls_sched.Density_sched.run_reference g ~delay ~latency
-      | `Force_directed -> Rchls_sched.Force_directed.run g ~delay ~latency
-    in
-    (match sched_result with
+    (match schedule () with
     | Error e -> Error e
     | Ok schedule ->
       (* The area-minimizing packer sometimes beats the distribution
@@ -85,6 +85,12 @@ let realize ?(scheduler = `Density) g lib ~assignment ~latency =
       in
       let arr = Array.init (Dfg.node_count g) (fun id -> assignment (Dfg.node g id)) in
       Ok { graph = g; library = lib; assignment = arr; schedule; binding })
+
+let realize ?scheduler g lib ~assignment ~latency =
+  realize_scheduled ?scheduler g lib ~assignment ~latency ~schedule:(fun () ->
+      first_schedule ?scheduler g
+        ~delay:(fun (nd : Dfg.node) -> (assignment nd).Resource.delay)
+        ~latency)
 
 let of_parts g lib ~assignment ~schedule ~binding =
   match check_assignment g assignment with

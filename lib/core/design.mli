@@ -28,6 +28,31 @@ val realize :
     assignment, bind, and package.  Fails if the latency is infeasible
     or a version belongs to the wrong class. *)
 
+val first_schedule :
+  ?scheduler:scheduler ->
+  Dfg.t ->
+  delay:(Dfg.node -> int) ->
+  latency:int ->
+  (Rchls_sched.Schedule.t, string) result
+(** The scheduling stage of {!realize}: the chosen scheduler alone.  It
+    reads only the graph, each node's delay and the latency — never a
+    version's reliability or area — so every assignment with the same
+    delay vector gets the same result. *)
+
+val realize_scheduled :
+  ?scheduler:scheduler ->
+  Dfg.t ->
+  Library.t ->
+  assignment:(Dfg.node -> Resource.t) ->
+  latency:int ->
+  schedule:(unit -> (Rchls_sched.Schedule.t, string) result) ->
+  (t, string) result
+(** {!realize} with its scheduling stage supplied: after the assignment
+    check, [schedule ()] must return what {!first_schedule} returns for
+    the assignment's delays (the engine answers it from its schedule
+    memo).  The packer, the binding and the packaging run as in
+    {!realize}, which is this function over {!first_schedule}. *)
+
 val realize_exn :
   ?scheduler:scheduler ->
   Dfg.t ->

@@ -50,11 +50,20 @@ type trace_event =
    deterministic functions of the key's preimage, so concurrent
    insert order never changes what a lookup returns.  An [overlay]
    gives a worker a private write layer over a shared parent; the
-   worker's discoveries are published with [merge] afterwards. *)
+   worker's discoveries are published with [merge] afterwards.
+
+   Beside the designs sits the schedule memo: the first-stage
+   scheduler's result keyed by the exact (scheduler, latency, delay
+   vector) it read.  Versions that share a delay share a schedule, so
+   a design miss often finds its schedule already computed.  The memo
+   belongs to the root; overlays share it rather than layering it,
+   since its values too depend only on their keys. *)
+
+type ('k, 'v) sharded = { tables : ('k, 'v) Hashtbl.t array; locks : Mutex.t array }
 
 type cache = {
-  shards : (int64, (Design.t, string) result) Hashtbl.t array;
-  locks : Mutex.t array;
+  designs : (int64, (Design.t, string) result) sharded;
+  schedules : (string, (Rchls_sched.Schedule.t, string) result) sharded;
   parent : cache option;
   hits : int Atomic.t;  (* accounted at the root, across overlays *)
   misses : int Atomic.t;
@@ -64,10 +73,27 @@ type cache_stats = { entries : int; hits : int; misses : int }
 
 let cache_shards = 16
 
+let sharded () =
+  {
+    tables = Array.init cache_shards (fun _ -> Hashtbl.create 64);
+    locks = Array.init cache_shards (fun _ -> Mutex.create ());
+  }
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let sharded_find s i key =
+  with_lock s.locks.(i) (fun () -> Hashtbl.find_opt s.tables.(i) key)
+
+let sharded_add s i key v =
+  with_lock s.locks.(i) (fun () ->
+      if not (Hashtbl.mem s.tables.(i) key) then Hashtbl.add s.tables.(i) key v)
+
 let make_cache parent =
   {
-    shards = Array.init cache_shards (fun _ -> Hashtbl.create 64);
-    locks = Array.init cache_shards (fun _ -> Mutex.create ());
+    designs = sharded ();
+    schedules = (match parent with Some p -> p.schedules | None -> sharded ());
     parent;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -77,20 +103,12 @@ let create_cache () = make_cache None
 let overlay_cache parent = make_cache (Some parent)
 let shard_of key = Int64.to_int key land (cache_shards - 1)
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let rec cache_find c key =
-  let i = shard_of key in
-  match with_lock c.locks.(i) (fun () -> Hashtbl.find_opt c.shards.(i) key) with
+  match sharded_find c.designs (shard_of key) key with
   | Some _ as r -> r
   | None -> ( match c.parent with Some p -> cache_find p key | None -> None)
 
-let cache_add c key v =
-  let i = shard_of key in
-  with_lock c.locks.(i) (fun () ->
-      if not (Hashtbl.mem c.shards.(i) key) then Hashtbl.add c.shards.(i) key v)
+let cache_add c key v = sharded_add c.designs (shard_of key) key v
 
 (* Per-cache effectiveness accounting, rolled up at the root so a
    cache shared across requests (the serve daemon's warm tier) reports
@@ -103,7 +121,7 @@ let rec cache_root c = match c.parent with None -> c | Some p -> cache_root p
 let cache_stats c =
   let root = cache_root c in
   let entries =
-    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 root.shards
+    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 root.designs.tables
   in
   {
     entries;
@@ -115,11 +133,11 @@ let cache_merge ~into src =
   Array.iteri
     (fun i tbl ->
       let entries =
-        with_lock src.locks.(i) (fun () ->
+        with_lock src.designs.locks.(i) (fun () ->
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
       in
       List.iter (fun (k, v) -> cache_add into k v) entries)
-    src.shards
+    src.designs.tables
 
 type ctx = {
   graph : Dfg.t;
@@ -301,18 +319,54 @@ let design_checker_installed () = Atomic.get design_checker <> None
 let run_checker d =
   match Atomic.get design_checker with None -> () | Some f -> f d
 
-let realize ctx ~latency =
-  Telemetry.incr "engine.realize";
-  let compute () =
+(* The schedule memo's key: the scheduler, the latency and every
+   node's delay, written out in full (one byte per delay below 255, an
+   escape byte and eight bytes otherwise) so that two keys are equal
+   exactly when their preimages are.  The first-stage scheduler reads
+   nothing else, so equal keys ask for equal schedules. *)
+let schedule_key ctx ~latency =
+  let b = Buffer.create (Array.length ctx.assignment + 9) in
+  Buffer.add_char b
+    (match ctx.scheduler with
+    | `Density -> 'd'
+    | `Density_reference -> 'r'
+    | `Force_directed -> 'f');
+  Buffer.add_int64_le b (Int64.of_int latency);
+  Array.iter
+    (fun (r : Resource.t) ->
+      let d = r.Resource.delay in
+      if d >= 0 && d < 255 then Buffer.add_uint8 b d
+      else begin
+        Buffer.add_uint8 b 255;
+        Buffer.add_int64_le b (Int64.of_int d)
+      end)
+    ctx.assignment;
+  Buffer.contents b
+
+let memo_schedule ctx ~latency () =
+  let key = schedule_key ctx ~latency in
+  let i = Hashtbl.hash key land (cache_shards - 1) in
+  match sharded_find ctx.cache.schedules i key with
+  | Some r ->
+    Telemetry.incr "cache.schedule_hits";
+    r
+  | None ->
     let r =
-      Design.realize ~scheduler:ctx.scheduler ctx.graph ctx.library
-        ~assignment:(fun (nd : Dfg.node) -> ctx.assignment.(nd.id))
+      Design.first_schedule ~scheduler:ctx.scheduler ctx.graph ~delay:(delay_of ctx)
         ~latency
     in
+    sharded_add ctx.cache.schedules i key r;
+    r
+
+let realize ctx ~latency =
+  Telemetry.incr "engine.realize";
+  let assignment (nd : Dfg.node) = ctx.assignment.(nd.id) in
+  let checked r =
     (match r with Ok d -> run_checker d | Error _ -> ());
     r
   in
-  if not ctx.use_cache then compute ()
+  if not ctx.use_cache then
+    checked (Design.realize ~scheduler:ctx.scheduler ctx.graph ctx.library ~assignment ~latency)
   else begin
     let key = fingerprint ctx ~latency in
     match cache_find ctx.cache key with
@@ -323,7 +377,12 @@ let realize ctx ~latency =
     | None ->
       Telemetry.incr "cache.misses";
       Atomic.incr (cache_root ctx.cache).misses;
-      let r = Trace.with_span "engine.design_eval" compute in
+      let r =
+        Trace.with_span "engine.design_eval" (fun () ->
+            checked
+              (Design.realize_scheduled ~scheduler:ctx.scheduler ctx.graph ctx.library
+                 ~assignment ~latency ~schedule:(memo_schedule ctx ~latency)))
+      in
       cache_add ctx.cache key r;
       r
   end

@@ -17,13 +17,16 @@
       {e memoized evaluation cache} keyed by the assignment
       fingerprint and scheduling latency (the latency/area loops and
       the [`Best] strategy's two directions repeatedly re-realize
-      identical assignments);
+      identical assignments), and a miss takes its schedule from a
+      {e schedule memo} keyed by the exact delay vector and latency
+      (versions of equal delay schedule alike);
     - the critical-path latency of the current assignment is
       maintained {e incrementally} (topological worklist from the
       changed node) instead of recomputed from scratch after every
       single-victim move;
     - the work done is observable through [Rchls_util.Telemetry]
-      counters ([cache.hits], [cache.misses], [engine.realize],
+      counters ([cache.hits], [cache.misses], [cache.schedule_hits],
+      [engine.realize],
       [downgrade.steps], [refine.upgrades], [latency.sparse_updates])
       and per-pass timers ([pass.meet_latency], ...).
 
@@ -75,7 +78,13 @@ type cache
     [`Best] strategy's two pipeline runs, the worker domains of a
     parallel refine round, and every cell of a design-space sweep all
     share one.  Values are deterministic functions of the key's
-    preimage, so sharing never changes results. *)
+    preimage, so sharing never changes results.
+
+    Beside the designs, the cache holds the schedule memo: the
+    first-stage scheduler's result (errors included) per exact
+    (scheduler, latency, per-node delay vector).  The scheduler reads
+    nothing else, so assignments that differ only in versions of equal
+    delay share one entry; each reuse counts [cache.schedule_hits]. *)
 
 val create_cache : unit -> cache
 
@@ -112,8 +121,9 @@ val create :
     Every version handled by the context (initial or moved-to) must
     belong to the library — versions are interned to small codes for
     fingerprinting.  [use_cache:false] (default [true]) makes
-    {!realize} bypass the memoization table — every evaluation reruns
-    the scheduler and binder; results must be unchanged (tested).
+    {!realize} bypass the memoization table and the schedule memo —
+    every evaluation reruns the scheduler and binder; results must be
+    unchanged (tested).
     [domains] (default 1) fans the {!refine} and {!recovery} move
     evaluations over that many worker domains; results are identical
     for every value (tested). *)
@@ -140,7 +150,9 @@ val fingerprint : ctx -> latency:int -> int64
     for the collision-safety tests. *)
 
 val realize : ctx -> latency:int -> (Design.t, string) result
-(** Schedule + bind the current assignment at [latency], memoized. *)
+(** Schedule + bind the current assignment at [latency], memoized; on
+    an evaluation-cache miss the schedule comes from the schedule
+    memo. *)
 
 val set_design_checker : (Design.t -> unit) option -> unit
 (** Install (or with [None] remove) a validity checker called on every

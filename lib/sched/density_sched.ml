@@ -73,6 +73,23 @@ let run g ~delay ~latency =
     let rank = Array.make n 0 in
     Array.iteri (fun i (nd : Dfg.node) -> rank.(nd.id) <- i) topo;
     let pending = Array.make n false in
+    (* How many entries of [pending] are set: a propagation stops as
+       soon as its worklist is empty instead of walking every remaining
+       rank. *)
+    let n_pending = ref 0 in
+    let mark j =
+      if not pending.(j) then begin
+        pending.(j) <- true;
+        incr n_pending
+      end
+    in
+    let take j =
+      pending.(j) && begin
+        pending.(j) <- false;
+        decr n_pending;
+        true
+      end
+    in
     (* Move one node's mass to its new range. *)
     let retighten j ~asap' ~alap' =
       if asap' <> asap.(j) || alap' <> alap.(j) then begin
@@ -89,42 +106,38 @@ let run g ~delay ~latency =
        [constrained_ranges] recompute: every recomputation reads final
        predecessor (resp. successor) values, and fixing a node only
        raises downstream ASAPs and lowers upstream ALAPs, leaving the
-       rest of the recurrence untouched. *)
+       rest of the recurrence untouched.  Every pending node lies
+       strictly ahead of the scan (successors rank higher, predecessors
+       lower), so the scan ends before running off the order. *)
     let propagate_asap id =
-      List.iter (fun s -> pending.(s) <- true) (Dfg.succs g id);
-      for i = rank.(id) + 1 to n - 1 do
-        let j = topo.(i).Dfg.id in
-        if pending.(j) then begin
-          pending.(j) <- false;
-          if chosen.(j) < 0 then begin
-            let earliest =
-              List.fold_left
-                (fun acc p -> max acc (asap.(p) + delays.(p)))
-                0 (Dfg.preds g j)
-            in
-            if retighten j ~asap':earliest ~alap':alap.(j) then
-              List.iter (fun s -> pending.(s) <- true) (Dfg.succs g j)
-          end
-        end
+      List.iter mark (Dfg.succs g id);
+      let i = ref (rank.(id) + 1) in
+      while !n_pending > 0 do
+        let j = topo.(!i).Dfg.id in
+        if take j && chosen.(j) < 0 then begin
+          let earliest =
+            List.fold_left (fun acc p -> max acc (asap.(p) + delays.(p))) 0 (Dfg.preds g j)
+          in
+          if retighten j ~asap':earliest ~alap':alap.(j) then List.iter mark (Dfg.succs g j)
+        end;
+        incr i
       done
     in
     let propagate_alap id =
-      List.iter (fun p -> pending.(p) <- true) (Dfg.preds g id);
-      for i = rank.(id) - 1 downto 0 do
-        let j = topo.(i).Dfg.id in
-        if pending.(j) then begin
-          pending.(j) <- false;
-          if chosen.(j) < 0 then begin
-            let latest =
-              List.fold_left
-                (fun acc s -> min acc (alap.(s) - delays.(j)))
-                (latency - delays.(j))
-                (Dfg.succs g j)
-            in
-            if retighten j ~asap':asap.(j) ~alap':latest then
-              List.iter (fun p -> pending.(p) <- true) (Dfg.preds g j)
-          end
-        end
+      List.iter mark (Dfg.preds g id);
+      let i = ref (rank.(id) - 1) in
+      while !n_pending > 0 do
+        let j = topo.(!i).Dfg.id in
+        if take j && chosen.(j) < 0 then begin
+          let latest =
+            List.fold_left
+              (fun acc s -> min acc (alap.(s) - delays.(j)))
+              (latency - delays.(j))
+              (Dfg.succs g j)
+          in
+          if retighten j ~asap':asap.(j) ~alap':latest then List.iter mark (Dfg.preds g j)
+        end;
+        decr i
       done
     in
     let place (nd : Dfg.node) =

@@ -1,7 +1,7 @@
 (* Engine refactor invariants: the memoized evaluation cache, the
-   incremental critical-path maintenance and the Domain-parallel sweep
-   driver must all be invisible — identical results to the naive
-   sequential, cache-free computation. *)
+   schedule memo beside it, the incremental critical-path maintenance
+   and the Domain-parallel sweep driver must all be invisible —
+   identical results to the naive sequential, cache-free computation. *)
 
 open Rchls_dfg
 module Engine = Rchls_core.Engine
@@ -11,6 +11,10 @@ module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Sweep = Rchls_experiments.Sweep
 module Telemetry = Rchls_util.Telemetry
+module Schedule = Rchls_sched.Schedule
+module Binding = Rchls_binding.Binding
+module Gen = Rchls_check.Gen
+module Rng = Rchls_util.Rng
 
 let lib = Library.table1
 
@@ -77,6 +81,106 @@ let prop_cache_transparent g_name g =
         (Printf.sprintf "%s ld=%d ad=%d" g_name ld ad)
         raw cached;
       true)
+
+(* --- schedule memo ---------------------------------------------------- *)
+
+let starts d = Schedule.starts (Design.schedule d)
+
+(* Node-by-node hosting: the version and instance index of each
+   operation's unit. *)
+let hosting d =
+  List.map
+    (fun (nd : Dfg.node) ->
+      let i = Binding.instance_of_node (Design.binding d) nd.id in
+      (i.Binding.resource.Resource.id, i.Binding.index))
+    (Dfg.nodes (Design.graph d))
+
+let same_design a b =
+  starts a = starts b
+  && Design.latency a = Design.latency b
+  && Design.area a = Design.area b
+  && Design.reliability a = Design.reliability b
+
+(* Random graphs and libraries under every scheduler: [use_cache:false]
+   runs every scheduler call, [use_cache:true] answers repeated delay
+   vectors from the memo, and the two must agree design for design.
+   Bounds follow the fuzz harness's engine differential: the
+   fastest-version ASAP latency plus slack, and an area budget that
+   covers feasible and infeasible runs. *)
+let prop_memo_transparent =
+  QCheck2.Test.make ~name:"memo transparent on random inputs, every scheduler" ~count:60
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Gen.graph_of_spec (Gen.random_spec rng) in
+      let lib = Gen.random_library rng in
+      let versions (nd : Dfg.node) = Library.versions lib (Op.resource_class nd.op) in
+      let fastest nd =
+        List.fold_left (fun acc (v : Resource.t) -> min acc v.delay) max_int (versions nd)
+      in
+      let ld = Analysis.asap_latency g ~delay:fastest + Rng.int rng 4 in
+      let max_area =
+        Dfg.fold_nodes g ~init:0 (fun acc nd ->
+            acc + List.fold_left (fun m (v : Resource.t) -> max m v.area) 0 (versions nd))
+      in
+      let ad = 1 + Rng.int rng max_area in
+      List.iter
+        (fun (name, scheduler) ->
+          let run use_cache = Engine.synthesize ~scheduler ~use_cache ~domains:1 g lib ~ld ~ad in
+          match (run true, run false) with
+          | Ok a, Ok b ->
+            if not (same_design a b) then
+              Alcotest.failf "seed %d, %s (ld=%d, ad=%d): memoized design differs" seed
+                name ld ad
+          | Error a, Error b when a = b -> ()
+          | _ ->
+            Alcotest.failf "seed %d, %s (ld=%d, ad=%d): outcomes differ" seed name ld ad)
+        [
+          ("density", `Density);
+          ("density-reference", `Density_reference);
+          ("force-directed", `Force_directed);
+        ];
+      true)
+
+(* On fig4 (adders only) add2 and add3 both take one cycle, so the
+   all-add2 and all-add3 assignments have one delay vector: the second
+   realization must reuse the first one's schedule, and each must still
+   bind and cost exactly what a fresh [Design.realize] gives. *)
+let test_memo_shared_by_equal_delays () =
+  let g = Benchmarks.example_fig4 in
+  let add2 = Library.find_exn lib "add2" and add3 = Library.find_exn lib "add3" in
+  Alcotest.(check int) "add2 and add3 share a delay" add2.Resource.delay add3.Resource.delay;
+  let latency = 6 in
+  let cache = Engine.create_cache () in
+  let ctx = Engine.create ~cache g lib ~ld:latency ~ad:1000 ~initial:(fun _ -> add2) in
+  let realize v =
+    Dfg.iter_nodes g (fun (nd : Dfg.node) -> Engine.set_version ctx nd.id v);
+    let hits = Telemetry.counter "cache.schedule_hits" in
+    let memo = Result.get_ok (Engine.realize ctx ~latency) in
+    let fresh = Design.realize_exn g lib ~assignment:(fun _ -> v) ~latency in
+    Alcotest.(check (list (pair string int)))
+      (v.Resource.id ^ ": binding") (hosting fresh) (hosting memo);
+    Alcotest.(check int) (v.Resource.id ^ ": area") (Design.area fresh) (Design.area memo);
+    Alcotest.(check bool) (v.Resource.id ^ ": design") true (same_design fresh memo);
+    Telemetry.counter "cache.schedule_hits" - hits
+  in
+  Alcotest.(check int) "first delay vector is computed" 0 (realize add2);
+  Alcotest.(check int) "equal delay vector hits the memo" 1 (realize add3);
+  Alcotest.(check int) "two designs cached" 2 (Engine.cache_stats cache).entries
+
+(* The memo is shared by every domain working on one cache: a sweep at
+   2 domains fills it concurrently, a 1-domain sweep then reads it, and
+   both must equal a sweep on a cache of its own. *)
+let test_memo_shared_across_domains () =
+  List.iter
+    (fun (name, g, lds, ads) ->
+      let cache = Engine.create_cache () in
+      let par = Sweep.run ~domains:2 ~cache Sweep.Ours g lib ~lds ~ads in
+      let seq = Sweep.run ~domains:1 ~cache Sweep.Ours g lib ~lds ~ads in
+      let own = Sweep.run ~domains:1 Sweep.Ours g lib ~lds ~ads in
+      check_cells (name ^ " shared 2 vs 1") par seq;
+      check_cells (name ^ " shared vs own cache") own seq)
+    sweep_grids
 
 (* --- incremental latency == from-scratch latency -------------------- *)
 
@@ -222,6 +326,14 @@ let () =
           qt (prop_cache_transparent "fir16" Benchmarks.fir16);
           qt (prop_cache_transparent "diffeq" Benchmarks.diffeq);
           qt (prop_cache_transparent "ewf" Benchmarks.ewf);
+        ] );
+      ( "schedule memo",
+        [
+          qt prop_memo_transparent;
+          Alcotest.test_case "equal delays share one entry" `Quick
+            test_memo_shared_by_equal_delays;
+          Alcotest.test_case "one cache, 1 and 2 domains" `Quick
+            test_memo_shared_across_domains;
         ] );
       ( "incremental latency",
         [
