@@ -758,7 +758,10 @@ let explore_cmd =
             scheduler = Request.Density;
           }
       in
-      let key = Request.cache_key ~graph_text ~library_text job in
+      let key =
+        Request.cache_key ~graph_digest:(Rchls_util.Fnv.hash_string graph_text)
+          ~library_digest:(Rchls_util.Fnv.hash_string library_text) job
+      in
       let cached =
         match (disk, key) with
         | Some d, Some k -> Option.map (fun v -> (k, v)) (Diskcache.find d k)

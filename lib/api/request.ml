@@ -253,8 +253,8 @@ let of_string line =
    replaced by fingerprints of their resolved texts; hashing this
    rendering keys the response cache on what the job will actually
    compute on, not on how the inputs were referenced. *)
-let cache_key ?graph_text ?library_text job =
-  let fp text = Json.Obj [ ("fp", Json.Str (Fnv.to_hex (Fnv.hash_string text))) ] in
+let cache_key ?graph_digest ?library_digest job =
+  let fp digest = Json.Obj [ ("fp", Json.Str (Fnv.to_hex digest)) ] in
   let keyed sources =
     let replace = function
       | Json.Obj ps ->
@@ -268,7 +268,7 @@ let cache_key ?graph_text ?library_text job =
       Some (Fnv.hash_string (Json.to_string doc))
     | _ -> None
   in
-  match (job, graph_text, library_text) with
+  match (job, graph_digest, library_digest) with
   | (Ping | Stats | Health), _, _ -> None
   | Fuzz _, _, _ -> keyed []
   | _, Some g, Some l -> keyed [ (graph_field, fp g); (library_field, fp l) ]

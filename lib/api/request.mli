@@ -152,15 +152,16 @@ val of_string : string -> (t, string) result
 (** Parse + {!decode}. *)
 
 val cache_key :
-  ?graph_text:string -> ?library_text:string -> job -> int64 option
+  ?graph_digest:int64 -> ?library_digest:int64 -> job -> int64 option
 (** The two-tier response-cache key: a 64-bit FNV-1a digest over the
     schema version, the job kind and the job's canonical parameter
     encoding, with the [graph]/[library] sources replaced by FNV-1a
     fingerprints of their {e resolved} canonical texts — so ["ewf"]
     requested by name and the same graph sent inline share one cache
-    entry, and a changed library file changes the key.  [graph_text] /
-    [library_text] are the resolved texts (required for jobs that
-    carry sources; ignored by {!Fuzz}).  [None] for {!Ping}, {!Stats}
-    and {!Health}, which are never cached, and for source-carrying
-    jobs whose resolved texts were not supplied.  The key doubles as
+    entry, and a changed library file changes the key.  [graph_digest]
+    / [library_digest] are [Fnv.hash_string] of the resolved texts
+    (required for jobs that carry sources; ignored by {!Fuzz}).
+    [None] for {!Ping}, {!Stats} and {!Health}, which are never
+    cached, and for source-carrying jobs whose digests were not
+    supplied.  The key doubles as
     the on-disk cache file name (16 hex digits; see DESIGN.md §12). *)

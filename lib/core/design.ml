@@ -179,3 +179,8 @@ let pp_report ppf t =
     (instance_histogram t);
   Format.fprintf ppf "  schedule:@.";
   Schedule.pp ppf t.schedule
+
+(* The record, the assignment, the schedule's record and two arrays,
+   and the binding's node array, instance records and operation lists:
+   about ten words per node when half the nodes share an instance. *)
+let footprint_bytes t = Sys.word_size / 8 * ((10 * Array.length t.assignment) + 24)

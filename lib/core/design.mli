@@ -107,3 +107,7 @@ val min_feasible_latency : t -> int
 
 val pp_report : Format.formatter -> t -> unit
 (** Multi-line human-readable summary. *)
+
+val footprint_bytes : t -> int
+(** An O(1) estimate of the heap bytes the design holds beyond the
+    graph and library it shares — the engine's design-memo cost. *)

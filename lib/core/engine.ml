@@ -42,102 +42,58 @@ type trace_event =
 
 (* --- context ------------------------------------------------------- *)
 
-(* The evaluation cache is sharded and mutex-protected so one cache can
-   be shared across domains: between the [`Best] strategy's two
+(* The evaluation cache is two memos, sharded so one cache can be
+   shared across domains: between the [`Best] strategy's two
    directions, across the move evaluators of a parallel refine round,
-   and across every cell of a design-space sweep.  Keys are the int64
-   FNV-1a fingerprint of (interned version codes, latency); values are
-   deterministic functions of the key's preimage, so concurrent
-   insert order never changes what a lookup returns.  An [overlay]
-   gives a worker a private write layer over a shared parent; the
-   worker's discoveries are published with [merge] afterwards.
+   and across every cell of a design-space sweep.  The design memo
+   maps the int64 FNV-1a fingerprint of (interned version codes,
+   latency) to the realized design.  Beside it sits the schedule memo:
+   the first-stage scheduler's result keyed by the exact (scheduler,
+   latency, delay vector) it read.  Versions that share a delay share
+   a schedule, so a design miss often finds its schedule already
+   computed.  Every value is a deterministic function of its key's
+   preimage, so concurrent insert order never changes what a lookup
+   returns, and an eviction only costs a recomputation.
 
-   Beside the designs sits the schedule memo: the first-stage
-   scheduler's result keyed by the exact (scheduler, latency, delay
-   vector) it read.  Versions that share a delay share a schedule, so
-   a design miss often finds its schedule already computed.  The memo
-   belongs to the root; overlays share it rather than layering it,
-   since its values too depend only on their keys. *)
+   The bounds are per cache; the largest working set of a perfbench
+   workload is under half of each (DESIGN.md, the memo table). *)
 
-type ('k, 'v) sharded = { tables : ('k, 'v) Hashtbl.t array; locks : Mutex.t array }
+module Memo = Rchls_util.Memo
 
 type cache = {
-  designs : (int64, (Design.t, string) result) sharded;
-  schedules : (string, (Rchls_sched.Schedule.t, string) result) sharded;
-  parent : cache option;
-  hits : int Atomic.t;  (* accounted at the root, across overlays *)
-  misses : int Atomic.t;
+  designs : (int64, (Design.t, string) result) Memo.t;
+  schedules : (string, (Rchls_sched.Schedule.t, string) result) Memo.t;
 }
 
-type cache_stats = { entries : int; hits : int; misses : int }
-
 let cache_shards = 16
+let design_max_entries = 4096
+let design_max_bytes = 16 lsl 20
+let schedule_max_entries = 2048
+let schedule_max_bytes = 4 lsl 20
 
-let sharded () =
+(* Entry costs in bytes: the table bucket, the boxed key and the
+   result box come to about nine words beside the key's and the
+   value's own blocks; an error is its message. *)
+let word = Sys.word_size / 8
+let result_bytes bytes = function Ok v -> bytes v | Error e -> String.length e + (4 * word)
+
+(* A schedule is a record and two int arrays of one slot per node. *)
+let schedule_bytes s =
+  word * ((2 * Dfg.node_count (Rchls_sched.Schedule.graph s)) + 7)
+
+let create_cache () =
   {
-    tables = Array.init cache_shards (fun _ -> Hashtbl.create 64);
-    locks = Array.init cache_shards (fun _ -> Mutex.create ());
+    designs =
+      Memo.create ~name:"cache" ~shards:cache_shards ~max_entries:design_max_entries
+        ~max_bytes:design_max_bytes
+        ~cost:(fun _ r -> (9 * word) + result_bytes Design.footprint_bytes r)
+        ();
+    schedules =
+      Memo.create ~name:"cache.schedule" ~shards:cache_shards
+        ~max_entries:schedule_max_entries ~max_bytes:schedule_max_bytes
+        ~cost:(fun k r -> (8 * word) + String.length k + result_bytes schedule_bytes r)
+        ();
   }
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let sharded_find s i key =
-  with_lock s.locks.(i) (fun () -> Hashtbl.find_opt s.tables.(i) key)
-
-let sharded_add s i key v =
-  with_lock s.locks.(i) (fun () ->
-      if not (Hashtbl.mem s.tables.(i) key) then Hashtbl.add s.tables.(i) key v)
-
-let make_cache parent =
-  {
-    designs = sharded ();
-    schedules = (match parent with Some p -> p.schedules | None -> sharded ());
-    parent;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-  }
-
-let create_cache () = make_cache None
-let overlay_cache parent = make_cache (Some parent)
-let shard_of key = Int64.to_int key land (cache_shards - 1)
-
-let rec cache_find c key =
-  match sharded_find c.designs (shard_of key) key with
-  | Some _ as r -> r
-  | None -> ( match c.parent with Some p -> cache_find p key | None -> None)
-
-let cache_add c key v = sharded_add c.designs (shard_of key) key v
-
-(* Per-cache effectiveness accounting, rolled up at the root so a
-   cache shared across requests (the serve daemon's warm tier) reports
-   its cumulative hit rate regardless of which worker overlay did the
-   lookup.  Distinct from the global [cache.hits]/[cache.misses]
-   telemetry: these survive [Telemetry.reset] and are scoped to one
-   cache object. *)
-let rec cache_root c = match c.parent with None -> c | Some p -> cache_root p
-
-let cache_stats c =
-  let root = cache_root c in
-  let entries =
-    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 root.designs.tables
-  in
-  {
-    entries;
-    hits = Atomic.get root.hits;
-    misses = Atomic.get root.misses;
-  }
-
-let cache_merge ~into src =
-  Array.iteri
-    (fun i tbl ->
-      let entries =
-        with_lock src.designs.locks.(i) (fun () ->
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-      in
-      List.iter (fun (k, v) -> cache_add into k v) entries)
-    src.designs.tables
 
 type ctx = {
   graph : Dfg.t;
@@ -344,19 +300,9 @@ let schedule_key ctx ~latency =
   Buffer.contents b
 
 let memo_schedule ctx ~latency () =
-  let key = schedule_key ctx ~latency in
-  let i = Hashtbl.hash key land (cache_shards - 1) in
-  match sharded_find ctx.cache.schedules i key with
-  | Some r ->
-    Telemetry.incr "cache.schedule_hits";
-    r
-  | None ->
-    let r =
+  Memo.find_or_add ctx.cache.schedules (schedule_key ctx ~latency) (fun () ->
       Design.first_schedule ~scheduler:ctx.scheduler ctx.graph ~delay:(delay_of ctx)
-        ~latency
-    in
-    sharded_add ctx.cache.schedules i key r;
-    r
+        ~latency)
 
 let realize ctx ~latency =
   Telemetry.incr "engine.realize";
@@ -367,42 +313,28 @@ let realize ctx ~latency =
   in
   if not ctx.use_cache then
     checked (Design.realize ~scheduler:ctx.scheduler ctx.graph ctx.library ~assignment ~latency)
-  else begin
-    let key = fingerprint ctx ~latency in
-    match cache_find ctx.cache key with
-    | Some r ->
-      Telemetry.incr "cache.hits";
-      Atomic.incr (cache_root ctx.cache).hits;
-      r
-    | None ->
-      Telemetry.incr "cache.misses";
-      Atomic.incr (cache_root ctx.cache).misses;
-      let r =
+  else
+    Memo.find_or_add ctx.cache.designs (fingerprint ctx ~latency) (fun () ->
         Trace.with_span "engine.design_eval" (fun () ->
             checked
               (Design.realize_scheduled ~scheduler:ctx.scheduler ctx.graph ctx.library
-                 ~assignment ~latency ~schedule:(memo_schedule ctx ~latency)))
-      in
-      cache_add ctx.cache key r;
-      r
-  end
+                 ~assignment ~latency ~schedule:(memo_schedule ctx ~latency))))
 
 let realize_current ctx = realize ctx ~latency:ctx.schedule_latency
 
 (* A private copy of the mutable context state for one worker domain:
    moves are applied and realized on the clone without disturbing the
-   main context, and evaluations cache into a private overlay whose
-   entries are published with [cache_merge] when the worker is done.
-   Evaluation is a deterministic function of the (shared, frozen
-   during a parallel round) base state, so a result computed on a
-   clone is the result the sequential scan would have computed. *)
+   main context, and evaluations go straight into the shared cache
+   (its values depend only on their keys).  Evaluation is a
+   deterministic function of the (shared, frozen during a parallel
+   round) base state, so a result computed on a clone is the result
+   the sequential scan would have computed. *)
 let clone_for_worker ctx =
   {
     ctx with
     assignment = Array.copy ctx.assignment;
     codes = Array.copy ctx.codes;
     asap = Array.copy ctx.asap;
-    cache = overlay_cache ctx.cache;
     domains = 1;
     trace = (fun _ -> ());
   }
@@ -716,15 +648,11 @@ let recovery =
                 let probe (ids, v) =
                   let w = clone_for_worker ctx in
                   List.iter (fun id -> set_version w id v) ids;
-                  let ok =
-                    current_latency w <= w.ld
-                    &&
-                    match realize_current w with
-                    | Ok d -> Design.area d < area_before
-                    | Error _ -> false
-                  in
-                  cache_merge ~into:ctx.cache w.cache;
-                  ok
+                  current_latency w <= w.ld
+                  &&
+                  match realize_current w with
+                  | Ok d -> Design.area d < area_before
+                  | Error _ -> false
                 in
                 let rec take k = function
                   | x :: rest when k > 0 ->
@@ -844,7 +772,6 @@ let refine =
                         | None -> None
                         | Some d -> Some (ids, v, Design.reliability d)
                       in
-                      cache_merge ~into:ctx.cache w.cache;
                       (r, (w.ad_lo, w.ad_hi)))
                     candidates
                 in

@@ -25,8 +25,8 @@
       changed node) instead of recomputed from scratch after every
       single-victim move;
     - the work done is observable through [Rchls_util.Telemetry]
-      counters ([cache.hits], [cache.misses], [cache.schedule_hits],
-      [engine.realize],
+      counters ([cache.hits], [cache.misses], [cache.schedule.hits],
+      [cache.schedule.misses], [engine.realize],
       [downgrade.steps], [refine.upgrades], [latency.sparse_updates])
       and per-pass timers ([pass.meet_latency], ...).
 
@@ -71,33 +71,25 @@ type trace_event =
 (** {1 Engine context} *)
 
 type cache
-(** A memoization table mapping the int64 fingerprint of (interned
-    version codes, latency) to realized designs.  A cache belongs to
-    one (graph, library, scheduler) combination; it is sharded and
-    mutex-protected, so one cache may be shared across domains — the
-    [`Best] strategy's two pipeline runs, the worker domains of a
-    parallel refine round, and every cell of a design-space sweep all
-    share one.  Values are deterministic functions of the key's
-    preimage, so sharing never changes results.
+(** The evaluation cache of one (graph, library, scheduler)
+    combination: two sharded {!Rchls_util.Memo}s, so one cache may be
+    shared across domains — the [`Best] strategy's two pipeline runs,
+    the worker domains of a parallel refine round, and every cell of a
+    design-space sweep all share one.
 
-    Beside the designs, the cache holds the schedule memo: the
-    first-stage scheduler's result (errors included) per exact
-    (scheduler, latency, per-node delay vector).  The scheduler reads
-    nothing else, so assignments that differ only in versions of equal
-    delay share one entry; each reuse counts [cache.schedule_hits]. *)
+    The design memo maps the int64 fingerprint of (interned version
+    codes, latency) to the realized design and counts [cache.hits],
+    [cache.misses] and [cache.evictions].  The schedule memo maps the
+    exact (scheduler, latency, per-node delay vector) to the
+    first-stage scheduler's result, errors included; the scheduler
+    reads nothing else, so assignments that differ only in versions of
+    equal delay share one entry.  It counts [cache.schedule.hits],
+    [cache.schedule.misses] and [cache.schedule.evictions].  Values
+    are deterministic functions of the key's preimage, so sharing and
+    eviction never change results.  Both memos are bounded in entries
+    and bytes (DESIGN.md, the memo table). *)
 
 val create_cache : unit -> cache
-
-type cache_stats = { entries : int; hits : int; misses : int }
-
-val cache_stats : cache -> cache_stats
-(** Cumulative effectiveness of one cache object: realized designs
-    held (across all shards), and the hit/miss counts of every lookup
-    that went through it (rolled up at the root across worker
-    overlays).  Unlike the [cache.hits]/[cache.misses] telemetry
-    counters these are per-cache and survive [Telemetry.reset] — the
-    serve daemon uses them to report how warm each long-lived
-    per-(graph, library, scheduler) cache is. *)
 
 type ctx
 (** Shared state the passes operate on: the graph, library and bounds,

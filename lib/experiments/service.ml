@@ -7,6 +7,7 @@ module Check = Rchls_check.Check
 module Fuzz = Rchls_check.Fuzz
 module Anneal = Rchls_anneal.Anneal
 module Fnv = Rchls_util.Fnv
+module Memo = Rchls_util.Memo
 module Telemetry = Rchls_util.Telemetry
 
 (* --- API <-> core conversions -------------------------------------- *)
@@ -59,51 +60,13 @@ let outcome_of_fuzz (o : Fuzz.outcome) =
         o.failure;
   }
 
-(* --- engine-cache registry ----------------------------------------- *)
-
-(* One engine evaluation cache per (graph, library, scheduler): the
-   cache key preimage ([Engine.fingerprint]) covers version codes and
-   latency only, so sharing a cache across different inputs would be
-   unsound — the registry key carries everything else that shapes a
-   realized design. *)
-type t = {
-  mutex : Mutex.t;
-  caches : (string, Engine.cache) Hashtbl.t;
-}
-
-let create () = { mutex = Mutex.create (); caches = Hashtbl.create 16 }
-
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let registry_key ~graph_text ~library_text scheduler =
-  Printf.sprintf "%s:%s:%s"
-    (Fnv.to_hex (Fnv.hash_string graph_text))
-    (Fnv.to_hex (Fnv.hash_string library_text))
-    (Request.name_of Request.schedulers scheduler)
-
-let engine_cache t key =
-  locked t.mutex (fun () ->
-      match Hashtbl.find_opt t.caches key with
-      | Some c -> c
-      | None ->
-        let c = Engine.create_cache () in
-        Hashtbl.add t.caches key c;
-        c)
-
-let engine_cache_stats t =
-  locked t.mutex (fun () ->
-      Hashtbl.fold (fun k c acc -> (k, Engine.cache_stats c) :: acc) t.caches []
-      |> List.sort compare)
-
 (* --- input resolution ---------------------------------------------- *)
 
 type resolved = {
   graph : Rchls_dfg.Dfg.t;
   library : Rchls_charlib.Library.t;
-  graph_text : string;
-  library_text : string;
+  graph_digest : int64;
+  library_digest : int64;
 }
 
 let ( let* ) = Result.bind
@@ -119,12 +82,30 @@ let resolve_inputs graph_input library_input =
     {
       graph;
       library;
-      graph_text = Rchls_dfg.Parse.to_text graph;
-      library_text = Rchls_charlib.Library.to_text library;
+      graph_digest = Fnv.hash_string (Rchls_dfg.Parse.to_text graph);
+      library_digest = Fnv.hash_string (Rchls_charlib.Library.to_text library);
     }
 
 let resolve graph_src library_src =
   resolve_inputs (Loader.graph_input graph_src) (Loader.library_input library_src)
+
+(* --- engine-cache registry ----------------------------------------- *)
+
+(* One engine evaluation cache per (graph, library, scheduler): the
+   cache key preimage ([Engine.fingerprint]) covers version codes and
+   latency only, so sharing a cache across different inputs would be
+   unsound — the registry key carries everything else that shapes a
+   realized design.  Each cache is bounded by its own memos, so the
+   registry's entry bound bounds the whole. *)
+type t = (int64 * int64 * Request.scheduler, Engine.cache) Memo.t
+
+let registry_max_entries = 48
+
+let create () =
+  Memo.create ~name:"service.registry" ~gauge:true ~max_entries:registry_max_entries ()
+
+let engine_cache t r scheduler =
+  Memo.find_or_add t (r.graph_digest, r.library_digest, scheduler) Engine.create_cache
 
 (* --- the resolve memo ------------------------------------------------ *)
 
@@ -134,15 +115,9 @@ let resolve graph_src library_src =
    on a digest, so no collision can hand one graph another's
    resolution, and an edited file is a new key.  Errors are never
    stored: a failing source fails the same way on every call.  The
-   memo is cleared whole when an insert would pass either bound.  The
    shared graph and library values are only read after construction. *)
 let memo_max_entries = 256
 let memo_max_bytes = 4 lsl 20
-
-let memo : (unit Loader.input * unit Loader.input, resolved) Hashtbl.t =
-  Hashtbl.create 64
-let memo_bytes = ref 0
-let memo_mutex = Mutex.create ()
 
 let input_key : _ Loader.input -> unit Loader.input = function
   | Loader.Builtin (name, _) -> Loader.Builtin (name, ())
@@ -152,21 +127,11 @@ let input_bytes : unit Loader.input -> int = function
   | Loader.Builtin (name, ()) -> String.length name
   | Loader.Text text -> String.length text
 
-let memo_store key r =
-  let bytes = input_bytes (fst key) + input_bytes (snd key) in
-  if bytes <= memo_max_bytes then
-    locked memo_mutex (fun () ->
-        if not (Hashtbl.mem memo key) then begin
-          if
-            Hashtbl.length memo >= memo_max_entries
-            || !memo_bytes + bytes > memo_max_bytes
-          then begin
-            Hashtbl.reset memo;
-            memo_bytes := 0
-          end;
-          Hashtbl.add memo key r;
-          memo_bytes := !memo_bytes + bytes
-        end)
+let memo : (unit Loader.input * unit Loader.input, resolved) Memo.t =
+  Memo.create ~name:"service.resolve" ~gauge:true ~max_entries:memo_max_entries
+    ~max_bytes:memo_max_bytes
+    ~cost:(fun (g, l) _ -> input_bytes g + input_bytes l)
+    ()
 
 (* [store] keeps a miss's resolution.  Only {!cache_key} stores: the
    executors look up (a served miss finds what its key stored) but a
@@ -176,14 +141,11 @@ let resolve_memo ~store graph_src library_src =
   match (Loader.graph_input graph_src, Loader.library_input library_src) with
   | Ok gi, Ok li -> (
     let key = (input_key gi, input_key li) in
-    match locked memo_mutex (fun () -> Hashtbl.find_opt memo key) with
-    | Some r ->
-      Telemetry.incr "service.resolve.hits";
-      Ok r
+    match Memo.find memo key with
+    | Some r -> Ok r
     | None ->
-      Telemetry.incr "service.resolve.misses";
       let result = resolve_inputs (Ok gi) (Ok li) in
-      if store then Result.iter (memo_store key) result;
+      if store then Result.iter (Memo.add memo key) result;
       result)
   | graph_input, library_input -> resolve_inputs graph_input library_input
 
@@ -198,7 +160,7 @@ let cache_key job =
   | Request.Explore { graph; library; _ } ->
     let* r = resolve_memo ~store:true graph library in
     Ok
-      (Request.cache_key ~graph_text:r.graph_text ~library_text:r.library_text
+      (Request.cache_key ~graph_digest:r.graph_digest ~library_digest:r.library_digest
          job)
 
 (* --- executors ------------------------------------------------------ *)
@@ -216,12 +178,7 @@ let resolved_or ?resolved graph library =
   Ok r
 
 let shared_cache ?service ~resolved scheduler =
-  Option.map
-    (fun t ->
-      engine_cache t
-        (registry_key ~graph_text:resolved.graph_text
-           ~library_text:resolved.library_text scheduler))
-    service
+  Option.map (fun t -> engine_cache t resolved scheduler) service
 
 let run_synth ?service ?resolved ?domains (s : Request.synth) =
   let* r = resolved_or ?resolved s.graph s.library in

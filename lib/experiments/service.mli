@@ -9,11 +9,10 @@
     A {!t} is a registry of long-lived engine evaluation caches, one
     per (graph fingerprint, library fingerprint, scheduler): every
     synth/sweep/check job over the same inputs shares one sharded
-    cache, so repeated traffic in a daemon stays warm across requests
-    (PR4's incremental hot path, now persistent across jobs).  The
-    registry is mutex-protected and safe to share across domains;
-    results are independent of it — caches only memoize a
-    deterministic function. *)
+    cache, so repeated traffic in a daemon stays warm across requests.
+    The registry is bounded and safe to share across domains; results
+    are independent of it — caches only memoize a deterministic
+    function. *)
 
 module Request = Rchls_api.Request
 module Response = Rchls_api.Response
@@ -35,34 +34,36 @@ val outcome_of_fuzz : Fuzz.outcome -> Response.fuzz_outcome
 (** {1 Engine-cache registry} *)
 
 type t
+(** At most {!registry_max_entries} engine caches, in one
+    {!Rchls_util.Memo} named [service.registry] (counters
+    [service.registry.hits]/[.misses]/[.evictions], gauge
+    [service.registry.entries]); an insert past the bound drops every
+    cache held, which only costs recomputation. *)
 
 val create : unit -> t
 
-val engine_cache_stats :
-  t -> (string * Rchls_core.Engine.cache_stats) list
-(** One row per live engine cache, keyed
-    ["<graph-fp>:<library-fp>:<scheduler>"] — the daemon's warmth
-    telemetry. *)
+val registry_max_entries : int
 
 (** {1 Input resolution} *)
 
 type resolved = {
   graph : Rchls_dfg.Dfg.t;
   library : Rchls_charlib.Library.t;
-  graph_text : string;  (** canonical [.dfg] text of [graph] *)
-  library_text : string;  (** canonical text of [library] *)
+  graph_digest : int64;  (** FNV-1a of the canonical [.dfg] text of [graph] *)
+  library_digest : int64;  (** FNV-1a of the canonical text of [library] *)
 }
 
 val resolve :
   Request.source -> Request.library_source -> (resolved, string) result
-(** Load both inputs ({!Loader}) and render their canonical texts —
-    the texts feed {!Request.cache_key}, so a benchmark requested by
-    name and the same graph sent inline hash identically.  Always
-    loads afresh; the served path goes through the memo below. *)
+(** Load both inputs ({!Loader}) and digest their canonical texts —
+    the digests feed {!Request.cache_key} and the registry key, so a
+    benchmark requested by name and the same graph sent inline hash
+    identically.  Always loads afresh; the served path goes through
+    the memo below. *)
 
 val cache_key : Request.job -> (int64 option, string) result
 (** The job's response-cache key: resolve its sources through the
-    resolve memo, then {!Request.cache_key} over the canonical texts.
+    resolve memo, then {!Request.cache_key} over the carried digests.
     [Ok None] for jobs that are never cached ({!Request.Ping}); [Error]
     when a source fails to load. *)
 
@@ -77,10 +78,11 @@ val cache_key : Request.job -> (int64 option, string) result
     the file's contents, read again on every call so an edited file is
     a new key.  A hit skips parsing and canonical rendering; the key
     and every payload are those of {!resolve}.  Failed loads are never
-    stored.  Each lookup counts [service.resolve.hits] or
+    stored.  The memo is a {!Rchls_util.Memo} named [service.resolve]:
+    each lookup counts [service.resolve.hits] or
     [service.resolve.misses] (a source that cannot be read at all is no
-    lookup).  The memo is emptied whole when an insert would pass
-    either bound; it is safe to share across threads and domains. *)
+    lookup), and it is emptied whole when an insert would pass either
+    bound. *)
 
 val memo_max_entries : int
 (** Source pairs held at most. *)

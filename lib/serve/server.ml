@@ -5,6 +5,7 @@ module Json = Rchls_util.Json
 module Fnv = Rchls_util.Fnv
 module Pool = Rchls_util.Pool
 module Diskcache = Rchls_util.Diskcache
+module Memo = Rchls_util.Memo
 module Telemetry = Rchls_util.Telemetry
 module Trace = Rchls_util.Trace
 module Service = Rchls_experiments.Service
@@ -61,8 +62,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Unix.sockaddr;
   disk : Diskcache.t option;
-  mem : (int64, string) Hashtbl.t;
-  mem_mutex : Mutex.t;
+  mem : (int64, string) Memo.t;
   queue : job Queue.t;
   queue_mutex : Mutex.t;
   queue_cond : Condition.t;
@@ -173,29 +173,20 @@ let payload_of_disk_entry text =
       | Error _ -> None)
     | _ -> None)
 
-let mem_find t key = locked t.mem_mutex (fun () -> Hashtbl.find_opt t.mem key)
-
-(* The memory tier is bounded like the disk tier; eviction is
-   whole-table (the tier refills from disk at memory-hit speed). *)
-let mem_store t key payload_json =
-  locked t.mem_mutex (fun () ->
-      if Hashtbl.length t.mem >= t.config.cache_entries then Hashtbl.reset t.mem;
-      Hashtbl.replace t.mem key payload_json)
-
 let cache_find t key =
-  match mem_find t key with
+  match Memo.find t.mem key with
   | Some payload -> Some (Response.Memory, payload)
   | None ->
     Option.bind t.disk (fun d ->
         Option.bind (Diskcache.find d key) (fun text ->
             Option.map
               (fun payload ->
-                mem_store t key payload;
+                Memo.add t.mem key payload;
                 (Response.Disk, payload))
               (payload_of_disk_entry text)))
 
 let cache_store t key payload_json =
-  mem_store t key payload_json;
+  Memo.add t.mem key payload_json;
   Option.iter (fun d -> Diskcache.add d key (disk_entry payload_json)) t.disk
 
 (* --- request handling ----------------------------------------------- *)
@@ -592,8 +583,12 @@ let start config =
             listen_fd;
             bound = Unix.getsockname listen_fd;
             disk;
-            mem = Hashtbl.create 256;
-            mem_mutex = Mutex.create ();
+            (* Bounded like the disk tier and cleared whole (it refills
+               from disk at memory-hit speed); its lookups are counted
+               as [serve.hits.*] and [serve.misses] by the caller. *)
+            mem =
+              Memo.create ~name:"serve.memory" ~lookups:false ~gauge:true
+                ~max_entries:config.cache_entries ();
             queue = Queue.create ();
             queue_mutex = Mutex.create ();
             queue_cond = Condition.create ();

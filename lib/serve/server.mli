@@ -13,9 +13,9 @@
     tags [unsupported_version]), answers [ping] inline, and otherwise
     consults the two-tier response cache:
 
-    - {b memory tier}: a hash table of serialized payloads keyed by
-      {!Rchls_api.Request.cache_key} — hits answer immediately with
-      [cache.tier = "memory"];
+    - {b memory tier}: a {!Rchls_util.Memo} of serialized payloads
+      keyed by {!Rchls_api.Request.cache_key}, at most [cache_entries]
+      of them — hits answer immediately with [cache.tier = "memory"];
     - {b disk tier} (when [cache_dir] is set): a
       {!Rchls_util.Diskcache} of version-tagged entries surviving
       restarts — hits are promoted to the memory tier and answer with
@@ -34,7 +34,7 @@
     domain count) or served from either tier — only the [cache] field
     of the envelope differs.
 
-    Engine evaluation caches (the PR4 sharded memo tables) live in a
+    Engine evaluation caches live in a bounded
     {!Rchls_experiments.Service.t} registry keyed per (graph, library,
     scheduler) and stay warm across requests, so even non-identical
     jobs over the same inputs (a bounds sweep after a synth, say)
@@ -58,7 +58,11 @@
       [serve.malformed]) — all pre-registered at {!start} so a scrape
       before any traffic already carries every series at zero;
     - {b gauges} — [serve.queue_depth], [serve.inflight],
-      [serve.connections], [serve.pool_domains];
+      [serve.connections], [serve.pool_domains], and the entry counts
+      [serve.memory.entries] and [service.registry.entries] of the
+      memory tier and the engine-cache registry (whose bound-triggered
+      clears count [serve.memory.evictions] and
+      [service.registry.evictions]);
     - {b rolling windows} (60 s) — [serve.request] (receipt to
       response write), [serve.queue_wait] and [serve.exec] for
       computed jobs;

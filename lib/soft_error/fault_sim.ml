@@ -1,6 +1,7 @@
 open Rchls_netlist
 module Rng = Rchls_util.Rng
 module Stats = Rchls_util.Stats
+module Memo = Rchls_util.Memo
 module Pool = Rchls_util.Pool
 module Telemetry = Rchls_util.Telemetry
 module Trace = Rchls_util.Trace
@@ -248,14 +249,15 @@ module Campaign = struct
 
   (* Reports are memoized on (netlist fingerprint, result-affecting
      config fields); [domains] only changes wall-clock, so it is
-     excluded from the key. *)
-  type cache_key = int64 * int * int * Sampling.t * float option
+     excluded from the key.  A report costs about ten words per
+     characterized node, counted once per insert (after a campaign
+     that took far longer than the walk). *)
+  let cache : (int64 * int * int * Sampling.t * float option, report) Memo.t =
+    Memo.create ~name:"fault.cache" ~gauge:true ~max_entries:256 ~max_bytes:(16 lsl 20)
+      ~cost:(fun _ r -> Sys.word_size / 8 * 10 * (List.length r.nodes + 4))
+      ()
 
-  let cache : (cache_key, report) Hashtbl.t = Hashtbl.create 16
-  let cache_mutex = Mutex.create ()
-
-  let cache_clear () =
-    Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
+  let cache_clear () = Memo.clear cache
 
   let run ?(config = default) nl =
     validate config;
@@ -263,13 +265,7 @@ module Campaign = struct
       (Netlist.fingerprint nl, config.vectors, config.seed, config.sampling,
        config.ci_target)
     in
-    match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
-    | Some r ->
-      Telemetry.incr "fault.cache.hits";
-      r
-    | None ->
-      Telemetry.incr "fault.cache.misses";
-      let r =
+    Memo.find_or_add cache key (fun () ->
         Trace.with_span "fault.campaign"
           ~attrs:
             [
@@ -277,10 +273,7 @@ module Campaign = struct
               ("vectors", Trace.Int config.vectors);
               ("seed", Trace.Int config.seed);
             ]
-          (fun () -> compute config nl)
-      in
-      Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key r);
-      r
+          (fun () -> compute config nl))
 end
 
 let run = Campaign.run

@@ -95,8 +95,10 @@ module Campaign : sig
   (** Characterize every candidate node (subject to [sampling]) with
       the bit-parallel engine, nodes fanned out over the domain pool.
       Reports are memoized by ({!Rchls_netlist.Netlist.fingerprint},
-      result-affecting config fields): repeating a characterization —
-      library builds, sweeps, benches — returns the cached report.
+      result-affecting config fields) in a bounded {!Rchls_util.Memo}
+      named [fault.cache] (256 reports, 16 MiB): repeating a
+      characterization — library builds, sweeps, benches — returns the
+      cached report.
       Raises [Invalid_argument] on a non-positive [vectors],
       [ci_target] or [domains]. *)
 

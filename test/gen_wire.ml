@@ -76,7 +76,8 @@ let print_request i job =
   roundtrip line (Request.of_string line = Ok r);
   Printf.printf "request %s\n%s\n" (Request.job_kind job) line;
   let key =
-    Request.cache_key ~graph_text:"graph text" ~library_text:"library text" job
+    Request.cache_key ~graph_digest:(Fnv.hash_string "graph text")
+      ~library_digest:(Fnv.hash_string "library text") job
   in
   Printf.printf "key %s\n"
     (match key with None -> "none" | Some k -> Fnv.to_hex k)

@@ -651,8 +651,8 @@ let test_diskcache_survives_reopen () =
 let fresh_key = function
   | Request.Synth { Request.graph; library; _ } as job ->
     let r = check_ok "resolve" (Service.resolve graph library) in
-    Request.cache_key ~graph_text:r.Service.graph_text
-      ~library_text:r.Service.library_text job
+    Request.cache_key ~graph_digest:r.Service.graph_digest
+      ~library_digest:r.Service.library_digest job
   | _ -> Alcotest.fail "fresh_key takes a synth job"
 
 let write_file path text =
@@ -773,6 +773,115 @@ let test_memo_bounded () =
     (check_ok "key" (Service.cache_key huge) = want
     && check_ok "key" (Service.cache_key huge) = want);
   Alcotest.(check int) "an oversized text is never stored" 2 (misses () - m0)
+
+(* Keys of three fixed jobs, as computed before the resolved sources
+   carried their digests: a named graph, an inline graph and an inline
+   library.  The response cache and the disk tier are keyed by these,
+   so they must not move. *)
+let test_pinned_keys () =
+  let inline_graph =
+    "dfg pinned\nnode a add\nnode b mul\nnode c add\nedge a b\nedge b c\nedge a c\n"
+  in
+  let jobs =
+    [
+      ( "named graph",
+        "40d6c5f34951aa2a",
+        synth_job ~ld:14 ~ad:9 (Request.Named "ewf") );
+      ( "inline graph",
+        "3f629a9cd7668db2",
+        Request.Explore
+          {
+            Request.graph = Request.Inline inline_graph;
+            library = Request.Lib_default;
+            lds = [ 4; 5 ];
+            ads = [ 6; 9 ];
+            approach = Request.Ours;
+            scheduler = Request.Density;
+          } );
+      ( "inline library",
+        "8fd01ea1456f8e4c",
+        Request.Synth
+          {
+            Request.graph = Request.Named "fig4";
+            library =
+              Request.Lib_inline (Rchls_charlib.Library.to_text Rchls_charlib.Library.table1);
+            ld = 6;
+            ad = 4;
+            strategy = Request.Figure6;
+            scheduler = Request.Force_directed;
+          } );
+    ]
+  in
+  List.iter
+    (fun (what, want, job) ->
+      Alcotest.(check (option string)) what (Some want)
+        (Option.map Rchls_util.Fnv.to_hex (check_ok "key" (Service.cache_key job))))
+    jobs
+
+(* One registry, one graph and two libraries whose versions share ids
+   (so the engine interns them to the same codes): every job must
+   answer what it answers without a registry, so the registry must key
+   its caches by library as well as by graph. *)
+let test_registry_keys_library () =
+  let swapped =
+    String.concat "\n"
+      [
+        "add1 \"Adder 1\" add rca 1 2 0.95";
+        "add2 \"Adder 2\" add bk 2 1 0.999";
+        "add3 \"Adder 3\" add ks 4 1 0.987";
+        "mul1 \"Multiplier 1\" mul csmul 2 2 0.97";
+        "mul2 \"Multiplier 2\" mul lfmul 4 1 0.999";
+        "";
+      ]
+  in
+  let jobs =
+    List.concat_map
+      (fun library ->
+        [ synth_job ~library ~ld:14 ~ad:9 (Request.Named "ewf");
+          synth_job ~library ~ld:6 ~ad:4 (Request.Named "fig4") ])
+      [ Request.Lib_default; Request.Lib_inline swapped ]
+  in
+  let service = Service.create () in
+  List.iter
+    (fun job ->
+      let alone = Service.run_job ~domains:1 job in
+      Alcotest.(check bool) "the job runs" true (Result.is_ok alone);
+      Alcotest.(check bool) "same answer through the registry" true
+        (Service.run_job ~service ~domains:1 job = alone))
+    (jobs @ jobs)
+
+(* A long-lived registry serving one job per distinct graph keeps at
+   most its bound of engine caches: the entries gauge never passes the
+   bound, caches are evicted, and the live heap grows by far less than
+   one cache per graph would take. *)
+let test_registry_bounded () =
+  let service = Service.create () in
+  let graphs = 1200 in
+  let gauge () = Telemetry.gauge "service.registry.entries" in
+  let evictions () = Telemetry.counter "service.registry.evictions" in
+  let e0 = evictions () in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let rng = Rchls_util.Rng.create 2718 in
+  for i = 1 to graphs do
+    let spec = Rchls_check.Gen.random_spec ~max_nodes:12 rng in
+    let text = Rchls_check.Gen.spec_to_text ~name:(Printf.sprintf "leak%d" i) spec in
+    let job = synth_job ~ld:20 ~ad:60 (Request.Inline text) in
+    (match Service.run_job ~service ~domains:1 job with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "graph %d: %s" i e.Response.message);
+    if gauge () > Service.registry_max_entries then
+      Alcotest.failf "after graph %d the registry holds %d caches (bound %d)" i (gauge ())
+        Service.registry_max_entries
+  done;
+  Alcotest.(check bool) "caches were evicted" true (evictions () > e0);
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).Gc.live_words - live0) * (Sys.word_size / 8) in
+  (* the registry is still in use: its caches are live *)
+  ignore (Sys.opaque_identity service);
+  (* 1200 caches kept forever grew it by 34 MB *)
+  if grown > 4 lsl 20 then
+    Alcotest.failf "the live heap grew by %d bytes over %d graphs" grown graphs
 
 (* --- the live daemon -------------------------------------------------- *)
 
@@ -1406,6 +1515,10 @@ let () =
             test_memo_errors_not_stored;
           Alcotest.test_case "memo: counters" `Quick test_memo_counters;
           Alcotest.test_case "memo: bounded" `Quick test_memo_bounded;
+          Alcotest.test_case "pinned keys" `Quick test_pinned_keys;
+          Alcotest.test_case "registry keys the library" `Quick
+            test_registry_keys_library;
+          Alcotest.test_case "registry bounded" `Slow test_registry_bounded;
         ] );
       ( "diskcache",
         [

@@ -221,6 +221,47 @@ let test_pruned_equals_reference () =
      combination may legitimately evaluate every cell). *)
   Alcotest.(check bool) "cells derived overall" true (!derived > 0)
 
+(* An oracle that shares no cache code with what it checks: every cell
+   of the plane synthesized by [Engine.synthesize ~use_cache:false]
+   (what [Reliability_centric.synthesize] runs, caches bypassed),
+   enveloped.  The pruned sweep at 1 and then 2 domains over one
+   shared cache must equal it cell for cell. *)
+let test_pruned_equals_uncached_grid () =
+  let module Engine = Rchls_core.Engine in
+  let uncached g ~lds ~ads =
+    let lds = List.sort_uniq compare lds and ads = List.sort_uniq compare ads in
+    Explore.envelope ~n_ads:(List.length ads)
+      (List.concat_map
+         (fun ld ->
+           List.map
+             (fun ad ->
+               ( (ld, ad),
+                 match Engine.synthesize ~use_cache:false ~domains:1 g lib ~ld ~ad with
+                 | Ok d ->
+                   (Some (Rchls_core.Design.reliability d), Some (Rchls_core.Design.area d))
+                 | Error _ -> (None, None) ))
+             ads)
+         lds)
+  in
+  let rng = Rchls_util.Rng.create 31 in
+  let corpus =
+    List.init 6 (fun i ->
+        Rchls_check.Gen.graph_of_spec ~name:(Printf.sprintf "gen%d" i)
+          (Rchls_check.Gen.random_spec ~max_nodes:10 rng))
+  in
+  List.iter
+    (fun g ->
+      let lds, ads = Explore.plan g lib in
+      let want = uncached g ~lds ~ads in
+      let cache = Engine.create_cache () in
+      List.iter
+        (fun domains ->
+          if Sweep.run ~domains ~cache Sweep.Ours g lib ~lds ~ads <> want then
+            Alcotest.failf "%s: the sweep at %d domains differs from the uncached grid"
+              (Rchls_dfg.Dfg.name g) domains)
+        [ 1; 2 ])
+    (List.map snd Benchmarks.all @ corpus)
+
 let test_certificate_replays_identically () =
   (* A certified interval's promise, checked directly: re-synthesizing
      at any ad' inside the reported interval returns the identical raw
@@ -382,6 +423,8 @@ let () =
         [
           Alcotest.test_case "pruned = reference" `Slow
             test_pruned_equals_reference;
+          Alcotest.test_case "pruned = uncached grid" `Slow
+            test_pruned_equals_uncached_grid;
           Alcotest.test_case "certificate replays" `Slow
             test_certificate_replays_identically;
           Alcotest.test_case "frontier dominance" `Quick test_frontier_dominance;

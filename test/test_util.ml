@@ -413,6 +413,167 @@ let test_pool_map_array_first_exception () =
           "3" msg)
     [ 1; 4 ]
 
+
+(* --- Memo --- *)
+
+(* One memo operation: look a key up, store a value, or both. *)
+type memo_op = Find of int | Add of int * int | Find_or_add of int * int
+
+let memo_op_gen =
+  QCheck2.Gen.(
+    let key = int_range 0 15 and v = int_range 0 3 in
+    oneof
+      [
+        map (fun k -> Find k) key;
+        map2 (fun k n -> Add (k, n)) key v;
+        map2 (fun k n -> Find_or_add (k, n)) key v;
+      ])
+
+(* Values carry their key, so a value returned for another key shows;
+   each entry costs its key plus one byte. *)
+let memo_cost k _ = k + 1
+
+let memo_names = ref 0
+
+let fresh_memo ~shards ~max_entries ~max_bytes =
+  incr memo_names;
+  let name = Printf.sprintf "test.memo%d" !memo_names in
+  (name, Memo.create ~shards ~name ~max_entries ~max_bytes ~cost:memo_cost ())
+
+let counter name suffix = Telemetry.counter (name ^ suffix)
+
+(* Against an unbounded model of every value stored per key: a find
+   answers one of the key's values or nothing, an add stores exactly
+   when the key is absent and its shard's share admits it, the
+   evictions counter moves by the entries an add dropped, and neither
+   bound is ever passed. *)
+let prop_memo_model =
+  QCheck2.Test.make ~name:"Memo agrees with an unbounded model" ~count:300
+    QCheck2.Gen.(
+      quad (oneofl [ 1; 2; 4 ]) (int_range 0 12) (int_range 0 60)
+        (list_size (int_range 0 200) memo_op_gen))
+    (fun (shards, max_entries, max_bytes, ops) ->
+      let name, m = fresh_memo ~shards ~max_entries ~max_bytes in
+      let model = Hashtbl.create 16 in
+      let finds = ref 0 in
+      let find k =
+        incr finds;
+        let r = Memo.find m k in
+        (match r with
+        | None -> ()
+        | Some (k', n) ->
+          if k' <> k || not (List.mem n (Hashtbl.find_all model k)) then
+            QCheck2.Test.fail_reportf "key %d answered (%d, %d)" k k' n);
+        r
+      in
+      let add k n ~via_find_or_add =
+        let held = find k <> None in
+        let storable =
+          (not held) && memo_cost k () <= max_bytes / shards && max_entries / shards > 0
+        in
+        let l0 = Memo.length m and e0 = counter name ".evictions" in
+        Hashtbl.add model k n;
+        let got =
+          if via_find_or_add then (
+            incr finds;
+            Memo.find_or_add m k (fun () -> (k, n)))
+          else (
+            Memo.add m k (k, n);
+            (k, n))
+        in
+        let dropped = counter name ".evictions" - e0 in
+        if Memo.length m - l0 <> (if storable then 1 else 0) - dropped then
+          QCheck2.Test.fail_reportf "add %d: length %d -> %d, %d evicted" k l0
+            (Memo.length m) dropped;
+        if dropped > 0 && not storable then
+          QCheck2.Test.fail_reportf "add %d evicted without storing" k;
+        if storable && find k <> Some (k, n) then
+          QCheck2.Test.fail_reportf "add %d: stored value not found" k;
+        if via_find_or_add && fst got <> k then
+          QCheck2.Test.fail_reportf "find_or_add %d answered key %d" k (fst got)
+      in
+      let h0 = counter name ".hits" and m0 = counter name ".misses" in
+      List.iter
+        (fun op ->
+          (match op with
+          | Find k -> ignore (find k)
+          | Add (k, n) -> add k n ~via_find_or_add:false
+          | Find_or_add (k, n) -> add k n ~via_find_or_add:true);
+          if Memo.length m > max_entries || Memo.bytes m > max_bytes then
+            QCheck2.Test.fail_reportf "bounds passed: %d entries, %d bytes"
+              (Memo.length m) (Memo.bytes m))
+        ops;
+      counter name ".hits" - h0 + (counter name ".misses" - m0) = !finds)
+
+(* The same kind of sequence from two domains on one memo, with one
+   value per key: every find answers that value or nothing, every
+   lookup is counted once, the bounds hold and the byte count is the
+   cost of what is held. *)
+let prop_memo_two_domains =
+  QCheck2.Test.make ~name:"Memo shared by two domains" ~count:50
+    QCheck2.Gen.(
+      triple (oneofl [ 1; 2; 4 ]) (int_range 1 12)
+        (pair (list_size (int_range 0 400) memo_op_gen)
+           (list_size (int_range 0 400) memo_op_gen)))
+    (fun (shards, max_entries, (ops_a, ops_b)) ->
+      let max_bytes = 40 in
+      let name, m = fresh_memo ~shards ~max_entries ~max_bytes in
+      let h0 = counter name ".hits" and m0 = counter name ".misses" in
+      let run ops =
+        List.fold_left
+          (fun (finds, ok) op ->
+            let good k = function None -> true | Some v -> v = (k, k) in
+            match op with
+            | Find k -> (finds + 1, ok && good k (Memo.find m k))
+            | Add (k, _) ->
+              Memo.add m k (k, k);
+              (finds, ok)
+            | Find_or_add (k, _) ->
+              (finds + 1, ok && Memo.find_or_add m k (fun () -> (k, k)) = (k, k)))
+          (0, true) ops
+      in
+      let other = Domain.spawn (fun () -> run ops_b) in
+      let finds_a, ok_a = run ops_a in
+      let finds_b, ok_b = Domain.join other in
+      let lookups = counter name ".hits" - h0 + (counter name ".misses" - m0) in
+      let held =
+        List.filter (fun k -> Memo.find m k <> None) (List.init 16 Fun.id)
+      in
+      ok_a && ok_b
+      && lookups = finds_a + finds_b
+      && Memo.length m = List.length held
+      && Memo.length m <= max_entries
+      && Memo.bytes m = List.fold_left (fun acc k -> acc + memo_cost k ()) 0 held
+      && Memo.bytes m <= max_bytes)
+
+(* The engine's design-memo cost must track what a cached design really
+   holds: within 2x of its reachable heap words, minus the graph and
+   library it shares with every other design of the cache. *)
+let test_design_cost_calibrated () =
+  let module Design = Rchls_core.Design in
+  let module Library = Rchls_charlib.Library in
+  let module Dfg = Rchls_dfg.Dfg in
+  let lib = Library.table1 in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (pick, slack) ->
+          let assignment (nd : Dfg.node) = pick lib (Rchls_dfg.Op.resource_class nd.op) in
+          let latency =
+            slack
+            * Rchls_dfg.Analysis.asap_latency g ~delay:(fun nd ->
+                  (assignment nd).Rchls_charlib.Resource.delay)
+          in
+          let d = Design.realize_exn g lib ~assignment ~latency in
+          let words x = Obj.reachable_words (Obj.repr x) in
+          let own = words d - words (Design.graph d, Design.library d) + 3 in
+          let estimate = Design.footprint_bytes d / (Sys.word_size / 8) in
+          if estimate > 2 * own || own > 2 * estimate then
+            Alcotest.failf "%s at latency %d: estimate %d words, design holds %d" name
+              latency estimate own)
+        [ (Library.most_reliable, 1); (Library.smallest, 2) ])
+    Rchls_dfg.Benchmarks.all
+
 let () =
   Alcotest.run "util"
     [
@@ -477,6 +638,10 @@ let () =
           Alcotest.test_case "map_array first exception" `Quick
             test_pool_map_array_first_exception;
         ] );
+      ( "memo",
+        Alcotest.test_case "design cost calibrated" `Quick test_design_cost_calibrated
+        :: List.map QCheck_alcotest.to_alcotest [ prop_memo_model; prop_memo_two_domains ]
+      );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
