@@ -31,7 +31,7 @@
    (RCHLS_DOMAINS).  Timings are perfbench/'s job. *)
 
 module Experiments = Rchls_experiments.Experiments
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Benchmarks = Rchls_dfg.Benchmarks
 module Library = Rchls_charlib.Library
@@ -57,12 +57,15 @@ let ablation () =
     [
       ( "fig6/no-refine",
         fun g ld ad ->
-          Rc.synthesize ~strategy:`Figure6 ~refine:false g Library.table1 ~ld ~ad );
-      ("fig6+refine", fun g ld ad -> Rc.synthesize ~strategy:`Figure6 g Library.table1 ~ld ~ad);
-      ("bottom-up", fun g ld ad -> Rc.synthesize ~strategy:`Bottom_up g Library.table1 ~ld ~ad);
-      ("best(default)", fun g ld ad -> Rc.synthesize g Library.table1 ~ld ~ad);
+          Engine.synthesize ~strategy:`Figure6 ~refine:false g Library.table1 ~ld ~ad );
+      ( "fig6+refine",
+        fun g ld ad -> Engine.synthesize ~strategy:`Figure6 g Library.table1 ~ld ~ad );
+      ( "bottom-up",
+        fun g ld ad -> Engine.synthesize ~strategy:`Bottom_up g Library.table1 ~ld ~ad );
+      ("best(default)", fun g ld ad -> Engine.synthesize g Library.table1 ~ld ~ad);
       ( "force-directed",
-        fun g ld ad -> Rc.synthesize ~scheduler:`Force_directed g Library.table1 ~ld ~ad );
+        fun g ld ad ->
+          Engine.synthesize ~scheduler:`Force_directed g Library.table1 ~ld ~ad );
     ]
   in
   let t = Tablefmt.create ([ "Benchmark"; "Ld"; "Ad" ] @ List.map fst variants) in
@@ -191,7 +194,7 @@ let synth_gate () =
     List.filter_map
       (fun (name, g, ld, ad) ->
         let synth scheduler domains =
-          Rc.synthesize ~scheduler ~domains g Library.table1 ~ld ~ad
+          Engine.synthesize ~scheduler ~domains g Library.table1 ~ld ~ad
         in
         let identical =
           match (synth `Density_reference 1, synth `Density domains) with
@@ -552,7 +555,7 @@ let knee_cells g lib =
   let ld = List.hd lds in
   let rec min_feasible ad =
     if ad > cap then None
-    else if Result.is_ok (Rc.synthesize g lib ~ld ~ad) then Some ad
+    else if Result.is_ok (Engine.synthesize g lib ~ld ~ad) then Some ad
     else min_feasible (ad + 1)
   in
   match min_feasible 1 with None -> [] | Some ad -> [ (ld, ad + 2); (ld, ad + 3) ]

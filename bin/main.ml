@@ -35,7 +35,7 @@ module Library = Rchls_charlib.Library
 module Benchmarks = Rchls_dfg.Benchmarks
 module Dfg = Rchls_dfg.Dfg
 module Parse = Rchls_dfg.Parse
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Anneal = Rchls_anneal.Anneal
 module Experiments = Rchls_experiments.Experiments
@@ -294,7 +294,7 @@ let synthesize_and_print ~command ~args ~report (s : Request.synth) exec ~json ~
   match or_die (exec r) with
   | Error f ->
     if report then print (Report.failure_json f)
-    else Format.printf "%a@." Rc.pp_failure f;
+    else Format.printf "%a@." Engine.pp_failure f;
     2
   | Ok v ->
     if report then print (json v) else human v;

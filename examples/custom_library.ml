@@ -6,7 +6,7 @@
 
 module Library = Rchls_charlib.Library
 module Benchmarks = Rchls_dfg.Benchmarks
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 
 let base_library_text =
@@ -24,11 +24,11 @@ mulh "Hardened multiplier" mul csmul 5 2 0.9995
 |}
 
 let synth name lib ld ad =
-  match Rc.synthesize Benchmarks.diffeq lib ~ld ~ad with
+  match Engine.synthesize Benchmarks.diffeq lib ~ld ~ad with
   | Ok d ->
     Printf.printf "%-22s Ld=%d Ad=%2d -> R=%.5f (area %d)\n" name ld ad
       (Design.reliability d) (Design.area d)
-  | Error f -> Format.printf "%-22s Ld=%d Ad=%2d -> %a@." name ld ad Rc.pp_failure f
+  | Error f -> Format.printf "%-22s Ld=%d Ad=%2d -> %a@." name ld ad Engine.pp_failure f
 
 let () =
   let table1 =

@@ -7,7 +7,7 @@
 
 module Benchmarks = Rchls_dfg.Benchmarks
 module Library = Rchls_charlib.Library
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Datapath = Rchls_rtl.Datapath
 module Cost = Rchls_rtl.Cost
@@ -16,8 +16,8 @@ module Emit = Rchls_rtl.Emit
 let () =
   let g = Benchmarks.diffeq in
   let lib = Library.table1 in
-  match Rc.synthesize g lib ~ld:7 ~ad:11 with
-  | Error f -> Format.printf "%a@." Rc.pp_failure f
+  match Engine.synthesize g lib ~ld:7 ~ad:11 with
+  | Error f -> Format.printf "%a@." Engine.pp_failure f
   | Ok d ->
     Format.printf "%a@." Design.pp_report d;
     let dp = Datapath.build d in

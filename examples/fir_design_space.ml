@@ -7,7 +7,7 @@
 module Benchmarks = Rchls_dfg.Benchmarks
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Tablefmt = Rchls_util.Tablefmt
 
@@ -30,7 +30,7 @@ let () =
     (fun ld ->
       List.iter
         (fun ad ->
-          match Rc.synthesize g lib ~ld ~ad with
+          match Engine.synthesize g lib ~ld ~ad with
           | Ok d ->
             Tablefmt.add_row t
               [

@@ -6,7 +6,7 @@
 module Dfg = Rchls_dfg.Dfg
 module Op = Rchls_dfg.Op
 module Library = Rchls_charlib.Library
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 
 let () =
@@ -33,8 +33,8 @@ let () =
 
   (* 3. Synthesize under a latency bound of 7 cycles and an area bound
         of 8 units, maximizing reliability. *)
-  match Rc.synthesize graph library ~ld:7 ~ad:8 with
-  | Error f -> Format.printf "%a@." Rc.pp_failure f
+  match Engine.synthesize graph library ~ld:7 ~ad:8 with
+  | Error f -> Format.printf "%a@." Engine.pp_failure f
   | Ok design ->
     Format.printf "%a@." Design.pp_report design;
     (* 4. Compare against a single-version design. *)
@@ -45,4 +45,4 @@ let () =
       Format.printf "reliability-centric improvement:   %+.2f%%@."
         ((Design.reliability design -. Design.reliability fixed)
         /. Design.reliability fixed *. 100.)
-    | Error f -> Format.printf "%a@." Rc.pp_failure f)
+    | Error f -> Format.printf "%a@." Engine.pp_failure f)

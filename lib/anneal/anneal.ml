@@ -39,9 +39,6 @@ type stats = {
   improved : bool;
 }
 
-let zero_stats =
-  { attempted = 0; accepted = 0; pruned = 0; exchanges = 0; chain_count = 0; improved = false }
-
 let accept ~rng ~temp ~delta =
   delta <= 0. || (temp > 0. && Rng.float rng 1.0 < exp (-.delta /. temp))
 
@@ -649,22 +646,16 @@ let improve ?domains ?(params = default_params) ~ld ~ad seed_design =
 
 let synthesize ?scheduler ?strategy ?cache ?domains ?(params = default_params) g lib ~ld ~ad
     =
-  let greedy = ref None in
-  let stats = ref zero_stats in
-  let improver d =
-    greedy := Some d;
-    let better, s = improve ?domains ~params ~ld ~ad d in
-    stats := s;
-    better
-  in
-  match
-    Engine.synthesize_improved ~improve:improver ?scheduler ?strategy ?cache ?domains g
-      lib ~ld ~ad
-  with
+  match Engine.synthesize ?scheduler ?strategy ?cache ?domains g lib ~ld ~ad with
   | Error _ as e -> e
-  | Ok final ->
-    let seed = match !greedy with Some d -> d | None -> final in
-    Ok (seed, final, !stats)
+  | Ok greedy ->
+    let better, stats = improve ?domains ~params ~ld ~ad greedy in
+    let final =
+      match better with
+      | Some d when Design.reliability d > Design.reliability greedy -> d
+      | Some _ | None -> greedy
+    in
+    Ok (greedy, final, stats)
 
 (* --- test surfaces ---------------------------------------------------- *)
 

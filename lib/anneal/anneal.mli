@@ -119,8 +119,9 @@ val synthesize :
   ad:int ->
   (Design.t * Design.t * stats, Engine.failure) result
 (** The end-to-end entry ([rchls anneal], the [anneal] API job): run
-    the greedy engine ({!Engine.synthesize_improved}), then
-    {!improve}.  [Ok (greedy, annealed, stats)] — [annealed] is
+    the greedy engine ({!Engine.synthesize}), then {!improve}; the
+    annealed design replaces the greedy one only when it is strictly
+    more reliable.  [Ok (greedy, annealed, stats)] — [annealed] is
     [greedy] itself when no strict improvement was found, so
     [reliability annealed >= reliability greedy] always.  Greedy
     failures pass through as [Error]. *)

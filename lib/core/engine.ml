@@ -18,28 +18,6 @@ let pp_failure ppf = function
     Format.fprintf ppf "no solution: area bound unreachable (best %d)" best_achieved
   | Scheduling_error e -> Format.fprintf ppf "no solution: scheduling failed (%s)" e
 
-type trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      latency : int;
-    }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of {
-      nodes : string list;
-      from_version : string;
-      to_version : string;
-      area : int;
-    }
-  | Refinement_upgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      reliability : float;
-    }
-
 (* --- context ------------------------------------------------------- *)
 
 (* The evaluation cache is two memos, sharded so one cache can be
@@ -126,59 +104,17 @@ type ctx = {
          the identical result.  The design-space explorer fills whole
          grid intervals from one synthesis call on the strength of
          this. *)
-  trace : trace_event -> unit;
 }
 
 let delay_of ctx (nd : Dfg.node) = ctx.assignment.(nd.id).Resource.delay
-
-(* Forward every algorithm decision both to the caller's typed trace
-   callback and, as a structured instant event, to the Trace layer —
-   the CLI's [--trace] printer and [--trace-out] exports consume the
-   latter. *)
-let emit_trace ctx ev =
-  ctx.trace ev;
-  if Trace.enabled () then begin
-    let name, attrs =
-      match ev with
-      | Initial { latency } -> ("engine.initial", [ ("latency", Trace.Int latency) ])
-      | Latency_downgrade { node; from_version; to_version; latency } ->
-        ( "engine.latency_downgrade",
-          [
-            ("node", Trace.Str node);
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("latency", Trace.Int latency);
-          ] )
-      | Slack_exploited { latency; area } ->
-        ( "engine.slack_exploited",
-          [ ("latency", Trace.Int latency); ("area", Trace.Int area) ] )
-      | Area_downgrade { nodes; from_version; to_version; area } ->
-        ( "engine.area_downgrade",
-          [
-            ("nodes", Trace.Str (String.concat "," nodes));
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("area", Trace.Int area);
-          ] )
-      | Refinement_upgrade { node; from_version; to_version; reliability } ->
-        ( "engine.refine_upgrade",
-          [
-            ("node", Trace.Str node);
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("reliability", Trace.Float reliability);
-          ] )
-    in
-    Trace.instant name ~attrs
-  end
 
 let asap_of_preds ctx id =
   List.fold_left
     (fun acc p -> max acc (ctx.asap.(p) + ctx.assignment.(p).Resource.delay))
     0 (Dfg.preds ctx.graph id)
 
-let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1)
-    ?(trace = fun _ -> ()) g lib ~ld ~ad ~initial =
+let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1) g lib ~ld
+    ~ad ~initial =
   let assignment =
     Array.of_list (List.map (fun nd -> (initial nd : Resource.t)) (Dfg.nodes g))
   in
@@ -207,7 +143,6 @@ let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1)
       design = None;
       ad_lo = 1;
       ad_hi = max_int;
-      trace;
     }
   in
   (* One forward scan in topological order settles every ASAP. *)
@@ -336,7 +271,6 @@ let clone_for_worker ctx =
     codes = Array.copy ctx.codes;
     asap = Array.copy ctx.asap;
     domains = 1;
-    trace = (fun _ -> ());
   }
 
 (* --- shared stage helpers ------------------------------------------ *)
@@ -431,6 +365,24 @@ let merge_certificate ctx (lo, hi) =
   if lo > ctx.ad_lo then ctx.ad_lo <- lo;
   if hi < ctx.ad_hi then ctx.ad_hi <- hi
 
+(* Every algorithm decision is a structured instant event on the Trace
+   layer ([engine.*]); the CLI's [--trace] printer and [--trace-out]
+   exports read them.  Each emitter tests [Trace.enabled ()] first, so
+   an untraced run builds no attribute list. *)
+let node_names ctx ids =
+  String.concat "," (List.map (fun id -> (Dfg.node ctx.graph id).name) ids)
+
+let area_downgrade ctx ids ~from ~to_ d =
+  if Trace.enabled () then
+    Trace.instant "engine.area_downgrade"
+      ~attrs:
+        [
+          ("nodes", Trace.Str (node_names ctx ids));
+          ("from", Trace.Str from);
+          ("to", Trace.Str to_);
+          ("area", Trace.Int (Design.area d));
+        ]
+
 (* --- passes -------------------------------------------------------- *)
 
 type pass = { name : string; run : ctx -> (unit, failure) result }
@@ -441,7 +393,9 @@ let initial_alloc =
     run =
       (fun ctx ->
         Telemetry.incr "engine.runs";
-        emit_trace ctx (Initial { latency = current_latency ctx });
+        if Trace.enabled () then
+          Trace.instant "engine.initial"
+            ~attrs:[ ("latency", Trace.Int (current_latency ctx)) ];
         Ok ());
   }
 
@@ -482,14 +436,15 @@ let meet_latency =
             progress := true;
             Telemetry.incr "downgrade.steps";
             let l = current_latency ctx in
-            emit_trace ctx
-              (Latency_downgrade
-                 {
-                   node = nd.name;
-                   from_version = old.Resource.id;
-                   to_version = faster.Resource.id;
-                   latency = l;
-                 });
+            if Trace.enabled () then
+              Trace.instant "engine.latency_downgrade"
+                ~attrs:
+                  [
+                    ("node", Trace.Str nd.name);
+                    ("from", Trace.Str old.Resource.id);
+                    ("to", Trace.Str faster.Resource.id);
+                    ("latency", Trace.Int l);
+                  ];
             if l <= ctx.ld then latency_ok := true
         done;
         if not !latency_ok then
@@ -515,11 +470,16 @@ let exploit_slack =
           do
             ctx.schedule_latency <- ctx.schedule_latency + 1;
             match realize_current ctx with
-            | Error e -> failwith ("Reliability_centric: reschedule failed: " ^ e)
+            | Error e -> failwith ("Engine: reschedule failed: " ^ e)
             | Ok d ->
               ctx.design <- Some d;
-              emit_trace ctx
-                (Slack_exploited { latency = ctx.schedule_latency; area = Design.area d })
+              if Trace.enabled () then
+                Trace.instant "engine.slack_exploited"
+                  ~attrs:
+                    [
+                      ("latency", Trace.Int ctx.schedule_latency);
+                      ("area", Trace.Int (Design.area d));
+                    ]
           done;
           Ok ());
   }
@@ -566,15 +526,8 @@ let meet_area =
                   | Some d ->
                     ctx.design <- Some d;
                     Telemetry.incr "downgrade.steps";
-                    emit_trace ctx
-                      (Area_downgrade
-                         {
-                           nodes =
-                             List.map (fun id -> (Dfg.node ctx.graph id).name) ids;
-                           from_version = old.Resource.id;
-                           to_version = smaller.Resource.id;
-                           area = Design.area d;
-                         });
+                    area_downgrade ctx ids ~from:old.Resource.id
+                      ~to_:smaller.Resource.id d;
                     true))
               nodes_by_area
         done;
@@ -594,7 +547,7 @@ let recovery =
         if not (fits ctx (Design.area (the_design ctx))) then begin
           ctx.schedule_latency <- ctx.ld;
           (match realize_current ctx with
-          | Error e -> failwith ("Reliability_centric: reschedule failed: " ^ e)
+          | Error e -> failwith ("Engine: reschedule failed: " ^ e)
           | Ok d -> ctx.design <- Some d);
           let classes = List.map fst (Dfg.count_by_class ctx.graph) in
           let made_progress = ref true in
@@ -632,14 +585,7 @@ let recovery =
               | Some d ->
                 ctx.design <- Some d;
                 Telemetry.incr "downgrade.steps";
-                emit_trace ctx
-                  (Area_downgrade
-                     {
-                       nodes = List.map (fun id -> (Dfg.node ctx.graph id).name) ids;
-                       from_version = "mixed";
-                       to_version = v.Resource.id;
-                       area = Design.area d;
-                     });
+                area_downgrade ctx ids ~from:"mixed" ~to_:v.Resource.id d;
                 true
             in
             made_progress :=
@@ -748,47 +694,36 @@ let refine =
                     (Library.versions ctx.library cls))
                 classes
             in
-            let results =
-              if ctx.domains <= 1 || List.length candidates <= 1 then
-                List.map
-                  (fun (ids, v) ->
-                    match evaluate_move ctx ~ids ~to_version:v ~base_r with
+            (* At one domain every move is evaluated on [ctx] itself
+               (each evaluation restores the assignment); otherwise each
+               runs on a private clone that records its [fits]
+               comparisons.  Every candidate is evaluated either way, so
+               merging the clone intervals (max of los, min of his —
+               order irrelevant) reproduces exactly the interval the
+               sequential scan records. *)
+            let probed =
+              Rchls_util.Pool.map ~domains:ctx.domains
+                (fun (ids, v) ->
+                  let w = if ctx.domains <= 1 then ctx else clone_for_worker ctx in
+                  let r =
+                    match evaluate_move w ~ids ~to_version:v ~base_r with
                     | None -> None
-                    | Some d -> Some (ids, v, Design.reliability d))
-                  candidates
-              else begin
-                (* Workers record their [fits] comparisons on private
-                   clones; every candidate is evaluated in both the
-                   sequential and the parallel branch, so merging the
-                   clone intervals (max of los, min of his — order
-                   irrelevant) reproduces exactly the interval the
-                   sequential scan would have recorded. *)
-                let probed =
-                  Rchls_util.Pool.map ~domains:ctx.domains
-                    (fun (ids, v) ->
-                      let w = clone_for_worker ctx in
-                      let r =
-                        match evaluate_move w ~ids ~to_version:v ~base_r with
-                        | None -> None
-                        | Some d -> Some (ids, v, Design.reliability d)
-                      in
-                      (r, (w.ad_lo, w.ad_hi)))
-                    candidates
-                in
-                List.iter (fun (_, interval) -> merge_certificate ctx interval) probed;
-                List.map fst probed
-              end
+                    | Some d -> Some (ids, v, Design.reliability d)
+                  in
+                  (r, (w.ad_lo, w.ad_hi)))
+                candidates
             in
             let best = ref None in
             List.iter
-              (fun result ->
+              (fun (result, interval) ->
+                merge_certificate ctx interval;
                 match result with
                 | None -> ()
                 | Some (ids, v, r) -> (
                   match !best with
                   | Some (_, _, br) when br >= r -> ()
                   | _ -> best := Some (ids, v, r)))
-              results;
+              probed;
             match !best with
             | None -> ()
             | Some (ids, v, _) -> (
@@ -804,16 +739,15 @@ let refine =
                 ctx.design <- Some d;
                 improved := true;
                 Telemetry.incr "refine.upgrades";
-                emit_trace ctx
-                  (Refinement_upgrade
-                     {
-                       node =
-                         String.concat ","
-                           (List.map (fun id -> (Dfg.node ctx.graph id).name) ids);
-                       from_version;
-                       to_version = v.Resource.id;
-                       reliability = Design.reliability d;
-                     }))
+                if Trace.enabled () then
+                  Trace.instant "engine.refine_upgrade"
+                    ~attrs:
+                      [
+                        ("node", Trace.Str (node_names ctx ids));
+                        ("from", Trace.Str from_version);
+                        ("to", Trace.Str v.Resource.id);
+                        ("reliability", Trace.Float (Design.reliability d));
+                      ])
           done
         end;
         Ok ());
@@ -868,16 +802,15 @@ let check_classes g lib =
       match Library.versions lib cls with
       | [] ->
         invalid_arg
-          (Printf.sprintf "Reliability_centric: library has no %s versions"
+          (Printf.sprintf "Engine: library has no %s versions"
              (Resource.class_name cls))
       | _ -> ())
     (Dfg.count_by_class g)
 
 let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
-    ?(trace = fun _ -> ()) ?(use_cache = true) ?cache ?domains ?certificate g lib
-    ~ld ~ad =
-  if ld <= 0 then invalid_arg "Reliability_centric.synthesize: non-positive latency bound";
-  if ad <= 0 then invalid_arg "Reliability_centric.synthesize: non-positive area bound";
+    ?(use_cache = true) ?cache ?domains ?certificate g lib ~ld ~ad =
+  if ld <= 0 then invalid_arg "Engine.synthesize: non-positive latency bound";
+  if ad <= 0 then invalid_arg "Engine.synthesize: non-positive area bound";
   check_classes g lib;
   Trace.with_span "engine.synthesize"
     ~attrs:
@@ -912,7 +845,7 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
     Trace.with_span "engine.pipeline" ~attrs:[ ("direction", Trace.Str direction) ]
     @@ fun () ->
     let ctx =
-      create ~scheduler ~cache ~use_cache ~domains ~trace g lib ~ld ~ad ~initial
+      create ~scheduler ~cache ~use_cache ~domains g lib ~ld ~ad ~initial
     in
     let r = run_pipeline pipeline ctx in
     if ctx.ad_lo > !cert_lo then cert_lo := ctx.ad_lo;
@@ -940,17 +873,3 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
   in
   (match certificate with Some c -> c := (!cert_lo, !cert_hi) | None -> ());
   result
-
-let synthesize_improved ~improve ?scheduler ?refine ?strategy ?trace ?use_cache
-    ?cache ?domains ?certificate g lib ~ld ~ad =
-  match
-    synthesize ?scheduler ?refine ?strategy ?trace ?use_cache ?cache ?domains
-      ?certificate g lib ~ld ~ad
-  with
-  | Error _ as e -> e
-  | Ok greedy -> (
-    match improve greedy with
-    | Some better when Design.reliability better > Design.reliability greedy ->
-      (match certificate with Some c -> c := (ad, ad) | None -> ());
-      Ok better
-    | Some _ | None -> Ok greedy)

@@ -1,16 +1,31 @@
-(** The pass-pipeline synthesis engine.
+(** The paper's reliability-centric synthesis algorithm (Figure 6), as
+    a pass pipeline.
 
-    The paper's Figure-6 flow is a fixed sequence of stages: allocate
-    the most reliable versions, downgrade critical-path victims until
-    the latency bound holds, exploit leftover latency slack for
-    sharing, downgrade area victims until the area bound holds, and
-    (our documented extensions) recover via slower-but-smaller moves
-    and refine reliability back wherever slack remains.
+    Starting from the most reliable version for every operation, the
+    algorithm:
 
-    This module makes each stage an explicit {!pass} over a shared
-    mutable {!ctx}, so that:
+    + meets the latency bound by repeatedly picking the
+      highest-delay victim on the current critical path and moving it
+      to a faster (usually less reliable) version (lines 7–12);
+    + updates resource sharing and, when the area bound is still
+      violated but latency slack remains, re-schedules at larger
+      latencies up to the bound so more operations can share instances
+      (lines 15–21);
+    + meets the area bound by repeatedly picking the biggest-area
+      victim version and moving it — together with every operation
+      sharing its instance — to a smaller version that is not slower
+      (lines 23–28);
+    + reports the design and its total reliability, or that no
+      solution exists under the given bounds (lines 29–30).
 
-    - {!Reliability_centric.synthesize} is a thin driver composing
+    Our documented extensions (DESIGN.md par. 8) add a recovery stage
+    via slower-but-smaller moves and a refinement pass that moves
+    operations back to more reliable versions wherever slack remains.
+
+    Each stage is an explicit {!pass} over a shared mutable {!ctx},
+    so that:
+
+    - {!synthesize}, the one entry point, is a driver composing
       {!default_pipeline} — stages can be reordered, dropped or
       instrumented without touching the stage bodies;
     - every [Design.realize] inside the stage loops goes through a
@@ -28,7 +43,15 @@
       counters ([cache.hits], [cache.misses], [cache.schedule.hits],
       [cache.schedule.misses], [engine.realize],
       [downgrade.steps], [refine.upgrades], [latency.sparse_updates])
-      and per-pass timers ([pass.meet_latency], ...).
+      and per-pass span histograms ([pass.meet_latency], ...);
+    - every algorithm decision is an [Rchls_util.Trace] instant event:
+      [engine.initial] (attribute [latency]),
+      [engine.latency_downgrade] ([node], [from], [to], [latency]),
+      [engine.slack_exploited] ([latency], [area]),
+      [engine.area_downgrade] ([nodes], [from], [to], [area]; [from]
+      is ["mixed"] for a recovery move) and [engine.refine_upgrade]
+      ([node], [from], [to], [reliability]).  Nothing is built for
+      them unless a trace sink is installed.
 
     Results are bit-identical to the historical monolithic
     implementation: the passes preserve its exact decision order, and
@@ -45,28 +68,6 @@ type failure =
   | Scheduling_error of string
 
 val pp_failure : Format.formatter -> failure -> unit
-
-type trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      latency : int;
-    }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of {
-      nodes : string list;
-      from_version : string;
-      to_version : string;
-      area : int;
-    }
-  | Refinement_upgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      reliability : float;
-    }
 
 (** {1 Engine context} *)
 
@@ -95,14 +96,13 @@ type ctx
 (** Shared state the passes operate on: the graph, library and bounds,
     the current version assignment, the incremental ASAP table, the
     scheduling latency, the best realized design so far, the
-    evaluation cache and the trace sink. *)
+    evaluation cache and the certified area-bound interval. *)
 
 val create :
   ?scheduler:Design.scheduler ->
   ?cache:cache ->
   ?use_cache:bool ->
   ?domains:int ->
-  ?trace:(trace_event -> unit) ->
   Dfg.t ->
   Library.t ->
   ld:int ->
@@ -162,8 +162,8 @@ val design : ctx -> Design.t option
 
 type pass = { name : string; run : ctx -> (unit, failure) result }
 (** A pipeline stage.  [run] mutates the context; [Error] aborts the
-    pipeline.  Each pass's wall-clock time accumulates in the
-    [pass.<name>] telemetry timer. *)
+    pipeline.  Each pass runs in a [pass.<name>] trace span, whose
+    durations feed the telemetry histogram of that name. *)
 
 val initial_alloc : pass
 (** Traces the initial allocation (Figure 6 line 3). *)
@@ -208,12 +208,15 @@ val run_pipeline : pass list -> ctx -> (Design.t, failure) result
 (** {1 Driver} *)
 
 type strategy = [ `Figure6 | `Bottom_up | `Best ]
+(** [`Figure6]: the paper's top-down greedy (start most-reliable,
+    downgrade victims).  [`Bottom_up]: start from the fastest versions
+    and upgrade reliability under the bounds.  [`Best] (default): run
+    both and keep the more reliable feasible design. *)
 
 val synthesize :
   ?scheduler:Design.scheduler ->
   ?refine:bool ->
   ?strategy:strategy ->
-  ?trace:(trace_event -> unit) ->
   ?use_cache:bool ->
   ?cache:cache ->
   ?domains:int ->
@@ -230,8 +233,8 @@ val synthesize :
     (shareable) evaluation cache; [domains] (default
     [Rchls_util.Pool.num_domains ()]) fans refine/recovery move
     evaluation over worker domains — results are independent of it.
-    {!Reliability_centric.synthesize} is this function with
-    [use_cache] defaulted.
+    Raises [Invalid_argument] on non-positive bounds or if the library
+    lacks versions for a class used by the graph.
 
     [certificate], when supplied, receives the {e certified area-bound
     interval} [(lo, hi)] of the run: every decision the pipeline takes
@@ -247,30 +250,3 @@ val synthesize :
     and the parallel branches, and interval merging is order-free).
     The design-space explorer derives whole grid rows from single
     synthesis calls on the strength of this. *)
-
-val synthesize_improved :
-  improve:(Design.t -> Design.t option) ->
-  ?scheduler:Design.scheduler ->
-  ?refine:bool ->
-  ?strategy:strategy ->
-  ?trace:(trace_event -> unit) ->
-  ?use_cache:bool ->
-  ?cache:cache ->
-  ?domains:int ->
-  ?certificate:(int * int) ref ->
-  Dfg.t ->
-  Library.t ->
-  ld:int ->
-  ad:int ->
-  (Design.t, failure) result
-(** The move-based-optimizer entry: run {!synthesize} (the greedy
-    pipeline) and hand a feasible result to [improve] — the annealer,
-    installed from above because [Rchls_anneal] depends on this
-    library.  The improved design replaces the greedy one only when it
-    is {e strictly more reliable}, so the entry's result is never
-    worse than the greedy seed by construction.  Greedy failures pass
-    through untouched ([improve] is not called).  When the improver
-    does replace the result, a supplied [certificate] collapses to the
-    exact bound [(ad, ad)]: the greedy pipeline's certified interval
-    speaks for the greedy decision path only, not for the stochastic
-    improvement on top of it. *)

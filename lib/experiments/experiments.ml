@@ -3,7 +3,7 @@ module Characterize = Rchls_charlib.Characterize
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Benchmarks = Rchls_dfg.Benchmarks
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Fault_sim = Rchls_soft_error.Fault_sim
 
@@ -124,24 +124,24 @@ let fig5 () =
   let g = Benchmarks.example_fig4 in
   let lib = Library.table1 in
   (* (a): all type-2 adders, Ld=5 Ad=4 (paper: R=0.82783, area 4). *)
-  (match Rc.synthesize ~strategy:`Bottom_up ~refine:false g lib ~ld:5 ~ad:4 with
+  (match Engine.synthesize ~strategy:`Bottom_up ~refine:false g lib ~ld:5 ~ad:4 with
   | Ok d ->
     Buffer.add_string buf (design_line "(a) all type-2:" d);
     Buffer.add_string buf
       (Printf.sprintf "    paper: R=%.5f, area 4\n" Paper_data.fig5_all_type2);
     Buffer.add_string buf (Format.asprintf "%a" Rchls_sched.Schedule.pp (Design.schedule d))
-  | Error f -> Buffer.add_string buf (Format.asprintf "(a) %a@." Rc.pp_failure f));
+  | Error f -> Buffer.add_string buf (Format.asprintf "(a) %a@." Engine.pp_failure f));
   (* (b): mixed versions.  The paper draws 5 steps but its stated
      resource set only closes at 6 completion cycles (EXPERIMENTS.md);
      we synthesize at Ld=6. *)
-  (match Rc.synthesize g lib ~ld:6 ~ad:4 with
+  (match Engine.synthesize g lib ~ld:6 ~ad:4 with
   | Ok d ->
     Buffer.add_string buf (design_line "(b) mixed versions:" d);
     Buffer.add_string buf
       (Printf.sprintf "    paper: R=%.5f (our library search finds a better mix)\n"
          Paper_data.fig5_mixed);
     Buffer.add_string buf (Format.asprintf "%a" Rchls_sched.Schedule.pp (Design.schedule d))
-  | Error f -> Buffer.add_string buf (Format.asprintf "(b) %a@." Rc.pp_failure f));
+  | Error f -> Buffer.add_string buf (Format.asprintf "(b) %a@." Engine.pp_failure f));
   Buffer.contents buf
 
 let fig7 () =
@@ -154,13 +154,13 @@ let fig7 () =
     Buffer.add_string buf (design_line "(a) single version:" d);
     Buffer.add_string buf
       (Printf.sprintf "    paper: R=%.5f\n" Paper_data.fig7_single_version)
-  | Error f -> Buffer.add_string buf (Format.asprintf "(a) %a@." Rc.pp_failure f));
-  (match Rc.synthesize g lib ~ld:11 ~ad:8 with
+  | Error f -> Buffer.add_string buf (Format.asprintf "(a) %a@." Engine.pp_failure f));
+  (match Engine.synthesize g lib ~ld:11 ~ad:8 with
   | Ok d ->
     Buffer.add_string buf (design_line "(b) reliability-centric:" d);
     Buffer.add_string buf (Printf.sprintf "    paper: R=%.5f\n" Paper_data.fig7_ours);
     Buffer.add_string buf (Format.asprintf "%a" Rchls_sched.Schedule.pp (Design.schedule d))
-  | Error f -> Buffer.add_string buf (Format.asprintf "(b) %a@." Rc.pp_failure f));
+  | Error f -> Buffer.add_string buf (Format.asprintf "(b) %a@." Engine.pp_failure f));
   Buffer.contents buf
 
 let series_table title xlabel series paper =

@@ -1,6 +1,6 @@
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Design = Rchls_core.Design
 module Dfg = Rchls_dfg.Dfg
 module Analysis = Rchls_dfg.Analysis
@@ -53,7 +53,9 @@ let raw_cell_certified ?scheduler ?cache approach g lib ~ld ~ad =
       | Ok t -> checked_nmr t
       | Error _ -> (None, None))
     | Ours -> (
-      match Rc.synthesize ?scheduler ?cache ~domains:1 ~certificate:cert g lib ~ld ~ad with
+      match
+        Engine.synthesize ?scheduler ?cache ~domains:1 ~certificate:cert g lib ~ld ~ad
+      with
       | Ok d -> (Some (Design.reliability d), Some (Design.area d))
       | Error _ -> (None, None))
     | Combined -> (

@@ -1,7 +1,7 @@
 module Json = Rchls_util.Json
 module Telemetry = Rchls_util.Telemetry
 module Design = Rchls_core.Design
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Dfg = Rchls_dfg.Dfg
@@ -38,7 +38,7 @@ let library_json lib =
 let design_json d =
   Rchls_api.Response.design_result_to_json (Ok (Service.summary_of_design d))
 
-let failure_json (f : Rc.failure) =
+let failure_json (f : Engine.failure) =
   Rchls_api.Response.design_result_to_json (Error (Service.failure_of_core f))
 
 let sweep_json cells =
@@ -48,14 +48,11 @@ let telemetry_json () =
   let counters =
     List.map (fun (n, v) -> (n, Json.Int v)) (Telemetry.counters ())
   in
+  let hs = Telemetry.histograms () in
   let timers =
-    List.map
-      (fun (n, ns) -> (n, Json.Int (Int64.to_int ns)))
-      (Telemetry.timers ())
+    List.map (fun (n, (h : Telemetry.hist)) -> (n, Json.Int (Int64.to_int h.sum_ns))) hs
   in
-  let hists =
-    List.map (fun (n, h) -> (n, Telemetry.hist_to_json h)) (Telemetry.histograms ())
-  in
+  let hists = List.map (fun (n, h) -> (n, Telemetry.hist_to_json h)) hs in
   Json.Obj
     [
       ("counters", Json.Obj counters);

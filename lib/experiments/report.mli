@@ -9,8 +9,9 @@
       the fingerprint iff they agree on the input),
     - the result (a synthesized design, a sweep grid, an experiment's
       rendered text, or a structured failure),
-    - a telemetry snapshot: counters, cumulative timers and histogram
-      quantiles from {!Rchls_util.Telemetry}.
+    - a telemetry snapshot: counters, cumulative span times (each
+      histogram's [sum_ns], under [timers_ns]) and histogram quantiles
+      from {!Rchls_util.Telemetry}.
 
     Reports are built with the dependency-free {!Rchls_util.Json}
     printer; nothing here touches synthesis state. *)
@@ -33,7 +34,7 @@ val design_json : Rchls_core.Design.t -> Json.t
     ..]}] — delegated to {!Rchls_api.Response.design_result_to_json},
     so run reports and serve responses share one encoding. *)
 
-val failure_json : Rchls_core.Reliability_centric.failure -> Json.t
+val failure_json : Rchls_core.Engine.failure -> Json.t
 (** [{"kind": "design", "status": "infeasible", "reason": .., ..}]
     with the bound diagnostics of the failure constructor (same
     delegation). *)
@@ -43,7 +44,7 @@ val sweep_json : Sweep.cell list -> Json.t
     ..]}] with [null] for infeasible cells (same delegation). *)
 
 val telemetry_json : unit -> Json.t
-(** Snapshot of the current counters / timers / histograms. *)
+(** Snapshot of the current counters / span times / histograms. *)
 
 val make :
   command:string ->

@@ -2,7 +2,6 @@ module Request = Rchls_api.Request
 module Response = Rchls_api.Response
 module Design = Rchls_core.Design
 module Engine = Rchls_core.Engine
-module Rc = Rchls_core.Reliability_centric
 module Check = Rchls_check.Check
 module Fuzz = Rchls_check.Fuzz
 module Anneal = Rchls_anneal.Anneal
@@ -16,7 +15,7 @@ let scheduler_of_api : Request.scheduler -> Design.scheduler = function
   | Request.Density -> `Density
   | Request.Force_directed -> `Force_directed
 
-let strategy_of_api : Request.strategy -> Rc.strategy = function
+let strategy_of_api : Request.strategy -> Engine.strategy = function
   | Request.Best -> `Best
   | Request.Figure6 -> `Figure6
   | Request.Bottom_up -> `Bottom_up
@@ -34,12 +33,12 @@ let summary_of_design d =
         (Design.instance_histogram d);
   }
 
-let failure_of_core : Rc.failure -> Response.failure = function
-  | Rc.Latency_infeasible { best_achievable } ->
+let failure_of_core : Engine.failure -> Response.failure = function
+  | Engine.Latency_infeasible { best_achievable } ->
     Response.Latency_infeasible { best_achievable }
-  | Rc.Area_infeasible { best_achieved } ->
+  | Engine.Area_infeasible { best_achieved } ->
     Response.Area_infeasible { best_achieved }
-  | Rc.Scheduling_error msg -> Response.Scheduling_error msg
+  | Engine.Scheduling_error msg -> Response.Scheduling_error msg
 
 let cell_of_sweep (c : Sweep.cell) =
   { Response.ld = c.ld; ad = c.ad; reliability = c.reliability; area = c.area }
@@ -123,15 +122,29 @@ let input_key : _ Loader.input -> unit Loader.input = function
   | Loader.Builtin (name, _) -> Loader.Builtin (name, ())
   | Loader.Text text -> Loader.Text text
 
-let input_bytes : unit Loader.input -> int = function
+(* An entry's cost is its key's texts plus the values parsed from
+   them.  A parsed graph holds 84 words, 16 per node and 6 per edge, and
+   a parsed library 32 words and 22 per version: within 5% of
+   [Obj.reachable_words] on chains and fan-outs of 4 to 20000 nodes and
+   on Table 1.  A built-in's value is shared with its table and costs
+   the entry nothing; the record and its digests are 16 words. *)
+let word = Sys.word_size / 8
+
+let input_bytes (input : unit Loader.input) ~parsed_words =
+  match input with
   | Loader.Builtin (name, ()) -> String.length name
-  | Loader.Text text -> String.length text
+  | Loader.Text text -> String.length text + (word * parsed_words)
+
+let resolved_bytes (g, l) r =
+  let module Dfg = Rchls_dfg.Dfg in
+  (16 * word)
+  + input_bytes g
+      ~parsed_words:(84 + (16 * Dfg.node_count r.graph) + (6 * Dfg.edge_count r.graph))
+  + input_bytes l ~parsed_words:(32 + (22 * Rchls_charlib.Library.size r.library))
 
 let memo : (unit Loader.input * unit Loader.input, resolved) Memo.t =
   Memo.create ~name:"service.resolve" ~gauge:true ~max_entries:memo_max_entries
-    ~max_bytes:memo_max_bytes
-    ~cost:(fun (g, l) _ -> input_bytes g + input_bytes l)
-    ()
+    ~max_bytes:memo_max_bytes ~cost:resolved_bytes ()
 
 (* [store] keeps a miss's resolution.  Only {!cache_key} stores: the
    executors look up (a served miss finds what its key stored) but a
@@ -185,7 +198,7 @@ let run_synth ?service ?resolved ?domains (s : Request.synth) =
   let scheduler = scheduler_of_api s.scheduler in
   let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
-    (Rc.synthesize ~scheduler
+    (Engine.synthesize ~scheduler
        ~strategy:(strategy_of_api s.strategy)
        ?cache ?domains r.graph r.library ~ld:s.ld ~ad:s.ad)
 

@@ -17,17 +17,17 @@
 module Request = Rchls_api.Request
 module Response = Rchls_api.Response
 module Design = Rchls_core.Design
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Fuzz = Rchls_check.Fuzz
 module Anneal = Rchls_anneal.Anneal
 
 (** {1 API <-> core conversions} *)
 
 val scheduler_of_api : Request.scheduler -> Design.scheduler
-val strategy_of_api : Request.strategy -> Rc.strategy
+val strategy_of_api : Request.strategy -> Engine.strategy
 val approach_of_api : Request.approach -> Sweep.approach
 val summary_of_design : Design.t -> Response.design_summary
-val failure_of_core : Rc.failure -> Response.failure
+val failure_of_core : Engine.failure -> Response.failure
 val cell_of_sweep : Sweep.cell -> Response.cell
 val outcome_of_fuzz : Fuzz.outcome -> Response.fuzz_outcome
 
@@ -88,8 +88,10 @@ val memo_max_entries : int
 (** Source pairs held at most. *)
 
 val memo_max_bytes : int
-(** Total key bytes (source texts and names) held at most; a pair
-    larger than this is never stored. *)
+(** Total bytes held at most: the source texts and names of the keys,
+    and the graphs and libraries parsed from inline or file texts (a
+    built-in's value is shared, not held).  A pair larger than this is
+    never stored. *)
 
 (** {1 Executors}
 
@@ -107,14 +109,14 @@ val run_synth :
   ?resolved:resolved ->
   ?domains:int ->
   Request.synth ->
-  ((Design.t, Rc.failure) result, string) result
+  ((Design.t, Engine.failure) result, string) result
 
 val run_anneal :
   ?service:t ->
   ?resolved:resolved ->
   ?domains:int ->
   Request.anneal ->
-  ((Design.t * Design.t * Anneal.stats, Rc.failure) result, string) result
+  ((Design.t * Design.t * Anneal.stats, Engine.failure) result, string) result
 (** Greedy synthesis seeded into the parallel-tempering annealer
     ([Rchls_anneal.Anneal.synthesize]): [Ok (greedy, annealed, stats)],
     with the annealed design never less reliable than the greedy seed.
@@ -126,7 +128,7 @@ val run_check :
   ?resolved:resolved ->
   ?domains:int ->
   Request.synth ->
-  ((Design.t * string list, Rc.failure) result, string) result
+  ((Design.t * string list, Engine.failure) result, string) result
 (** Synthesize, then re-validate the winning design with the
     independent checker ([Rchls_check.Check.design_violations] — the
     direct entry point, not the global [enable] hook, so concurrent
@@ -157,11 +159,11 @@ val run_fuzz : Request.fuzz -> (Fuzz.outcome list, string) result
 
 (** {1 Payload assembly} *)
 
-val payload_of_synth : (Design.t, Rc.failure) result -> Response.payload
+val payload_of_synth : (Design.t, Engine.failure) result -> Response.payload
 val payload_of_anneal :
-  (Design.t * Design.t * Anneal.stats, Rc.failure) result -> Response.payload
+  (Design.t * Design.t * Anneal.stats, Engine.failure) result -> Response.payload
 val payload_of_check :
-  (Design.t * string list, Rc.failure) result -> Response.payload
+  (Design.t * string list, Engine.failure) result -> Response.payload
 val payload_of_sweep : Sweep.cell list -> Response.payload
 val payload_of_explore :
   Explore.point list * Explore.stats -> Response.payload

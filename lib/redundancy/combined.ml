@@ -1,4 +1,4 @@
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 
 let synthesize ?scheduler ?strategy ?cache ?domains ?certificate g lib ~ld ~ad =
   Rchls_util.Trace.with_span "redundancy.combined" @@ fun () ->
@@ -6,7 +6,7 @@ let synthesize ?scheduler ?strategy ?cache ?domains ?certificate g lib ~ld ~ad =
   let set c = match certificate with Some r -> r := c | None -> () in
   let eng = ref (1, max_int) in
   match
-    Rc.synthesize ?scheduler ?strategy ?cache ?domains ~certificate:eng g lib
+    Engine.synthesize ?scheduler ?strategy ?cache ?domains ~certificate:eng g lib
       ~ld ~ad
   with
   | Error e ->

@@ -5,11 +5,11 @@
     redundancy for an operator, we use the same version selected by our
     reliability-centric approach as duplicate(s)"). *)
 
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 
 val synthesize :
   ?scheduler:Rchls_core.Design.scheduler ->
-  ?strategy:Rc.strategy ->
+  ?strategy:Engine.strategy ->
   ?cache:Rchls_core.Engine.cache ->
   ?domains:int ->
   ?certificate:(int * int) ref ->
@@ -17,7 +17,7 @@ val synthesize :
   Rchls_charlib.Library.t ->
   ld:int ->
   ad:int ->
-  (Nmr_design.t, Rc.failure) result
+  (Nmr_design.t, Engine.failure) result
 (** Version selection under [ld]/[ad], then greedy redundancy insertion
     in the remaining area.  [certificate] receives the intersection of
     the engine's and the insertion's certified area-bound intervals:

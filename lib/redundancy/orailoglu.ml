@@ -1,7 +1,7 @@
 module Design = Rchls_core.Design
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Binding = Rchls_binding.Binding
 open Rchls_dfg
 
@@ -28,11 +28,12 @@ let base_design ?(scheduler = `Density) g lib ~ld =
   let assignment (nd : Dfg.node) = fixed_version lib (Op.resource_class nd.op) in
   let delay (nd : Dfg.node) = (assignment nd).Resource.delay in
   let min_latency = Analysis.asap_latency g ~delay in
-  if min_latency > ld then Error (Rc.Latency_infeasible { best_achievable = min_latency })
+  if min_latency > ld then
+    Error (Engine.Latency_infeasible { best_achievable = min_latency })
   else
     match Design.realize ~scheduler g lib ~assignment ~latency:ld with
     | Ok d -> Ok d
-    | Error e -> Error (Rc.Scheduling_error e)
+    | Error e -> Error (Engine.Scheduling_error e)
 
 (* One protection upgrade: (instance index, new level, copy cost,
    log-reliability gain). *)
@@ -111,7 +112,7 @@ let synthesize ?(scheduler = `Density) ?certificate g lib ~ld ~ad =
     let a = Nmr_design.area t in
     if a > ad then begin
       set (1, a - 1);
-      Error (Rc.Area_infeasible { best_achieved = a })
+      Error (Engine.Area_infeasible { best_achieved = a })
     end
     else begin
       let inner = ref (1, max_int) in

@@ -10,14 +10,14 @@
 
 module Design = Rchls_core.Design
 module Library = Rchls_charlib.Library
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 
 val base_design :
   ?scheduler:Design.scheduler ->
   Rchls_dfg.Dfg.t ->
   Library.t ->
   ld:int ->
-  (Design.t, Rc.failure) result
+  (Design.t, Engine.failure) result
 (** The unprotected fixed-version design scheduled within [ld]. *)
 
 val synthesize :
@@ -27,7 +27,7 @@ val synthesize :
   Library.t ->
   ld:int ->
   ad:int ->
-  (Nmr_design.t, Rc.failure) result
+  (Nmr_design.t, Engine.failure) result
 (** Baseline flow: {!base_design}, then greedy redundancy insertion
     within the area bound.  [certificate] receives the certified
     area-bound interval [(lo, hi)]: for every [ad'] in it the call

@@ -42,43 +42,11 @@ let wall_ns () = Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e9))
 (* The record is rendered by hand into the shared buffer: one log line
    costs a handful of buffer appends, not a JSON value allocation —
    this sits on the daemon's per-request hot path. *)
-let add_escaped b s =
-  let n = String.length s in
-  let flush_from i j = if j > i then Buffer.add_substring b s i (j - i) in
-  let rec go i j =
-    if j = n then flush_from i j
-    else
-      match s.[j] with
-      | ('"' | '\\') as c ->
-        flush_from i j;
-        Buffer.add_char b '\\';
-        Buffer.add_char b c;
-        go (j + 1) (j + 1)
-      | '\n' ->
-        flush_from i j;
-        Buffer.add_string b "\\n";
-        go (j + 1) (j + 1)
-      | '\r' ->
-        flush_from i j;
-        Buffer.add_string b "\\r";
-        go (j + 1) (j + 1)
-      | '\t' ->
-        flush_from i j;
-        Buffer.add_string b "\\t";
-        go (j + 1) (j + 1)
-      | c when Char.code c < 0x20 ->
-        flush_from i j;
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
-        go (j + 1) (j + 1)
-      | _ -> go i (j + 1)
-  in
-  go 0 0
-
 let add_str_field b name v =
   Buffer.add_string b ",\"";
   Buffer.add_string b name;
   Buffer.add_string b "\":\"";
-  add_escaped b v;
+  Rchls_util.Json.add_escaped b v;
   Buffer.add_char b '"'
 
 (* Allocation-free decimal rendering (vs a string_of_int string per

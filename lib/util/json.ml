@@ -9,22 +9,36 @@ type t =
 
 (* --- printing ------------------------------------------------------ *)
 
+let escape = function
+  | '"' -> Some "\\\""
+  | '\\' -> Some "\\\\"
+  | '\n' -> Some "\\n"
+  | '\r' -> Some "\\r"
+  | '\t' -> Some "\\t"
+  | '\b' -> Some "\\b"
+  | '\012' -> Some "\\f"
+  | c when Char.code c < 0x20 -> Some (Printf.sprintf "\\u%04x" (Char.code c))
+  | _ -> None
+
+(* Runs of bytes that need no escape are copied with one substring
+   append each. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec go i j =
+    if j = n then Buffer.add_substring buf s i (j - i)
+    else
+      match escape s.[j] with
+      | None -> go i (j + 1)
+      | Some e ->
+        Buffer.add_substring buf s i (j - i);
+        Buffer.add_string buf e;
+        go (j + 1) (j + 1)
+  in
+  go 0 0
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.add_char buf '"'
 
 let float_repr f =

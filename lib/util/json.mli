@@ -21,6 +21,14 @@ val to_string : ?pretty:bool -> t -> string
 (** Serialize.  [pretty] (default [false]) adds two-space indentation
     and newlines; compact output has no whitespace at all. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append a string's JSON escape, without the surrounding quotes:
+    quote, backslash, newline, carriage return, tab, backspace and
+    form feed take their two-byte escapes, the other control bytes a
+    six-byte [\u00XX] one, and every other byte is copied as is.
+    {!to_string} escapes strings with it; hand-rendered JSON (the
+    daemon's access log) uses it too. *)
+
 val of_string : ?max_depth:int -> string -> (t, string) result
 (** Parse one JSON document; [Error] carries a message with the byte
     offset of the failure.  Containers nested deeper than [max_depth]

@@ -1,7 +1,7 @@
-(* Process-global registry of five metric families: counters, timers,
+(* Process-global registry of four metric families: counters,
    cumulative histograms, gauges and rolling windows.  Hashtables are
    only mutated under [registry_lock] (cell creation is rare, bumps are
-   hot); recording never takes a lock.  Counter/timer cells are sharded
+   hot); recording never takes a lock.  Counter cells are sharded
    arrays of Atomic ints so domains bump them without contending on one
    cache line; reads aggregate across the shards, which is exact once
    the writing domains have been joined. *)
@@ -12,7 +12,7 @@ let start_ns = now_ns ()
 
 let uptime_ns () = Int64.sub (now_ns ()) start_ns
 
-(* --- sharded cells (counters, timers) ------------------------------ *)
+(* --- sharded cells (counters) ---------------------------------------- *)
 
 (* Power of two so the shard pick is one mask of the domain id.  8
    shards already separates the handful of worker domains the pool
@@ -247,7 +247,6 @@ end
 
 let registry_lock = Mutex.create ()
 let counters_tbl : (string, cell) Hashtbl.t = Hashtbl.create 32
-let timers_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
 let hists_tbl : (string, core) Hashtbl.t = Hashtbl.create 16
 
 (* Gauges are read as often as they are written (queue depth moves on
@@ -292,16 +291,6 @@ let counter = read counters_tbl cell_value ~default:0
 
 let counters () = sorted counters_tbl cell_value
 
-let add_timer_ns name ns = cell_add (find_or_create timers_tbl make_cell name) (Int64.to_int ns)
-
-let time name f =
-  let t0 = now_ns () in
-  Fun.protect ~finally:(fun () -> add_timer_ns name (Int64.sub (now_ns ()) t0)) f
-
-let timer_ns = read timers_tbl (fun c -> Int64.of_int (cell_value c)) ~default:0L
-
-let timers () = sorted timers_tbl (fun c -> Int64.of_int (cell_value c))
-
 let observe name ns = observe_core (find_or_create hists_tbl make_core name) ns
 
 let histogram =
@@ -329,7 +318,6 @@ let windows () = sorted windows_tbl (fun w -> Rolling.stat w)
 let reset () =
   Mutex.lock registry_lock;
   Hashtbl.iter (fun _ c -> cell_reset c) counters_tbl;
-  Hashtbl.iter (fun _ c -> cell_reset c) timers_tbl;
   Hashtbl.iter (fun _ c -> clear_core c) hists_tbl;
   Hashtbl.iter (fun _ g -> Atomic.set g 0) gauges_tbl;
   Hashtbl.iter (fun _ w -> Rolling.clear w) windows_tbl;
@@ -431,8 +419,10 @@ let format_ns_f f =
 
 let render () =
   let cs = List.filter (fun (_, v) -> v <> 0) (counters ()) in
-  let ts = List.filter (fun (_, v) -> v <> 0L) (timers ()) in
   let hs = histograms () in
+  let ts =
+    List.filter (fun (_, v) -> v <> 0L) (List.map (fun (n, h) -> (n, h.sum_ns)) hs)
+  in
   if cs = [] && ts = [] && hs = [] then ""
   else begin
     let t = Tablefmt.create ~aligns:[ Tablefmt.Left; Right ] [ "metric"; "value" ] in

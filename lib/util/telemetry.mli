@@ -1,18 +1,19 @@
-(** Observability: named counters, monotonic-clock timers, log-scale
-    latency histograms, gauges and rolling-window histograms, plus their
-    Prometheus and JSON exposition.
+(** Observability: named counters, log-scale latency histograms, gauges
+    and rolling-window histograms, plus their Prometheus and JSON
+    exposition.
 
     The synthesis layers (scheduling, binding, the pass-pipeline
     engine, the redundancy baseline) report how much work they do
     through a process-global registry of named counters
-    (["sched.runs"], ["cache.hits"], ["downgrade.steps"], ...),
-    cumulative wall-clock timers (["pass.meet_latency"], ...) and
-    duration histograms fed by {!Trace.with_span}.  A long-running
+    (["sched.runs"], ["cache.hits"], ["downgrade.steps"], ...) and
+    duration histograms fed by {!Trace.with_span}
+    (["pass.meet_latency"], ...), whose [sum_ns] is the cumulative
+    wall-clock time of the span.  A long-running
     daemon adds {b gauges} (queue depth, in-flight jobs) and {b rolling
     windows}: duration histograms over a sliding time window, so
     p50/p90/p99 reflect {e recent} traffic and old load spikes age out.
 
-    Counter and timer cells are {e sharded per domain} (one atomic per
+    Counter cells are {e sharded per domain} (one atomic per
     shard, aggregated on read) so parallel sweep and fault-campaign
     workers bump them without cache-line contention.  Cumulative and
     rolling histograms share one log2-bucket core and one quantile
@@ -35,25 +36,11 @@ val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
 val now_ns : unit -> int64
-(** The monotonic clock backing {!time}, {!Rolling} and
-    {!Trace.with_span}. *)
+(** The monotonic clock backing {!Rolling} and {!Trace.with_span}. *)
 
 val uptime_ns : unit -> int64
 (** Monotonic nanoseconds since this module was initialized (process
     start, for practical purposes). *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f ()], adding its monotonic-clock elapsed time
-    to timer [name] (and re-raising any exception, still charged). *)
-
-val add_timer_ns : string -> int64 -> unit
-(** Add an externally measured duration to timer [name]. *)
-
-val timer_ns : string -> int64
-(** Accumulated nanoseconds; 0 for an unknown timer. *)
-
-val timers : unit -> (string * int64) list
-(** All timers (name, cumulative ns), sorted by name. *)
 
 (** {1 Histograms} *)
 
@@ -139,8 +126,8 @@ val windows : unit -> (string * hist) list
 (** {1 Reset} *)
 
 val reset : unit -> unit
-(** Zero every counter, timer, histogram and gauge and clear every
-    window (the registry keys survive). *)
+(** Zero every counter, histogram and gauge and clear every window
+    (the registry keys survive). *)
 
 (** {1 Snapshot and exposition} *)
 
@@ -179,6 +166,7 @@ val format_ns_f : float -> string
     quantiles. *)
 
 val render : unit -> string
-(** Counters, timers (human units) and histogram quantile rows as an
-    aligned two-column table, empty string when nothing was recorded —
-    the [--stats] output of the CLI. *)
+(** Counters, cumulative span times (each histogram's [sum_ns], human
+    units) and histogram quantile rows as an aligned two-column table,
+    empty string when nothing was recorded — the [--stats] output of
+    the CLI. *)

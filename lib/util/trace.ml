@@ -54,7 +54,6 @@ let with_span ?(attrs = []) name f =
       decr depth_ref;
       let t1 = Telemetry.now_ns () in
       let dur = Int64.sub t1 t0 in
-      Telemetry.add_timer_ns name dur;
       Telemetry.observe name dur;
       if enabled () then
         emit

@@ -5,8 +5,9 @@
     {!with_span}.  Spans nest: each domain keeps its own span stack
     (via [Domain.DLS]), so parallel sweep/campaign workers trace
     independently and the export shows one track per domain.  Every
-    span completion also feeds the [Telemetry] registry — a cumulative
-    timer and a log-scale latency histogram under the span's name — so
+    span completion also feeds the [Telemetry] registry — a log-scale
+    latency histogram under the span's name, whose [sum_ns] is the
+    span's cumulative time — so
     [--stats] shows per-span totals and p50/p90/p99 even without a
     sink installed.
 
@@ -45,7 +46,7 @@ val with_span : ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span: emits [Begin]/[End]
     events to the installed sinks (the [End] is emitted even when [f]
     raises), pushes the span on the current domain's stack while [f]
-    runs, and records the duration in the [name] telemetry timer and
+    runs, and records the duration in the [name] telemetry
     histogram. *)
 
 val instant : ?attrs:attrs -> string -> unit

@@ -9,7 +9,7 @@ open Rchls_dfg
 module Resource = Rchls_charlib.Resource
 module Library = Rchls_charlib.Library
 module Design = Rchls_core.Design
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Rng = Rchls_util.Rng
 module Check = Rchls_check.Check
 module Gen = Rchls_check.Gen
@@ -18,7 +18,7 @@ module Anneal = Rchls_anneal.Anneal
 let lib = Library.table1
 
 let synth_exn g ~ld ~ad =
-  match Rc.synthesize g lib ~ld ~ad with
+  match Engine.synthesize g lib ~ld ~ad with
   | Ok d -> d
   | Error _ ->
     Alcotest.failf "greedy synthesis of %s failed (ld=%d ad=%d)" (Dfg.name g) ld ad
@@ -336,7 +336,7 @@ let test_oracle_bounds_annealer () =
       match oracle_bounds g with
       | None -> ()
       | Some (ld, ad) -> (
-        match (Anneal.optimum g lib ~ld ~ad, Rc.synthesize g lib ~ld ~ad) with
+        match (Anneal.optimum g lib ~ld ~ad, Engine.synthesize g lib ~ld ~ad) with
         | Some opt, Ok _ ->
           incr checked;
           let _, annealed, _ =
@@ -366,7 +366,7 @@ let test_oracle_dominates_greedy () =
       match oracle_bounds g with
       | None -> ()
       | Some (ld, ad) -> (
-        match Rc.synthesize g lib ~ld ~ad with
+        match Engine.synthesize g lib ~ld ~ad with
         | Error _ -> ()
         | Ok d -> (
           match Anneal.optimum g lib ~ld ~ad with

@@ -774,6 +774,40 @@ let test_memo_bounded () =
     && check_ok "key" (Service.cache_key huge) = want);
   Alcotest.(check int) "an oversized text is never stored" 2 (misses () - m0)
 
+(* The byte bound charges what an entry holds, not only its key: inline
+   graphs whose texts total under a quarter of the bound, but whose
+   parsed values pass it, must evict well inside the entry bound. *)
+let test_memo_charges_parsed_values () =
+  let count = 24 and nodes = 1200 in
+  let text i =
+    let b = Buffer.create (32 * nodes) in
+    Printf.bprintf b "dfg heavy%d\n" i;
+    for k = 0 to nodes - 1 do
+      Printf.bprintf b "node n%d add\n" k
+    done;
+    for k = 1 to nodes - 1 do
+      Printf.bprintf b "edge n%d n%d\n" (k - 1) k
+    done;
+    Buffer.contents b
+  in
+  let texts = List.init count text in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 texts in
+  let parsed_bytes t =
+    (Sys.word_size / 8) * Obj.reachable_words (Obj.repr (Parse.of_text_exn t))
+  in
+  Alcotest.(check bool) "texts total under a quarter of the bound" true
+    (sum String.length < Service.memo_max_bytes / 4);
+  Alcotest.(check bool) "parsed graphs total over the bound" true
+    (sum parsed_bytes > Service.memo_max_bytes);
+  Alcotest.(check bool) "room below the entry bound" true
+    (Telemetry.gauge "service.resolve.entries" + count <= Service.memo_max_entries);
+  let evictions () = Telemetry.counter "service.resolve.evictions" in
+  let e0 = evictions () in
+  List.iter
+    (fun t -> ignore (check_ok "key" (Service.cache_key (synth_job (Request.Inline t)))))
+    texts;
+  Alcotest.(check bool) "parsed values evict" true (evictions () > e0)
+
 (* Keys of three fixed jobs, as computed before the resolved sources
    carried their digests: a named graph, an inline graph and an inline
    library.  The response cache and the disk tier are keyed by these,
@@ -1515,6 +1549,8 @@ let () =
             test_memo_errors_not_stored;
           Alcotest.test_case "memo: counters" `Quick test_memo_counters;
           Alcotest.test_case "memo: bounded" `Quick test_memo_bounded;
+          Alcotest.test_case "memo: charges parsed values" `Quick
+            test_memo_charges_parsed_values;
           Alcotest.test_case "pinned keys" `Quick test_pinned_keys;
           Alcotest.test_case "registry keys the library" `Quick
             test_registry_keys_library;

@@ -10,7 +10,6 @@ module Library = Rchls_charlib.Library
 module Binding = Rchls_binding.Binding
 module Design = Rchls_core.Design
 module Engine = Rchls_core.Engine
-module Rc = Rchls_core.Reliability_centric
 module Nmr_design = Rchls_redundancy.Nmr_design
 module Orailoglu = Rchls_redundancy.Orailoglu
 module Rng = Rchls_util.Rng
@@ -46,7 +45,7 @@ let test_valid_designs_pass () =
     Benchmarks.all
 
 let test_synthesized_designs_pass () =
-  match Rc.synthesize Benchmarks.diffeq lib ~ld:6 ~ad:13 with
+  match Engine.synthesize Benchmarks.diffeq lib ~ld:6 ~ad:13 with
   | Error _ -> Alcotest.fail "diffeq synthesis failed"
   | Ok d ->
     Alcotest.(check (list string))
@@ -220,7 +219,7 @@ let test_engine_hook_sees_designs () =
   Engine.set_design_checker (Some (fun _ -> incr seen));
   Fun.protect ~finally:(fun () -> Engine.set_design_checker None) @@ fun () ->
   Alcotest.(check bool) "installed" true (Engine.design_checker_installed ());
-  (match Rc.synthesize Benchmarks.diffeq lib ~ld:6 ~ad:13 with
+  (match Engine.synthesize Benchmarks.diffeq lib ~ld:6 ~ad:13 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "synthesis failed");
   Alcotest.(check bool) "hook saw realized designs" true (!seen > 0);
@@ -244,7 +243,7 @@ let test_enable_disable () =
 
 let test_checked_synthesis_agrees_with_unchecked () =
   (* Installing the checker must not change results. *)
-  let run () = Rc.synthesize Benchmarks.ewf lib ~ld:14 ~ad:9 in
+  let run () = Engine.synthesize Benchmarks.ewf lib ~ld:14 ~ad:9 in
   let plain = run () in
   Check.enable ();
   let checked = Fun.protect ~finally:Check.disable run in

@@ -6,7 +6,9 @@ open Rchls_dfg
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Design = Rchls_core.Design
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
+module Trace = Rchls_util.Trace
+module Telemetry = Rchls_util.Telemetry
 
 let lib = Library.table1
 let checkf5 = Alcotest.(check (float 5e-6))
@@ -56,11 +58,11 @@ let test_min_feasible_latency () =
 
 (* --- synthesize: paper anchor points --- *)
 
-let synth ?strategy ?refine g ld ad = Rc.synthesize ?strategy ?refine g lib ~ld ~ad
+let synth ?strategy ?refine g ld ad = Engine.synthesize ?strategy ?refine g lib ~ld ~ad
 
 let reliability_of = function
   | Ok d -> Design.reliability d
-  | Error f -> Alcotest.failf "unexpected failure: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "unexpected failure: %a" Engine.pp_failure f
 
 let test_fig5a_all_type2 () =
   (* The paper's Figure 5(a): Ld=5 Ad=4 forces two type-2 adders,
@@ -92,7 +94,7 @@ let test_ewf_baseline_product () =
   (* All-fastest EWF = 0.969^25 = 0.45509, the paper's Ref[3] anchor. *)
   match Rchls_redundancy.Orailoglu.base_design Benchmarks.ewf lib ~ld:13 with
   | Ok d -> checkf5 "0.45509" 0.45509 (Design.reliability d)
-  | Error f -> Alcotest.failf "baseline failed: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "baseline failed: %a" Engine.pp_failure f
 
 (* --- synthesize: invariants --- *)
 
@@ -138,16 +140,16 @@ let test_reliability_is_version_product () =
 
 let test_infeasible_latency () =
   match synth Benchmarks.fir16 5 100 with
-  | Error (Rc.Latency_infeasible { best_achievable }) ->
+  | Error (Engine.Latency_infeasible { best_achievable }) ->
     Alcotest.(check int) "best is fastest asap" 9 best_achievable
-  | Error f -> Alcotest.failf "wrong failure: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "wrong failure: %a" Engine.pp_failure f
   | Ok _ -> Alcotest.fail "should be infeasible"
 
 let test_infeasible_area () =
   (* fir16 needs at least an adder and a multiplier: area >= 3. *)
   match synth Benchmarks.fir16 30 2 with
-  | Error (Rc.Area_infeasible _) -> ()
-  | Error f -> Alcotest.failf "wrong failure: %a" Rc.pp_failure f
+  | Error (Engine.Area_infeasible _) -> ()
+  | Error f -> Alcotest.failf "wrong failure: %a" Engine.pp_failure f
   | Ok _ -> Alcotest.fail "should be infeasible"
 
 let test_invalid_bounds_rejected () =
@@ -192,16 +194,56 @@ let test_refine_never_hurts () =
       | _ -> ())
     all_cases
 
-let test_trace_events_emitted () =
-  let events = ref [] in
-  (match synth Benchmarks.fir16 11 9 with _ -> ());
-  (match
-     Rc.synthesize ~trace:(fun e -> events := e :: !events) Benchmarks.fir16 lib ~ld:11
-       ~ad:9
-   with
-  | _ -> ());
-  Alcotest.(check bool) "has initial" true
-    (List.exists (function Rc.Initial _ -> true | _ -> false) !events)
+(* Every algorithm decision reaches the Trace layer as an [engine.*]
+   instant.  On fig4 at (8, 300) the stream is the one [rchls synth
+   --trace] prints (test/golden/cli.expected); on fir16 at (11, 9) it
+   opens with [engine.initial] and agrees with the work counters. *)
+let decisions g ~ld ~ad =
+  let c = Trace.collector () in
+  ignore
+    (Trace.with_sinks [ Trace.collector_sink c ] (fun () -> Engine.synthesize g lib ~ld ~ad));
+  List.filter_map
+    (fun (ev : Trace.event) ->
+      match ev.kind with
+      | Trace.Instant when String.starts_with ~prefix:"engine." ev.name -> Some ev
+      | _ -> None)
+    (Trace.events c)
+
+let test_decision_instants () =
+  let show (ev : Trace.event) =
+    let s k = Option.value ~default:"" (Trace.attr_string ev.attrs k) in
+    let i k = Option.value ~default:0 (Trace.attr_int ev.attrs k) in
+    match ev.name with
+    | "engine.initial" -> Printf.sprintf "initial latency %d" (i "latency")
+    | "engine.refine_upgrade" ->
+      Printf.sprintf "refine: [%s] %s -> %s (R=%.5f)" (s "node") (s "from") (s "to")
+        (Option.value ~default:0. (Trace.attr_float ev.attrs "reliability"))
+    | name -> name
+  in
+  Alcotest.(check (list string))
+    "fig4 (8, 300) decisions"
+    [
+      "initial latency 8";
+      "initial latency 4";
+      "refine: [A,B,C,D,E,F] add3 -> add1 (R=0.99401)";
+    ]
+    (List.map show (decisions Benchmarks.example_fig4 ~ld:8 ~ad:300));
+  Telemetry.reset ();
+  let evs = decisions Benchmarks.fir16 ~ld:11 ~ad:9 in
+  let count name =
+    List.length (List.filter (fun (ev : Trace.event) -> ev.name = name) evs)
+  in
+  Alcotest.(check string)
+    "first decision" "engine.initial"
+    (match evs with ev :: _ -> ev.name | [] -> "none");
+  Alcotest.(check int) "one initial per run" (Telemetry.counter "engine.runs")
+    (count "engine.initial");
+  Alcotest.(check int) "downgrades" (Telemetry.counter "downgrade.steps")
+    (count "engine.latency_downgrade" + count "engine.area_downgrade");
+  Alcotest.(check int) "upgrades" (Telemetry.counter "refine.upgrades")
+    (count "engine.refine_upgrade");
+  Alcotest.(check bool) "fir16 (11, 9) downgrades" true
+    (count "engine.latency_downgrade" > 0)
 
 (* --- properties --- *)
 
@@ -211,13 +253,13 @@ let gen_bounds =
 let prop_feasible_designs_meet_bounds =
   QCheck2.Test.make ~name:"feasible designs meet both bounds" ~count:60 gen_bounds
     (fun (ld, ad) ->
-      match Rc.synthesize Benchmarks.diffeq lib ~ld ~ad with
+      match Engine.synthesize Benchmarks.diffeq lib ~ld ~ad with
       | Error _ -> true
       | Ok d -> Design.latency d <= ld && Design.area d <= ad)
 
 let prop_reliability_in_unit_interval =
   QCheck2.Test.make ~name:"reliability in (0,1]" ~count:60 gen_bounds (fun (ld, ad) ->
-      match Rc.synthesize Benchmarks.iir_biquad lib ~ld ~ad with
+      match Engine.synthesize Benchmarks.iir_biquad lib ~ld ~ad with
       | Error _ -> true
       | Ok d ->
         let r = Design.reliability d in
@@ -257,7 +299,7 @@ let () =
             test_strategies_all_feasible_agree_on_bounds;
           Alcotest.test_case "best dominates" `Quick test_best_not_worse_than_components;
           Alcotest.test_case "refine never hurts" `Quick test_refine_never_hurts;
-          Alcotest.test_case "trace events" `Quick test_trace_events_emitted;
+          Alcotest.test_case "trace events" `Quick test_decision_instants;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -5,7 +5,6 @@
 
 open Rchls_dfg
 module Engine = Rchls_core.Engine
-module Rc = Rchls_core.Reliability_centric
 module Design = Rchls_core.Design
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
@@ -17,6 +16,9 @@ module Gen = Rchls_check.Gen
 module Rng = Rchls_util.Rng
 
 let lib = Library.table1
+
+(* Figure 6's initial allocation (line 3). *)
+let most_reliable (nd : Dfg.node) = Library.most_reliable lib (Op.resource_class nd.op)
 
 (* --- parallel sweep == sequential sweep ----------------------------- *)
 
@@ -202,10 +204,7 @@ let prop_incremental_latency g_name g =
     ~count:30
     QCheck2.Gen.(list_size (int_range 1 40) (pair nat nat))
     (fun flips ->
-      let ctx =
-        Engine.create g lib ~ld:1000 ~ad:1000
-          ~initial:(Rc.most_reliable_assignment g lib)
-      in
+      let ctx = Engine.create g lib ~ld:1000 ~ad:1000 ~initial:most_reliable in
       let nodes = Array.of_list (Dfg.nodes g) in
       List.iter
         (fun (ni, vi) ->
@@ -252,10 +251,7 @@ let test_fingerprint_collision_free () =
   let g = Benchmarks.example_fig4 in
   let n = Dfg.node_count g in
   let versions = Array.of_list (Library.versions lib Resource.Add) in
-  let ctx =
-    Engine.create g lib ~ld:1000 ~ad:1000
-      ~initial:(Rc.most_reliable_assignment g lib)
-  in
+  let ctx = Engine.create g lib ~ld:1000 ~ad:1000 ~initial:most_reliable in
   let cur = Array.make n "" in
   let seen = Hashtbl.create 4096 in
   let latencies = [ 6; 8; 12 ] in
@@ -316,9 +312,7 @@ let test_counters_monotone_and_cache_hit () =
 let test_pipeline_matches_driver () =
   let g = Benchmarks.diffeq in
   let via_driver = Engine.synthesize ~strategy:`Figure6 g lib ~ld:7 ~ad:7 in
-  let ctx =
-    Engine.create g lib ~ld:7 ~ad:7 ~initial:(Rc.most_reliable_assignment g lib)
-  in
+  let ctx = Engine.create g lib ~ld:7 ~ad:7 ~initial:most_reliable in
   let via_pipeline = Engine.run_pipeline (Engine.default_pipeline ~refine:true) ctx in
   Alcotest.check result_testable "explicit pipeline = Figure6 driver" via_driver
     via_pipeline

@@ -222,8 +222,7 @@ let test_pruned_equals_reference () =
   Alcotest.(check bool) "cells derived overall" true (!derived > 0)
 
 (* An oracle that shares no cache code with what it checks: every cell
-   of the plane synthesized by [Engine.synthesize ~use_cache:false]
-   (what [Reliability_centric.synthesize] runs, caches bypassed),
+   of the plane synthesized by [Engine.synthesize ~use_cache:false],
    enveloped.  The pruned sweep at 1 and then 2 domains over one
    shared cache must equal it cell for cell. *)
 let test_pruned_equals_uncached_grid () =

@@ -258,13 +258,11 @@ let test_exposition () =
 
 let test_reset_all_families () =
   Telemetry.incr "r.counter";
-  Telemetry.add_timer_ns "r.timer" 10L;
   Telemetry.observe "r.hist" 10L;
   Telemetry.gauge_set "r.gauge" 3;
   Telemetry.observe_window "r.window" 10L;
   Telemetry.reset ();
   Alcotest.(check int) "counter" 0 (Telemetry.counter "r.counter");
-  Alcotest.(check int64) "timer" 0L (Telemetry.timer_ns "r.timer");
   Alcotest.(check bool) "histogram" true (Telemetry.histogram "r.hist" = None);
   Alcotest.(check int) "gauge" 0 (Telemetry.gauge "r.gauge");
   Alcotest.(check bool) "window" true
@@ -302,7 +300,7 @@ let () =
           Alcotest.test_case "prometheus + json exposition" `Quick
             test_exposition;
           Alcotest.test_case "uptime" `Quick test_uptime_monotone;
-          Alcotest.test_case "one reset zeroes all five families" `Quick
+          Alcotest.test_case "one reset zeroes all four families" `Quick
             test_reset_all_families;
         ] );
     ]

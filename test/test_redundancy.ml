@@ -5,7 +5,7 @@ open Rchls_dfg
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
 module Design = Rchls_core.Design
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Nmr_design = Rchls_redundancy.Nmr_design
 module Orailoglu = Rchls_redundancy.Orailoglu
 module Combined = Rchls_redundancy.Combined
@@ -66,7 +66,7 @@ let test_protect_rejects_bad_index () =
 
 let test_fixed_version_is_fast_small () =
   match Orailoglu.base_design Benchmarks.fir16 lib ~ld:10 with
-  | Error f -> Alcotest.failf "baseline failed: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "baseline failed: %a" Engine.pp_failure f
   | Ok d ->
     List.iter
       (fun (nd : Dfg.node) ->
@@ -80,7 +80,7 @@ let test_fixed_version_is_fast_small () =
 let test_fir_baseline_exact () =
   (* 0.969^23 = 0.48467, the paper's Ref[3] FIR anchor. *)
   match Orailoglu.base_design Benchmarks.fir16 lib ~ld:10 with
-  | Error f -> Alcotest.failf "baseline failed: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "baseline failed: %a" Engine.pp_failure f
   | Ok d ->
     checkf5 "0.48467" 0.48467 (Design.reliability d);
     Alcotest.(check int) "area 8" 8 (Design.area d)
@@ -116,7 +116,7 @@ let test_no_budget_no_redundancy () =
   | Ok t ->
     (* Base area is 8, slack 1, cheapest copy costs 2: nothing fits. *)
     Alcotest.(check int) "no copies" 0 (Nmr_design.redundancy_area t)
-  | Error f -> Alcotest.failf "baseline failed: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "baseline failed: %a" Engine.pp_failure f
 
 let test_area_infeasible () =
   Alcotest.(check bool) "rejects" true
@@ -127,14 +127,15 @@ let test_area_infeasible () =
 let test_combined_dominates_ours () =
   List.iter
     (fun (g, ld, ad) ->
-      match (Rc.synthesize g lib ~ld ~ad, Combined.synthesize g lib ~ld ~ad) with
+      match (Engine.synthesize g lib ~ld ~ad, Combined.synthesize g lib ~ld ~ad) with
       | Ok ours, Ok comb ->
         Alcotest.(check bool)
           (Printf.sprintf "%s (%d,%d)" (Dfg.name g) ld ad)
           true
           (Nmr_design.reliability comb >= Design.reliability ours -. 1e-12)
       | Error _, Error _ -> ()
-      | Ok _, Error f -> Alcotest.failf "combined failed where ours worked: %a" Rc.pp_failure f
+      | Ok _, Error f ->
+        Alcotest.failf "combined failed where ours worked: %a" Engine.pp_failure f
       | Error _, Ok _ -> Alcotest.fail "combined feasible where ours failed (impossible)")
     [
       (Benchmarks.fir16, 11, 11); (Benchmarks.fir16, 12, 13); (Benchmarks.ewf, 14, 11);
@@ -145,7 +146,7 @@ let test_combined_duplicates_selected_version () =
   (* The copies must use the version our approach selected: redundancy
      area is a sum of selected-version areas. *)
   match Combined.synthesize Benchmarks.diffeq lib ~ld:6 ~ad:15 with
-  | Error f -> Alcotest.failf "combined failed: %a" Rc.pp_failure f
+  | Error f -> Alcotest.failf "combined failed: %a" Engine.pp_failure f
   | Ok t ->
     let extra = Nmr_design.redundancy_area t in
     let level_area =

@@ -9,7 +9,7 @@ module Sweep = Rchls_experiments.Sweep
 module Report = Rchls_experiments.Report
 module Benchmarks = Rchls_dfg.Benchmarks
 module Library = Rchls_charlib.Library
-module Rc = Rchls_core.Reliability_centric
+module Engine = Rchls_core.Engine
 module Fault_sim = Rchls_soft_error.Fault_sim
 module Catalog = Rchls_circuits.Catalog
 
@@ -47,8 +47,12 @@ let test_span_nesting () =
   in
   Alcotest.(check (option int)) "attrs preserved" (Some 1)
     (Trace.attr_int inner_begin.Trace.attrs "k");
-  (* Span completions feed the telemetry timer and histogram. *)
-  Alcotest.(check bool) "timer fed" true (Telemetry.timer_ns "outer" > 0L);
+  (* Span completions feed the telemetry histogram; its sum is the
+     span's cumulative time. *)
+  Alcotest.(check bool) "span time fed" true
+    (match Telemetry.histogram "outer" with
+    | Some h -> h.Telemetry.sum_ns > 0L
+    | None -> false);
   Alcotest.(check bool) "histogram fed" true
     (match Telemetry.histogram "inner" with Some h -> h.Telemetry.count = 1 | None -> false)
 
@@ -86,9 +90,15 @@ let test_json_roundtrip () =
         ("l", Json.List [ Json.Int 1; Json.Str "x"; Json.Obj [] ]);
       ]
   in
-  match Json.of_string (Json.to_string ~pretty:true j) with
+  (match Json.of_string (Json.to_string ~pretty:true j) with
   | Ok j' -> Alcotest.(check bool) "round trip" true (j = j')
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* Every escape class, between unescaped runs. *)
+  let s = "ab\"\\\n\r\t\b\012\001\031cd" in
+  Alcotest.(check string) "escapes" {|"ab\"\\\n\r\t\b\f\u0001\u001fcd"|}
+    (Json.to_string (Json.Str s));
+  Alcotest.(check bool) "escapes round trip" true
+    (Json.of_string (Json.to_string (Json.Str s)) = Ok (Json.Str s))
 
 let test_json_parser_basics () =
   (match Json.of_string {| [1, 2.5, "AA", true, null, {"k": []}] |} with
@@ -369,7 +379,7 @@ let test_report_roundtrip () =
   Telemetry.reset ();
   let g = Benchmarks.example_fig4 in
   let lib = Library.table1 in
-  match Rc.synthesize g lib ~ld:6 ~ad:4 with
+  match Engine.synthesize g lib ~ld:6 ~ad:4 with
   | Error _ -> Alcotest.fail "fig4 synthesis failed"
   | Ok d ->
     let report =
@@ -402,7 +412,7 @@ let test_report_roundtrip () =
       | _ -> Alcotest.fail "missing telemetry.counters"))
 
 let test_report_failure_and_validate_rejects () =
-  let f = Rc.Latency_infeasible { best_achievable = 9 } in
+  let f = Engine.Latency_infeasible { best_achievable = 9 } in
   let j = Report.failure_json f in
   Alcotest.(check (option string)) "status" (Some "infeasible")
     (Option.bind (Json.member "status" j) Json.to_string_opt);

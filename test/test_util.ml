@@ -259,11 +259,12 @@ let test_histogram_empty () =
 let test_render_units_and_histograms () =
   Telemetry.reset ();
   Telemetry.incr "t.c";
-  Telemetry.add_timer_ns "t.timer" 12_400L;
+  Telemetry.observe "t.span" 12_400L;
   Telemetry.observe "t.h" 100L;
   let s = Telemetry.render () in
   Alcotest.(check bool) "counter row" true (contains_substring s "t.c");
-  Alcotest.(check bool) "timer in human units" true (contains_substring s "12.40 us");
+  Alcotest.(check bool) "span time in human units" true
+    (contains_substring s "t.span" && contains_substring s "12.40 us");
   Alcotest.(check bool) "histogram row" true (contains_substring s "t.h [hist]");
   Alcotest.(check bool) "quantile fields" true
     (contains_substring s "p50=" && contains_substring s "p99=");
