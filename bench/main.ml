@@ -57,11 +57,11 @@ let ablation () =
     [
       ( "fig6/no-refine",
         fun g ld ad ->
-          Engine.synthesize ~strategy:`Figure6 ~refine:false g Library.table1 ~ld ~ad );
+          Engine.synthesize ~strategy:Engine.Figure6 ~refine:false g Library.table1 ~ld ~ad );
       ( "fig6+refine",
-        fun g ld ad -> Engine.synthesize ~strategy:`Figure6 g Library.table1 ~ld ~ad );
+        fun g ld ad -> Engine.synthesize ~strategy:Engine.Figure6 g Library.table1 ~ld ~ad );
       ( "bottom-up",
-        fun g ld ad -> Engine.synthesize ~strategy:`Bottom_up g Library.table1 ~ld ~ad );
+        fun g ld ad -> Engine.synthesize ~strategy:Engine.Bottom_up g Library.table1 ~ld ~ad );
       ("best(default)", fun g ld ad -> Engine.synthesize g Library.table1 ~ld ~ad);
       ( "force-directed",
         fun g ld ad ->

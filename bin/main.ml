@@ -719,10 +719,11 @@ let explore_cmd =
     let lib = or_die (Loader.load_library lib_file) in
     let library_text = Library.to_text lib in
     let disk = Option.map (fun dir -> or_die (Diskcache.open_dir dir)) cache_dir in
-    let run_and_emit name g ~lds ~ads appr ~key =
-      let cache = Rchls_core.Engine.create_cache () in
-      let cells, exp_stats = Sweep.run_with_stats ?domains ~cache appr g lib ~lds ~ads in
-      if verify && cells <> Sweep.run_reference ?domains ~cache appr g lib ~lds ~ads
+    let run_and_emit name g ~lds ~ads ~key =
+      (* Each arm creates its own engine cache, so a wrong memo entry
+         cannot reach both. *)
+      let cells, exp_stats = Sweep.run_with_stats ?domains approach g lib ~lds ~ads in
+      if verify && cells <> Sweep.run_reference ?domains approach g lib ~lds ~ads
       then begin
         Printf.eprintf "rchls: %s: pruned sweep diverges from the exhaustive reference\n"
           name;
@@ -733,7 +734,9 @@ let explore_cmd =
         Json.to_string
           (Response.payload_to_json (Service.payload_of_explore (points, exp_stats)))
       in
-      (match (disk, key) with Some d, Some k -> Diskcache.add d k payload_json | _ -> ());
+      (match (disk, key) with
+      | Some d, Some k -> Diskcache.add d k (Response.disk_entry payload_json)
+      | _ -> ());
       print_endline (Response.assemble_raw ~id:(Some name) ~cache:None payload_json);
       Printf.eprintf
         "rchls: %s: %d frontier points, evaluated %d of %d cells (%d derived)\n%!" name
@@ -746,7 +749,6 @@ let explore_cmd =
       let planned = lazy (Explore.plan g lib) in
       let lds = match lds with [] -> fst (Lazy.force planned) | l -> l in
       let ads = match ads with [] -> snd (Lazy.force planned) | l -> l in
-      let appr = Service.approach_of_api approach in
       let job =
         Request.Explore
           {
@@ -762,27 +764,24 @@ let explore_cmd =
         Request.cache_key ~graph_digest:(Rchls_util.Fnv.hash_string graph_text)
           ~library_digest:(Rchls_util.Fnv.hash_string library_text) job
       in
+      (* Entries are revalidated through the strict decoder; a stale or
+         foreign file is recomputed, not trusted. *)
       let cached =
         match (disk, key) with
-        | Some d, Some k -> Option.map (fun v -> (k, v)) (Diskcache.find d k)
+        | Some d, Some k ->
+          Option.bind (Diskcache.find d k) (fun text ->
+              Option.map (fun payload -> (k, payload)) (Response.payload_of_disk_entry text))
         | _ -> None
       in
       match cached with
-      | Some (k, payload_json) -> (
-        (* Resumable runs revalidate disk entries through the strict
-           decoder; a stale or foreign file is recomputed, not
-           trusted. *)
-        match Result.bind (Json.of_string payload_json) Response.payload_of_json with
-        | Ok _ ->
-          print_endline
-            (Response.assemble_raw ~id:(Some name)
-               ~cache:
-                 (Some { Response.tier = Response.Disk; key = Rchls_util.Fnv.to_hex k })
-               payload_json);
-          Printf.eprintf "rchls: %s: cached (%d-cell plane)\n%!" name
-            (List.length lds * List.length ads)
-        | Error _ -> run_and_emit name g ~lds ~ads appr ~key)
-      | None -> run_and_emit name g ~lds ~ads appr ~key
+      | Some (k, payload_json) ->
+        print_endline
+          (Response.assemble_raw ~id:(Some name)
+             ~cache:(Some { Response.tier = Response.Disk; key = Rchls_util.Fnv.to_hex k })
+             payload_json);
+        Printf.eprintf "rchls: %s: cached (%d-cell plane)\n%!" name
+          (List.length lds * List.length ads)
+      | None -> run_and_emit name g ~lds ~ads ~key
     in
     List.iter explore_one (explore_targets target);
     0
@@ -963,8 +962,7 @@ let request_cmd =
              if verbose then begin
                let tier =
                  match r.Response.cache with
-                 | Some { Response.tier = Response.Memory; _ } -> "memory"
-                 | Some { Response.tier = Response.Disk; _ } -> "disk"
+                 | Some { Response.tier; _ } -> Response.tier_name tier
                  | None -> "computed"
                in
                let timing =

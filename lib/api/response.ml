@@ -117,7 +117,9 @@ let error_codes =
     ("internal", Internal);
   ]
 
-let error_code_name c = fst (List.find (fun (_, c') -> c' = c) error_codes)
+let error_code_name = Request.name_of error_codes
+let tiers = [ ("memory", Memory); ("disk", Disk) ]
+let tier_name = Request.name_of tiers
 
 (* --- field descriptors (one list per record; both directions derive
    from it) ---------------------------------------------------------- *)
@@ -319,7 +321,7 @@ let error =
 let cache_info =
   Schema.(
     record (fun tier key -> { tier; key })
-    |+ req "tier" (enum ~noun:"cache tier" [ ("memory", Memory); ("disk", Disk) ]) (fun (c : cache_info) -> c.tier)
+    |+ req "tier" (enum ~noun:"cache tier" tiers) (fun (c : cache_info) -> c.tier)
     |+ req "key" string (fun (c : cache_info) -> c.key)
     |> seal |> obj)
 
@@ -361,6 +363,27 @@ let of_string line =
   match Json.of_string line with
   | Error e -> Error ("response: " ^ e)
   | Ok j -> decode j
+
+(* Disk entries are version-tagged so a future payload format reads as
+   a miss, never as a wrong answer. *)
+let disk_entry payload_json =
+  Printf.sprintf "{\"schema\":%s,\"payload\":%s}"
+    (Json.to_string (Json.Str Schema.cache_entry))
+    payload_json
+
+let payload_of_disk_entry text =
+  match Json.of_string text with
+  | Error _ -> None
+  | Ok j -> (
+    match (Json.member "schema" j, Json.member "payload" j) with
+    | Some (Json.Str tag), Some payload when tag = Schema.cache_entry -> (
+      (* Re-validate before trusting a file another process may have
+         written; the canonical printer makes the re-rendering
+         byte-identical to the originally stored payload. *)
+      match payload_of_json payload with
+      | Ok _ -> Some (Json.to_string payload)
+      | Error _ -> None)
+    | _ -> None)
 
 (* A cache hit's payload is already serialized: render the envelope
    around a stand-in payload and splice the stored bytes in its place,

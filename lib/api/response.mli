@@ -175,6 +175,11 @@ val design_result_to_json : (design_summary, failure) result -> Json.t
     [Rchls_experiments.Report]. *)
 
 val error_code_name : error_code -> string
+(** The code's wire name (["bad_request"], ...), which the access log
+    records as a failed request's status. *)
+
+val tier_name : tier -> string
+(** The tier's wire name: ["memory"] or ["disk"]. *)
 
 val encode : t -> Json.t
 
@@ -192,3 +197,13 @@ val assemble_raw :
 val decode : Json.t -> (t, string) result
 
 val of_string : string -> (t, string) result
+
+val disk_entry : string -> string
+(** A rendered payload tagged [Schema.cache_entry]: the one on-disk
+    form of [rchls serve --cache-dir] and [rchls explore --cache-dir],
+    which both key entries by {!Request.cache_key}. *)
+
+val payload_of_disk_entry : string -> string option
+(** The payload of a {!disk_entry}, re-validated by {!payload_of_json}
+    and re-rendered byte-identically; [None] (recompute) for a foreign
+    tag or a payload that no longer decodes. *)

@@ -5,8 +5,9 @@ module Analysis = Rchls_dfg.Analysis
 module Binding = Rchls_binding.Binding
 module Telemetry = Rchls_util.Telemetry
 module Trace = Rchls_util.Trace
+module Request = Rchls_api.Request
 
-type failure =
+type failure = Rchls_api.Response.failure =
   | Latency_infeasible of { best_achievable : int }
   | Area_infeasible of { best_achieved : int }
   | Scheduling_error of string
@@ -21,7 +22,7 @@ let pp_failure ppf = function
 (* --- context ------------------------------------------------------- *)
 
 (* The evaluation cache is two memos, sharded so one cache can be
-   shared across domains: between the [`Best] strategy's two
+   shared across domains: between the [Best] strategy's two
    directions, across the move evaluators of a parallel refine round,
    and across every cell of a design-space sweep.  The design memo
    maps the int64 FNV-1a fingerprint of (interned version codes,
@@ -794,7 +795,7 @@ let run_pipeline passes ctx =
 
 (* --- driver -------------------------------------------------------- *)
 
-type strategy = [ `Figure6 | `Bottom_up | `Best ]
+type strategy = Request.strategy = Best | Figure6 | Bottom_up
 
 let check_classes g lib =
   List.iter
@@ -807,7 +808,7 @@ let check_classes g lib =
       | _ -> ())
     (Dfg.count_by_class g)
 
-let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
+let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = Best)
     ?(use_cache = true) ?cache ?domains ?certificate g lib ~ld ~ad =
   if ld <= 0 then invalid_arg "Engine.synthesize: non-positive latency bound";
   if ad <= 0 then invalid_arg "Engine.synthesize: non-positive area bound";
@@ -818,12 +819,7 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
         ("graph", Trace.Str (Dfg.name g));
         ("ld", Trace.Int ld);
         ("ad", Trace.Int ad);
-        ( "strategy",
-          Trace.Str
-            (match strategy with
-            | `Figure6 -> "figure6"
-            | `Bottom_up -> "bottom-up"
-            | `Best -> "best") );
+        ("strategy", Trace.Str (Request.name_of Request.strategies strategy));
       ]
   @@ fun () ->
   let pipeline = default_pipeline ~refine in
@@ -862,9 +858,9 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
   in
   let result =
     match strategy with
-    | `Figure6 -> top_down ()
-    | `Bottom_up -> bottom_up ()
-    | `Best -> (
+    | Figure6 -> top_down ()
+    | Bottom_up -> bottom_up ()
+    | Best -> (
       match (top_down (), bottom_up ()) with
       | (Ok a as ra), Ok b ->
         if Design.reliability a >= Design.reliability b then ra else Ok b

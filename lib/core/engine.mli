@@ -31,7 +31,7 @@
     - every [Design.realize] inside the stage loops goes through a
       {e memoized evaluation cache} keyed by the assignment
       fingerprint and scheduling latency (the latency/area loops and
-      the [`Best] strategy's two directions repeatedly re-realize
+      the [Best] strategy's two directions repeatedly re-realize
       identical assignments), and a miss takes its schedule from a
       {e schedule memo} keyed by the exact delay vector and latency
       (versions of equal delay schedule alike);
@@ -62,10 +62,11 @@ open Rchls_dfg
 module Resource = Rchls_charlib.Resource
 module Library = Rchls_charlib.Library
 
-type failure =
+type failure = Rchls_api.Response.failure =
   | Latency_infeasible of { best_achievable : int }
   | Area_infeasible of { best_achieved : int }
   | Scheduling_error of string
+(** The wire's failure ([Rchls_api.Response.failure]). *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -74,7 +75,7 @@ val pp_failure : Format.formatter -> failure -> unit
 type cache
 (** The evaluation cache of one (graph, library, scheduler)
     combination: two sharded {!Rchls_util.Memo}s, so one cache may be
-    shared across domains — the [`Best] strategy's two pipeline runs,
+    shared across domains — the [Best] strategy's two pipeline runs,
     the worker domains of a parallel refine round, and every cell of a
     design-space sweep all share one.
 
@@ -207,11 +208,14 @@ val run_pipeline : pass list -> ctx -> (Design.t, failure) result
 
 (** {1 Driver} *)
 
-type strategy = [ `Figure6 | `Bottom_up | `Best ]
-(** [`Figure6]: the paper's top-down greedy (start most-reliable,
-    downgrade victims).  [`Bottom_up]: start from the fastest versions
-    and upgrade reliability under the bounds.  [`Best] (default): run
-    both and keep the more reliable feasible design. *)
+type strategy = Rchls_api.Request.strategy = Best | Figure6 | Bottom_up
+(** The wire's strategy ([Rchls_api.Request.strategy]), spelled by
+    [Request.strategies]; the [engine.synthesize] span's [strategy]
+    attribute is that name.  [Figure6]: the paper's top-down greedy
+    (start most-reliable, downgrade victims).  [Bottom_up]: start from
+    the fastest versions and upgrade reliability under the bounds.
+    [Best] (default): run both and keep the more reliable feasible
+    design. *)
 
 val synthesize :
   ?scheduler:Design.scheduler ->
@@ -227,7 +231,7 @@ val synthesize :
   ad:int ->
   (Design.t, failure) result
 (** The full algorithm: run {!default_pipeline} from the
-    strategy-dependent initial allocation(s); [`Best] runs both
+    strategy-dependent initial allocation(s); [Best] runs both
     directions over one shared evaluation cache and keeps the more
     reliable feasible design.  [cache] substitutes a caller-owned
     (shareable) evaluation cache; [domains] (default

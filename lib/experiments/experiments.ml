@@ -124,7 +124,7 @@ let fig5 () =
   let g = Benchmarks.example_fig4 in
   let lib = Library.table1 in
   (* (a): all type-2 adders, Ld=5 Ad=4 (paper: R=0.82783, area 4). *)
-  (match Engine.synthesize ~strategy:`Bottom_up ~refine:false g lib ~ld:5 ~ad:4 with
+  (match Engine.synthesize ~strategy:Engine.Bottom_up ~refine:false g lib ~ld:5 ~ad:4 with
   | Ok d ->
     Buffer.add_string buf (design_line "(a) all type-2:" d);
     Buffer.add_string buf

@@ -7,19 +7,14 @@ module Analysis = Rchls_dfg.Analysis
 module Op = Rchls_dfg.Op
 module Pool = Rchls_util.Pool
 
-type approach = Baseline | Ours | Combined
+type approach = Rchls_api.Request.approach = Ours | Baseline | Combined
 
-let approach_of_api : Rchls_api.Request.approach -> approach = function
-  | Rchls_api.Request.Ours -> Ours
-  | Rchls_api.Request.Baseline -> Baseline
-  | Rchls_api.Request.Combined -> Combined
-
-(* The wire names are the one spelling: [Request.approaches] read
-   through [approach_of_api]. *)
-let approach_name a =
-  fst (List.find (fun (_, x) -> approach_of_api x = a) Rchls_api.Request.approaches)
-
-type cell = { ld : int; ad : int; reliability : float option; area : int option }
+type cell = Rchls_api.Response.cell = {
+  ld : int;
+  ad : int;
+  reliability : float option;
+  area : int option;
+}
 
 type stats = { cells : int; evaluated : int; derived : int }
 

@@ -17,8 +17,11 @@
     bound-path-dependent in the latency direction, so no latency
     certificate exists and none is assumed.
 
-    The canonical {!cell} record and the monotone {!envelope} live
-    here; [Sweep] re-exports them and builds its pruned {!Sweep.run}
+    The grid's {!approach} and {!cell} are the wire's own types
+    ([Rchls_api.Request.approach], [Rchls_api.Response.cell]), so a
+    request's approach and a sweep's cells cross the API unconverted.
+    The monotone {!envelope} lives here; [Sweep] re-exports it with
+    both types and builds its pruned {!Sweep.run}
     and exhaustive {!Sweep.run_reference} on this module.  {!frontier}
     reduces an enveloped grid to its 3-D (latency bound, area bound,
     reliability) Pareto frontier, and {!plan} picks a bound plane
@@ -27,14 +30,9 @@
 
 module Library = Rchls_charlib.Library
 
-type approach = Baseline  (** ref [3] *) | Ours | Combined
+type approach = Rchls_api.Request.approach = Ours | Baseline  (** ref [3] *) | Combined
 
-val approach_of_api : Rchls_api.Request.approach -> approach
-
-val approach_name : approach -> string
-(** The approach's wire name, from [Rchls_api.Request.approaches]. *)
-
-type cell = {
+type cell = Rchls_api.Response.cell = {
   ld : int;
   ad : int;
   reliability : float option;  (** [None] when infeasible *)
@@ -53,6 +51,9 @@ type point = {
   p_reliability : float;
   p_area : int;  (** achieved area of the winning design *)
 }
+(** One frontier point.  [Rchls_api.Response.frontier_point] holds the
+    same four values under [f_*] names; the two records stay apart
+    while the benchmark harness reads both. *)
 
 val raw_cell :
   ?scheduler:Rchls_core.Design.scheduler ->

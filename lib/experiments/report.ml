@@ -39,7 +39,7 @@ let design_json d =
   Rchls_api.Response.design_result_to_json (Ok (Service.summary_of_design d))
 
 let failure_json (f : Engine.failure) =
-  Rchls_api.Response.design_result_to_json (Error (Service.failure_of_core f))
+  Rchls_api.Response.design_result_to_json (Error f)
 
 let sweep_json cells =
   Rchls_api.Response.payload_to_json (Service.payload_of_sweep cells)

@@ -9,18 +9,16 @@ module Fnv = Rchls_util.Fnv
 module Memo = Rchls_util.Memo
 module Telemetry = Rchls_util.Telemetry
 
-(* --- API <-> core conversions -------------------------------------- *)
+(* --- API -> core ------------------------------------------------------ *)
 
+(* The core's scheduler keeps the oracle-only [`Density_reference],
+   which the wire does not carry, so it is not the wire's type; every
+   other request value is the core's own. *)
 let scheduler_of_api : Request.scheduler -> Design.scheduler = function
   | Request.Density -> `Density
   | Request.Force_directed -> `Force_directed
 
-let strategy_of_api : Request.strategy -> Engine.strategy = function
-  | Request.Best -> `Best
-  | Request.Figure6 -> `Figure6
-  | Request.Bottom_up -> `Bottom_up
-
-let approach_of_api = Explore.approach_of_api
+let approach_of_api : Request.approach -> Sweep.approach = Fun.id
 
 let summary_of_design d =
   {
@@ -32,16 +30,6 @@ let summary_of_design d =
         (fun ((r : Rchls_charlib.Resource.t), n) -> (r.id, n))
         (Design.instance_histogram d);
   }
-
-let failure_of_core : Engine.failure -> Response.failure = function
-  | Engine.Latency_infeasible { best_achievable } ->
-    Response.Latency_infeasible { best_achievable }
-  | Engine.Area_infeasible { best_achieved } ->
-    Response.Area_infeasible { best_achieved }
-  | Engine.Scheduling_error msg -> Response.Scheduling_error msg
-
-let cell_of_sweep (c : Sweep.cell) =
-  { Response.ld = c.ld; ad = c.ad; reliability = c.reliability; area = c.area }
 
 let outcome_of_fuzz (o : Fuzz.outcome) =
   {
@@ -198,9 +186,8 @@ let run_synth ?service ?resolved ?domains (s : Request.synth) =
   let scheduler = scheduler_of_api s.scheduler in
   let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
-    (Engine.synthesize ~scheduler
-       ~strategy:(strategy_of_api s.strategy)
-       ?cache ?domains r.graph r.library ~ld:s.ld ~ad:s.ad)
+    (Engine.synthesize ~scheduler ~strategy:s.strategy ?cache ?domains r.graph r.library
+       ~ld:s.ld ~ad:s.ad)
 
 let run_anneal ?service ?resolved ?domains (a : Request.anneal) =
   let* r = resolved_or ?resolved a.graph a.library in
@@ -216,12 +203,13 @@ let run_anneal ?service ?resolved ?domains (a : Request.anneal) =
     }
   in
   Ok
-    (Anneal.synthesize ~scheduler
-       ~strategy:(strategy_of_api a.strategy)
-       ?cache ?domains ~params r.graph r.library ~ld:a.ld ~ad:a.ad)
+    (Anneal.synthesize ~scheduler ~strategy:a.strategy ?cache ?domains ~params r.graph
+       r.library ~ld:a.ld ~ad:a.ad)
 
 let render_violation v = Format.asprintf "%a" Check.pp_violation v
 
+(* The checker's direct entry point, not its global [enable] hook, so
+   concurrent daemon jobs cannot race on checker state. *)
 let run_check ?service ?resolved ?domains (s : Request.synth) =
   let* result = run_synth ?service ?resolved ?domains s in
   Ok
@@ -234,9 +222,8 @@ let run_sweep ?service ?resolved ?domains (s : Request.sweep) =
   let scheduler = scheduler_of_api s.scheduler in
   let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
-    (Sweep.run ~scheduler ?domains ?cache
-       (approach_of_api s.approach)
-       r.graph r.library ~lds:s.lds ~ads:s.ads)
+    (Sweep.run ~scheduler ?domains ?cache s.approach r.graph r.library ~lds:s.lds
+       ~ads:s.ads)
 
 (* Empty bound lists mean "plan the plane from the inputs" — the API
    decode default when the explore request omits lds/ads. *)
@@ -248,9 +235,8 @@ let run_explore ?service ?resolved ?domains (s : Request.sweep) =
   let lds = match s.lds with [] -> fst (Lazy.force planned) | lds -> lds in
   let ads = match s.ads with [] -> snd (Lazy.force planned) | ads -> ads in
   let cells, stats =
-    Sweep.run_with_stats ~scheduler ?domains ?cache
-      (approach_of_api s.approach)
-      r.graph r.library ~lds ~ads
+    Sweep.run_with_stats ~scheduler ?domains ?cache s.approach r.graph r.library ~lds
+      ~ads
   in
   Ok (Explore.frontier cells, stats)
 
@@ -264,12 +250,7 @@ let run_fuzz (f : Request.fuzz) =
 
 (* --- payload assembly ----------------------------------------------- *)
 
-let payload_of_synth result =
-  Response.Design
-    (Result.fold
-       ~ok:(fun d -> Ok (summary_of_design d))
-       ~error:(fun f -> Error (failure_of_core f))
-       result)
+let payload_of_synth result = Response.Design (Result.map summary_of_design result)
 
 let payload_of_anneal result =
   match result with
@@ -286,7 +267,7 @@ let payload_of_anneal result =
         a_improved = s.improved;
       }
   | Error f ->
-    let failure = Error (failure_of_core f) in
+    let failure = Error f in
     Response.Anneal_result
       {
         Response.greedy = failure;
@@ -304,10 +285,9 @@ let payload_of_check result =
   | Ok (d, violations) ->
     Response.Check_report { result = Ok (summary_of_design d); violations }
   | Error f ->
-    Response.Check_report { result = Error (failure_of_core f); violations = [] }
+    Response.Check_report { result = Error f; violations = [] }
 
-let payload_of_sweep cells =
-  Response.Sweep_cells (List.map cell_of_sweep cells)
+let payload_of_sweep cells = Response.Sweep_cells cells
 
 let payload_of_explore (points, (stats : Explore.stats)) =
   Response.Explore_frontier

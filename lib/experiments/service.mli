@@ -21,15 +21,16 @@ module Engine = Rchls_core.Engine
 module Fuzz = Rchls_check.Fuzz
 module Anneal = Rchls_anneal.Anneal
 
-(** {1 API <-> core conversions} *)
+(** {1 One vocabulary}
 
-val scheduler_of_api : Request.scheduler -> Design.scheduler
-val strategy_of_api : Request.strategy -> Engine.strategy
+    Strategies, approaches, failures and sweep cells are the core's
+    own types, so they cross the API unconverted; only the scheduler
+    is converted, as the core's has an oracle-only variant. *)
+
 val approach_of_api : Request.approach -> Sweep.approach
+(** [Fun.id]; the benchmark's explore workload still calls it. *)
+
 val summary_of_design : Design.t -> Response.design_summary
-val failure_of_core : Engine.failure -> Response.failure
-val cell_of_sweep : Sweep.cell -> Response.cell
-val outcome_of_fuzz : Fuzz.outcome -> Response.fuzz_outcome
 
 (** {1 Engine-cache registry} *)
 
@@ -123,18 +124,6 @@ val run_anneal :
     Deterministic in the request (the annealer seed is a parameter), so
     the response cache may serve it like a synth. *)
 
-val run_check :
-  ?service:t ->
-  ?resolved:resolved ->
-  ?domains:int ->
-  Request.synth ->
-  ((Design.t * string list, Engine.failure) result, string) result
-(** Synthesize, then re-validate the winning design with the
-    independent checker ([Rchls_check.Check.design_violations] — the
-    direct entry point, not the global [enable] hook, so concurrent
-    daemon jobs cannot race on checker state).  The string list holds
-    the rendered violations (empty = passed). *)
-
 val run_sweep :
   ?service:t ->
   ?resolved:resolved ->
@@ -159,11 +148,8 @@ val run_fuzz : Request.fuzz -> (Fuzz.outcome list, string) result
 
 (** {1 Payload assembly} *)
 
-val payload_of_synth : (Design.t, Engine.failure) result -> Response.payload
 val payload_of_anneal :
   (Design.t * Design.t * Anneal.stats, Engine.failure) result -> Response.payload
-val payload_of_check :
-  (Design.t * string list, Engine.failure) result -> Response.payload
 val payload_of_sweep : Sweep.cell list -> Response.payload
 val payload_of_explore :
   Explore.point list * Explore.stats -> Response.payload

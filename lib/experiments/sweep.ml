@@ -3,8 +3,9 @@ module Pool = Rchls_util.Pool
 module Telemetry = Rchls_util.Telemetry
 module Trace = Rchls_util.Trace
 module Rng = Rchls_util.Rng
+module Request = Rchls_api.Request
 
-type approach = Explore.approach = Baseline | Ours | Combined
+type approach = Explore.approach = Ours | Baseline | Combined
 
 type cell = Explore.cell = {
   ld : int;
@@ -19,14 +20,12 @@ let envelope = Explore.envelope
 let sorted_bounds ~lds ~ads =
   (List.sort_uniq compare lds, List.sort_uniq compare ads)
 
-let approach_name = Explore.approach_name
-
 let sweep_span g approach ~n_cells f =
   Trace.with_span "sweep.run"
     ~attrs:
       [
         ("graph", Trace.Str (Rchls_dfg.Dfg.name g));
-        ("approach", Trace.Str (approach_name approach));
+        ("approach", Trace.Str (Request.name_of Request.approaches approach));
         ("cells", Trace.Int n_cells);
       ]
     f
@@ -189,6 +188,7 @@ let () =
         Error
           (Printf.sprintf
              "explore: pruned %s <> reference %s under approach %s (lds=[%s] ads=[%s])"
-             (pp p) (pp r) (approach_name approach)
+             (pp p) (pp r)
+             (Request.name_of Request.approaches approach)
              (String.concat ";" (List.map string_of_int (List.sort_uniq compare lds)))
              (String.concat ";" (List.map string_of_int (List.sort_uniq compare ads)))))

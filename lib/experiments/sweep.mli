@@ -26,7 +26,7 @@
 
 module Library = Rchls_charlib.Library
 
-type approach = Explore.approach = Baseline  (** ref [3] *) | Ours | Combined
+type approach = Explore.approach = Ours | Baseline  (** ref [3] *) | Combined
 
 type cell = Explore.cell = {
   ld : int;
@@ -34,6 +34,9 @@ type cell = Explore.cell = {
   reliability : float option;  (** [None] when infeasible *)
   area : int option;  (** achieved area of the winning design *)
 }
+(** [approach] and [cell] are the wire's types ([Rchls_api.Request],
+    [Rchls_api.Response]), re-exported from [Explore]; the [sweep.run]
+    span's [approach] attribute is the approach's wire name. *)
 
 val run :
   ?scheduler:Rchls_core.Design.scheduler ->

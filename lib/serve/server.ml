@@ -39,13 +39,15 @@ let default_config addr =
    exactly once, under [write_mutex], and sets [closed] so that no
    late response reaches a descriptor number another thread may since
    have opened.  A failed write sets [closed] too (the peer is gone),
-   leaving the close to [close_conn]. *)
+   leaving the close to [close_conn].  [lost] is set, under
+   [write_mutex], once a response to the connection has been dropped. *)
 type conn = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
   write_mutex : Mutex.t;
   mutable closed : bool;
+  mutable lost : bool;
 }
 
 type job = {
@@ -86,27 +88,39 @@ let locked m f =
 
 (* --- wire output ---------------------------------------------------- *)
 
+(* A connection counts one disconnect, the first time a response to it
+   is dropped because its peer is gone: a failed write, a write after
+   the reader saw the peer hang up, or a job skipped for a closed
+   connection.  Call under [write_mutex]. *)
+let lose conn =
+  if not conn.lost then begin
+    conn.lost <- true;
+    Telemetry.incr "serve.disconnects"
+  end
+
 (* A dead peer must not kill the server: write failures only mean the
-   response has no reader anymore (SIGPIPE is ignored, see [start]), and
-   the first one on a connection counts a disconnect.  Every written
-   line is counted — response bytes are a first-class serving metric —
-   and its byte count comes back so the caller can access-log it;
-   [None] means nothing was written (the connection was already closed
-   or the write failed). *)
+   response has no reader anymore (SIGPIPE is ignored, see [start]).
+   Every written line is counted — response bytes are a first-class
+   serving metric — and its byte count comes back so the caller can
+   access-log it; [None] means nothing was written (the connection was
+   already closed or the write failed). *)
 let write_line conn line =
   let written =
     locked conn.write_mutex (fun () ->
-        (not conn.closed)
-        &&
-        try
-          output_string conn.oc line;
-          output_char conn.oc '\n';
-          flush conn.oc;
-          true
-        with Sys_error _ | Unix.Unix_error _ ->
-          Telemetry.incr "serve.disconnects";
-          conn.closed <- true;
-          false)
+        let ok =
+          (not conn.closed)
+          &&
+          try
+            output_string conn.oc line;
+            output_char conn.oc '\n';
+            flush conn.oc;
+            true
+          with Sys_error _ | Unix.Unix_error _ ->
+            conn.closed <- true;
+            false
+        in
+        if not ok then lose conn;
+        ok)
   in
   if written then begin
     let len = String.length line + 1 in
@@ -148,30 +162,7 @@ let account t ~arrival ~id ~kind ~tier ~queue_ns ~exec_ns ~status written =
         { Access_log.id; kind; tier; queue_ns; exec_ns; total_ns; bytes; status })
     t.access
 
-let tier_label = function Response.Memory -> "memory" | Response.Disk -> "disk"
-
 (* --- the two-tier response cache ------------------------------------ *)
-
-(* Disk entries are version-tagged so a future payload format reads as
-   a miss, never as a wrong answer. *)
-let disk_entry payload_json =
-  Printf.sprintf "{\"schema\":%s,\"payload\":%s}"
-    (Json.to_string (Json.Str Schema.cache_entry))
-    payload_json
-
-let payload_of_disk_entry text =
-  match Json.of_string text with
-  | Error _ -> None
-  | Ok j -> (
-    match (Json.member "schema" j, Json.member "payload" j) with
-    | Some (Json.Str tag), Some payload when tag = Schema.cache_entry -> (
-      (* Re-validate before trusting a file another process may have
-         written; the canonical printer makes the re-rendering
-         byte-identical to the originally stored payload. *)
-      match Response.payload_of_json payload with
-      | Ok _ -> Some (Json.to_string payload)
-      | Error _ -> None)
-    | _ -> None)
 
 let cache_find t key =
   match Memo.find t.mem key with
@@ -183,11 +174,11 @@ let cache_find t key =
               (fun payload ->
                 Memo.add t.mem key payload;
                 (Response.Disk, payload))
-              (payload_of_disk_entry text)))
+              (Response.payload_of_disk_entry text)))
 
 let cache_store t key payload_json =
   Memo.add t.mem key payload_json;
-  Option.iter (fun d -> Diskcache.add d key (disk_entry payload_json)) t.disk
+  Option.iter (fun d -> Diskcache.add d key (Response.disk_entry payload_json)) t.disk
 
 (* --- request handling ----------------------------------------------- *)
 
@@ -247,7 +238,7 @@ let handle_line t conn line =
       match Service.cache_key job with
       | Error msg ->
         account t ~arrival ~id ~kind ~tier:None ~queue_ns:0 ~exec_ns:0
-          ~status:"bad_request"
+          ~status:(Response.error_code_name Response.Bad_request)
           (respond_error conn ~id Response.Bad_request msg)
       | Ok key -> (
         match Option.bind key (cache_find t) with
@@ -260,7 +251,7 @@ let handle_line t conn line =
           let timing =
             { Response.queue_ns = 0; exec_ns; total_ns = elapsed_ns arrival }
           in
-          account t ~arrival ~id ~kind ~tier:(Some (tier_label tier)) ~queue_ns:0
+          account t ~arrival ~id ~kind ~tier:(Some (Response.tier_name tier)) ~queue_ns:0
             ~exec_ns ~status:"ok"
             (write_line conn
                (Response.assemble_raw ~id
@@ -272,7 +263,7 @@ let handle_line t conn line =
           if not (enqueue t { conn; id; req = job; key; arrival }) then begin
             Telemetry.incr "serve.overloaded";
             account t ~arrival ~id ~kind ~tier:None ~queue_ns:0 ~exec_ns:0
-              ~status:"overloaded"
+              ~status:(Response.error_code_name Response.Overloaded)
               (respond_error conn ~id Response.Overloaded
                  (Printf.sprintf "job queue is full (%d queued jobs)"
                     t.config.queue_max))
@@ -317,6 +308,7 @@ let run_batch t batch =
       Telemetry.observe_window "serve.queue_wait" (Int64.of_int queue_ns);
       match outcome with
       | None ->
+        locked job.conn.write_mutex (fun () -> lose job.conn);
         account t ~arrival:job.arrival ~id:job.id ~kind ~tier:None ~queue_ns
           ~exec_ns:0 ~status:"disconnected" None
       | Some (result, exec) -> (
@@ -483,6 +475,7 @@ let accept_loop t =
           oc = Unix.out_channel_of_descr fd;
           write_mutex = Mutex.create ();
           closed = false;
+          lost = false;
         }
       in
       locked t.conns_mutex (fun () -> Hashtbl.replace t.conns fd conn);

@@ -1412,6 +1412,14 @@ let test_serve_observability_consistency () =
           h.Response.queue_max
       | _ -> Alcotest.fail "expected a health report")
 
+(* Poll [ok] for up to a minute. *)
+let until what ok =
+  let deadline = Unix.gettimeofday () +. 60. in
+  while (not (ok ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  if not (ok ()) then Alcotest.failf "timed out waiting for %s" what
+
 (* A client that hangs up before its replies are written must cost the
    daemon one counted disconnect, not its life: a write to the dead
    socket raises SIGPIPE, whose default action ends the process.  The
@@ -1450,13 +1458,6 @@ let test_serve_survives_client_hangup () =
     (Client.send_raw c
        (String.concat "\n" ((explore :: List.init 200 (fun _ -> ping)) @ [ late ])));
   Client.close c;
-  let until what ok =
-    let deadline = Unix.gettimeofday () +. 60. in
-    while (not (ok ())) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.01
-    done;
-    if not (ok ()) then Alcotest.failf "timed out waiting for %s" what
-  in
   with_client socket (fun c ->
       match
         check_ok "health"
@@ -1500,6 +1501,53 @@ let test_serve_survives_client_hangup () =
     (scrape_value body "rchls_serve_undelivered_total");
   Alcotest.(check int) "scrape counts the disconnect" 1
     (scrape_value body "rchls_serve_disconnects_total")
+
+(* A client that sends one job and hangs up without reading: while a
+   slower job of another client holds the scheduler, its reader sees
+   the end of input, so no write to it is ever tried, yet the answer
+   it drops still counts the connection's one disconnect. *)
+let test_serve_counts_eof_disconnect () =
+  Telemetry.reset ();
+  let dir = temp_dir "rchls-eof" in
+  let socket = Filename.concat dir "s.sock" in
+  let log_path = Filename.concat dir "access.log" in
+  let config =
+    {
+      (Server.default_config (Server.Unix_socket socket)) with
+      Server.domains = Some 1;
+      batch_max = 1;
+      access_log = Some (log_path, 1 lsl 20);
+    }
+  in
+  let server = check_ok "server start" (Server.start config) in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  with_client socket (fun slow ->
+      check_ok "send"
+        (Client.send_raw slow (req_line {|"id":"f","job":"fuzz","params":{"cases":30}|}));
+      until "the slow job to start" (fun () -> Telemetry.gauge "serve.inflight" = 1);
+      let c = check_ok "connect" (Client.connect_unix socket) in
+      check_ok "send"
+        (Client.send_raw c
+           (req_line {|"id":"x","job":"explore","params":{"graph":{"name":"ewf"}}|}));
+      Client.close c;
+      until "the hung-up reader to close" (fun () -> Telemetry.gauge "serve.connections" = 1);
+      ignore (check_ok "slow job" (Client.recv slow)));
+  let log_records () =
+    with_client socket (fun c ->
+        ignore (check_ok "stats" (Client.call c { Request.id = None; job = Request.Stats })));
+    List.map (fun l -> check_ok "log json" (Json.of_string l)) (read_lines log_path)
+  in
+  let hung_up () =
+    List.find_opt (fun r -> Json.member "id" r = Some (Json.Str "x")) (log_records ())
+  in
+  until "the hung-up job's log record" (fun () -> hung_up () <> None);
+  match hung_up () with
+  | Some r ->
+    Alcotest.(check bool) "logged as disconnected" true
+      (Json.member "status" r = Some (Json.Str "disconnected"));
+    Alcotest.(check int) "one disconnect counted" 1 (Telemetry.counter "serve.disconnects");
+    Alcotest.(check int) "one answer undelivered" 1 (Telemetry.counter "serve.undelivered")
+  | None -> Alcotest.fail "no log record for the hung-up job"
 
 let () =
   Alcotest.run "api"
@@ -1579,5 +1627,7 @@ let () =
             test_serve_observability_consistency;
           Alcotest.test_case "survives a client hang-up" `Quick
             test_serve_survives_client_hangup;
+          Alcotest.test_case "hang-up seen as EOF counts a disconnect" `Quick
+            test_serve_counts_eof_disconnect;
         ] );
     ]

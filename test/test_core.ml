@@ -165,13 +165,13 @@ let test_strategies_all_feasible_agree_on_bounds () =
       | Ok d ->
         Alcotest.(check bool) "bounds" true (Design.latency d <= 6 && Design.area d <= 13)
       | Error _ -> ())
-    [ `Figure6; `Bottom_up; `Best ]
+    [ Engine.Figure6; Engine.Bottom_up; Engine.Best ]
 
 let test_best_not_worse_than_components () =
   List.iter
     (fun (g, ld, ad) ->
       let get s = match synth ~strategy:s g ld ad with Ok d -> Some (Design.reliability d) | Error _ -> None in
-      let best = get `Best and f6 = get `Figure6 and bu = get `Bottom_up in
+      let best = get Engine.Best and f6 = get Engine.Figure6 and bu = get Engine.Bottom_up in
       let ge a b = match (a, b) with
         | Some x, Some y -> x >= y -. 1e-12
         | Some _, None -> true

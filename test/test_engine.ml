@@ -290,7 +290,7 @@ let test_counters_monotone_and_cache_hit () =
   let watched = [ "cache.hits"; "cache.misses"; "engine.runs"; "sched.runs"; "bind.runs" ] in
   let snapshot () = List.map (fun c -> Telemetry.counter c) watched in
   let run () =
-    match Engine.synthesize ~strategy:`Best Benchmarks.fir16 lib ~ld:11 ~ad:8 with
+    match Engine.synthesize ~strategy:Engine.Best Benchmarks.fir16 lib ~ld:11 ~ad:8 with
     | Ok _ -> ()
     | Error f -> Alcotest.failf "fir16 (11,8) unexpectedly failed: %a" Engine.pp_failure f
   in
@@ -311,7 +311,7 @@ let test_counters_monotone_and_cache_hit () =
 
 let test_pipeline_matches_driver () =
   let g = Benchmarks.diffeq in
-  let via_driver = Engine.synthesize ~strategy:`Figure6 g lib ~ld:7 ~ad:7 in
+  let via_driver = Engine.synthesize ~strategy:Engine.Figure6 g lib ~ld:7 ~ad:7 in
   let ctx = Engine.create g lib ~ld:7 ~ad:7 ~initial:most_reliable in
   let via_pipeline = Engine.run_pipeline (Engine.default_pipeline ~refine:true) ctx in
   Alcotest.check result_testable "explicit pipeline = Figure6 driver" via_driver

@@ -309,6 +309,52 @@ let test_domain_count_invariance () =
 
 (* --- fault campaign ------------------------------------------------- *)
 
+(* --- one vocabulary ---------------------------------------------------- *)
+
+module Request = Rchls_api.Request
+
+(* The [name] attribute of the one [Begin] event of span [span]. *)
+let span_attr evs span name =
+  match List.filter (fun (e : Trace.event) -> e.kind = Trace.Begin && e.name = span) evs with
+  | [ e ] -> Trace.attr_string e.attrs name
+  | es -> Alcotest.failf "%d %s spans, expected 1" (List.length es) span
+
+let test_strategy_attr_is_wire_name () =
+  List.iter
+    (fun (name, strategy) ->
+      let _, evs =
+        collect (fun () ->
+            Engine.synthesize ~strategy ~domains:1 Benchmarks.example_fig4 Library.table1
+              ~ld:8 ~ad:300)
+      in
+      Alcotest.(check (option string)) name (Some name)
+        (span_attr evs "engine.synthesize" "strategy"))
+    Request.strategies
+
+let test_approach_attr_is_wire_name () =
+  List.iter
+    (fun (name, approach) ->
+      let _, evs =
+        collect (fun () ->
+            Sweep.run ~domains:1 approach Benchmarks.example_fig4 Library.table1 ~lds:[ 8 ]
+              ~ads:[ 300 ])
+      in
+      Alcotest.(check (option string)) name (Some name) (span_attr evs "sweep.run" "approach"))
+    Request.approaches
+
+let test_tables_round_trip () =
+  let round_trip what table =
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check string) what name (Request.name_of table v);
+        Alcotest.(check int) (what ^ " value named once") 1
+          (List.length (List.filter (fun (_, v') -> v' = v) table)))
+      table
+  in
+  round_trip "strategy" Request.strategies;
+  round_trip "scheduler" Request.schedulers;
+  round_trip "approach" Request.approaches
+
 let test_fault_campaign_spans () =
   Fault_sim.Campaign.cache_clear ();
   let nl = (Option.get (Catalog.find "rca")).Catalog.build ~width:4 in
@@ -453,6 +499,14 @@ let () =
             test_chrome_parallel_sweep;
           Alcotest.test_case "domain-count invariance" `Quick
             test_domain_count_invariance;
+        ] );
+      ( "vocabulary",
+        [
+          Alcotest.test_case "strategy attribute is the wire name" `Quick
+            test_strategy_attr_is_wire_name;
+          Alcotest.test_case "approach attribute is the wire name" `Quick
+            test_approach_attr_is_wire_name;
+          Alcotest.test_case "name tables round-trip" `Quick test_tables_round_trip;
         ] );
       ( "campaign",
         [ Alcotest.test_case "fault spans and instants" `Quick test_fault_campaign_spans ] );
