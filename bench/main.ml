@@ -12,8 +12,8 @@
      gate fails:
        sweep      the Fig-8/Table-2 sweeps give the same cells on 1
                   domain and on the pool
-       synth      the reference scheduler on 1 domain and the
-                  incremental one on the pool give identical designs
+       synth      the reference scheduler and the incremental one
+                  give identical designs
        fault      scalar, packed, parallel and cached fault campaigns
                   give equal reports
        telemetry  sharded counters stay exact under contention and
@@ -25,7 +25,8 @@
        explore    the pruned sweep of a fixed corpus matches the
                   exhaustive one with at least 5x fewer synthesis calls
        anneal     annealed knee cells are valid, never below greedy,
-                  domain-independent, and at least 25% improve
+                  repeat on a warm engine cache, and at least 25%
+                  improve
 
    Every input is a constant; the only variable is the pool size
    (RCHLS_DOMAINS).  Timings are perfbench/'s job. *)
@@ -179,7 +180,7 @@ let sweep_gate () =
 (* The incremental-density scheduler promises designs bit-equal to the
    retained old-equivalent reference ([`Density_reference]: a full
    constrained-range recompute and distribution rebuild per placed
-   node), also with refine/recovery moves evaluated in parallel. *)
+   node). *)
 let synth_suite =
   [
     ("fig4", Benchmarks.example_fig4, 6, 4);
@@ -189,15 +190,12 @@ let synth_suite =
   ]
 
 let synth_gate () =
-  let domains = Pool.num_domains () in
   let failed =
     List.filter_map
       (fun (name, g, ld, ad) ->
-        let synth scheduler domains =
-          Engine.synthesize ~scheduler ~domains g Library.table1 ~ld ~ad
-        in
+        let synth scheduler = Engine.synthesize ~scheduler g Library.table1 ~ld ~ad in
         let identical =
-          match (synth `Density_reference 1, synth `Density domains) with
+          match (synth `Density_reference, synth `Density) with
           | Ok a, Ok b ->
             Design.reliability a = Design.reliability b
             && Design.area a = Design.area b
@@ -209,8 +207,8 @@ let synth_gate () =
       synth_suite
   in
   verdict
-    (Printf.sprintf "%d designs identical: reference on 1 domain, incremental on %d"
-       (List.length synth_suite) domains)
+    (Printf.sprintf "%d designs identical: reference and incremental scheduler"
+       (List.length synth_suite))
     failed
 
 module Fault_sim = Rchls_soft_error.Fault_sim
@@ -533,7 +531,7 @@ module Anneal = Rchls_anneal.Anneal
 module Check = Rchls_check.Check
 
 (* A canonical full-precision rendering of one anneal outcome, so
-   "identical across domain counts" is a string comparison. *)
+   "identical on a warm engine cache" is a string comparison. *)
 let anneal_bytes (greedy, annealed, (s : Anneal.stats)) =
   Printf.sprintf "%.17g,%d,%d|%.17g,%d,%d|%d,%d,%d,%d,%b"
     (Design.reliability greedy) (Design.area greedy) (Design.latency greedy)
@@ -569,9 +567,11 @@ let anneal_gate () =
       (fun (name, g) ->
         List.concat_map
           (fun (ld, ad) ->
-            let run d = Anneal.synthesize ~domains:d ~params g lib ~ld ~ad in
-            match (run 1, run 2, run 4) with
-            | Ok r1, Ok r2, Ok r4 ->
+            (* the second run reads the engine cache the first one filled *)
+            let cache = Engine.create_cache () in
+            let run () = Anneal.synthesize ~cache ~params g lib ~ld ~ad in
+            match (run (), run ()) with
+            | Ok r1, Ok r2 ->
               let greedy, annealed, stats = r1 in
               incr cells;
               if stats.Anneal.improved then incr improved;
@@ -582,9 +582,8 @@ let anneal_gate () =
                    else [ cell ^ " invalid" ]);
                   (if Design.reliability annealed >= Design.reliability greedy then []
                    else [ cell ^ " below greedy" ]);
-                  (if anneal_bytes r1 = anneal_bytes r2 && anneal_bytes r1 = anneal_bytes r4
-                   then []
-                   else [ cell ^ " differs across domain counts" ]);
+                  (if anneal_bytes r1 = anneal_bytes r2 then []
+                   else [ cell ^ " differs on a warm engine cache" ]);
                 ]
             (* Greedy found no design inside these bounds; the cell
                carries no annealing signal, so it is not gated on. *)
@@ -595,7 +594,7 @@ let anneal_gate () =
   let frac = float_of_int !improved /. float_of_int (max 1 !cells) in
   verdict
     (Printf.sprintf
-       "%d cells, %d improved (%.0f%%), all valid, >= greedy and identical at domains 1/2/4"
+       "%d cells, %d improved (%.0f%%), all valid, >= greedy and identical on a warm cache"
        !cells !improved (100. *. frac))
     (List.concat
        [

@@ -11,7 +11,6 @@ module Check = Rchls_check.Check
 module Fuzz = Rchls_check.Fuzz
 module Gen = Rchls_check.Gen
 module Rng = Rchls_util.Rng
-module Pool = Rchls_util.Pool
 module Telemetry = Rchls_util.Telemetry
 module Trace = Rchls_util.Trace
 
@@ -554,7 +553,7 @@ let design_of_snap g lib s =
 
 (* --- the annealer ----------------------------------------------------- *)
 
-let improve ?domains ?(params = default_params) ~ld ~ad seed_design =
+let improve ?(params = default_params) ~ld ~ad seed_design =
   let nchains = max 1 params.chains in
   Trace.with_span "anneal.improve"
     ~attrs:
@@ -595,10 +594,9 @@ let improve ?domains ?(params = default_params) ~ld ~ad seed_design =
       let run = match frozen base with Some fz -> replay_moves fz | None -> run_moves in
       for r = 0 to rounds - 1 do
         let k = min per_round (total - (r * per_round)) in
-        (* each chain mutates only its own state and stream; Pool.map
-           preserves input order and joins before returning, so the
-           round is identical for every domain count *)
-        ignore (Pool.map ?domains (fun ch -> run ch k; ch.cid) chains);
+        (* each chain mutates only its own state and stream, so the
+           order the chains run in within a round is immaterial *)
+        List.iter (fun ch -> run ch k) chains;
         if r < rounds - 1 then exchange_temps chains xrng r exchanged
       done;
       let winner =
@@ -644,12 +642,11 @@ let improve ?domains ?(params = default_params) ~ld ~ad seed_design =
       if stats.improved then Telemetry.incr "anneal.improved";
       (result, stats))
 
-let synthesize ?scheduler ?strategy ?cache ?domains ?(params = default_params) g lib ~ld ~ad
-    =
-  match Engine.synthesize ?scheduler ?strategy ?cache ?domains g lib ~ld ~ad with
+let synthesize ?scheduler ?strategy ?cache ?(params = default_params) g lib ~ld ~ad =
+  match Engine.synthesize ?scheduler ?strategy ?cache g lib ~ld ~ad with
   | Error _ as e -> e
   | Ok greedy ->
-    let better, stats = improve ?domains ~params ~ld ~ad greedy in
+    let better, stats = improve ~params ~ld ~ad greedy in
     let final =
       match better with
       | Some d when Design.reliability d > Design.reliability greedy -> d
@@ -858,7 +855,7 @@ let () =
           exchange = 30;
         }
       in
-      match synthesize ~domains:1 ~params g lib ~ld ~ad with
+      match synthesize ~params g lib ~ld ~ad with
       | Error _ -> Ok ()  (* greedy infeasible: nothing to dominate *)
       | Ok (greedy, annealed, _) ->
         if Design.reliability annealed < Design.reliability greedy then
@@ -902,16 +899,17 @@ let () =
                   (Design.version_histogram annealed)))
             s.accepted s.pruned s.exchanges
       in
-      let run domains = render (synthesize ~domains ~params g lib ~ld ~ad) in
-      let r1 = run 1 in
-      let r2 = run 2 in
-      let r4 = run 4 in
-      if String.equal r1 r2 && String.equal r2 r4 then Ok ()
+      (* the second run reads the engine cache the first one filled *)
+      let cache = Engine.create_cache () in
+      let run () = render (synthesize ~cache ~params g lib ~ld ~ad) in
+      let cold = run () in
+      let warm = run () in
+      if String.equal cold warm then Ok ()
       else
         Error
           (Printf.sprintf
-             "anneal result depends on the domain count:\n  1 -> %s\n  2 -> %s\n  4 -> %s"
-             r1 r2 r4))
+             "anneal result depends on the engine cache:\n  cold -> %s\n  warm -> %s" cold
+             warm))
 
 (* The greedy seed of a fuzz cell, checked by [frozen_replay_check]. *)
 let frozen_replay_case ~aux spec =

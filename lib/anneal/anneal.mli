@@ -23,11 +23,11 @@
     [-ln reliability] (additive over operations, O(1) to update per
     version move), and acceptance is Metropolis at the chain's
     temperature.  [N] replica chains run at a geometric temperature
-    ladder across {!Rchls_util.Pool} domains with periodic
-    temperature exchange (parallel tempering); chains are seeded with
+    ladder with periodic temperature exchange (parallel tempering),
+    in turn on the calling domain; chains are seeded with
     deterministic splitmix RNGs derived from [(seed, chain index)]
     and exchange decisions from [(seed, -1)], so the result is a pure
-    function of the inputs and {e independent of the domain count}.
+    function of the inputs.
 
     Version moves that are provably area-infeasible under {e any}
     binding are skipped without evaluation using the PR8 occupancy
@@ -93,7 +93,6 @@ val accept : rng:Rng.t -> temp:float -> delta:float -> bool
     RNG. *)
 
 val improve :
-  ?domains:int ->
   ?params:params ->
   ld:int ->
   ad:int ->
@@ -104,14 +103,12 @@ val improve :
     more than a relative [1e-9], so ulp-level rounding noise from
     multiplication order never counts — and the packaged design passes
     [Check.design_violations]; [None] leaves the caller's seed
-    standing.  Deterministic in [(params.seed, inputs)]; independent
-    of [domains]. *)
+    standing.  Deterministic in [(params.seed, inputs)]. *)
 
 val synthesize :
   ?scheduler:Design.scheduler ->
   ?strategy:Engine.strategy ->
   ?cache:Engine.cache ->
-  ?domains:int ->
   ?params:params ->
   Dfg.t ->
   Library.t ->

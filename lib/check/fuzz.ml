@@ -341,10 +341,9 @@ let builtin_properties =
    differential here — it cannot be a built-in because this library
    sits below the experiments layer).  Registered properties append
    after the built-ins in registration order.  Case streams are keyed
-   by position in the full list, so adding a property leaves the
-   built-ins and every earlier registration where they were, but moves
-   each property registered after it — including ones from a library
-   that initializes later, whatever the order of their source. *)
+   by the property's name, so adding or removing a property moves no
+   other property's cases, whatever order the libraries initialize
+   in. *)
 let registered : property list ref = ref []
 
 let register_property ~name run =
@@ -367,13 +366,15 @@ let attempt p ~aux spec =
   | r -> r
   | exception e -> err "uncaught exception: %s" (Printexc.to_string e)
 
-(* Derived streams: one for the blueprint, one (re-creatable, so
-   shrinking replays the same library/assignment draws against each
-   candidate) for everything else. *)
-let case_key seed pi ci tag =
+(* Derived streams, keyed by (seed, property name, case index): one
+   for the blueprint, one (re-creatable, so shrinking replays the same
+   library/assignment draws against each candidate) for everything
+   else. *)
+let case_key seed p ci tag =
+  let name = Int64.to_int (Fnv.hash_string p.p_name) in
   Int64.to_int
     (Fnv.fold_int
-       (Fnv.fold_int (Fnv.fold_int (Fnv.fold_int Fnv.seed seed) pi) ci)
+       (Fnv.fold_int (Fnv.fold_int (Fnv.fold_int Fnv.seed seed) name) ci)
        tag)
 
 let max_shrink_steps = 200
@@ -400,14 +401,14 @@ let shrink p ~aux_seed spec message =
   done;
   (!spec, !message, !steps)
 
-let run_property ~seed ~cases ~max_nodes pi p =
+let run_property ~seed ~cases ~max_nodes p =
   Trace.with_span ("fuzz." ^ p.p_name) (fun () ->
       let failure = ref None in
       let case = ref 0 in
       while Option.is_none !failure && !case < cases do
         Telemetry.incr "fuzz.cases";
-        let spec = Gen.random_spec ~max_nodes (Rng.create (case_key seed pi !case 0)) in
-        let aux_seed = case_key seed pi !case 1 in
+        let spec = Gen.random_spec ~max_nodes (Rng.create (case_key seed p !case 0)) in
+        let aux_seed = case_key seed p !case 1 in
         (match attempt p ~aux:(Rng.create aux_seed) spec with
         | Ok () -> ()
         | Error message ->
@@ -435,13 +436,7 @@ let run ?(max_nodes = 12) ?properties:names ~seed ~cases () =
                (String.concat ", " (List.map (fun p -> p.p_name) all))))
       names
   in
-  List.map
-    (fun p ->
-      let pi =
-        Option.get (List.find_index (fun q -> q.p_name = p.p_name) all)
-      in
-      run_property ~seed ~cases ~max_nodes pi p)
-    selected
+  List.map (run_property ~seed ~cases ~max_nodes) selected
 
 let pp_outcome ppf o =
   match o.failure with

@@ -60,13 +60,10 @@ val register_property :
     this way at module-initialization time).  The property receives
     the generated blueprint and the auxiliary random stream, and
     reports a counterexample through [Error]; failures shrink exactly
-    like the built-ins'.  Case streams are keyed by position in
-    {!property_names}: a new property never shifts the built-ins or
-    the properties registered before it, but it shifts every property
-    registered after it (library initialization order decides which
-    those are: [Rchls_anneal]'s properties register before
-    [Rchls_experiments]' [explore-differential]).  Raises
-    [Invalid_argument] on a duplicate name. *)
+    like the built-ins'.  Case streams are keyed by the property's
+    name, so adding or removing a property never shifts another
+    property's cases.  Raises [Invalid_argument] on a duplicate
+    name. *)
 
 val run :
   ?max_nodes:int ->

@@ -23,8 +23,8 @@ let pp_failure ppf = function
 
 (* The evaluation cache is two memos, sharded so one cache can be
    shared across domains: between the [Best] strategy's two
-   directions, across the move evaluators of a parallel refine round,
-   and across every cell of a design-space sweep.  The design memo
+   directions, and across every cell of a design-space sweep, whose
+   rows run on worker domains.  The design memo
    maps the int64 FNV-1a fingerprint of (interned version codes,
    latency) to the realized design.  Beside it sits the schedule memo:
    the first-stage scheduler's result keyed by the exact (scheduler,
@@ -82,7 +82,6 @@ type ctx = {
   scheduler : Design.scheduler;
   use_cache : bool;
   cache : cache;
-  domains : int;  (* worker domains for parallel move evaluation *)
   assignment : Resource.t array;
   codes : int array;
       (* interned library code of each node's version, kept in sync
@@ -114,8 +113,7 @@ let asap_of_preds ctx id =
     (fun acc p -> max acc (ctx.asap.(p) + ctx.assignment.(p).Resource.delay))
     0 (Dfg.preds ctx.graph id)
 
-let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1) g lib ~ld
-    ~ad ~initial =
+let create ?(scheduler = `Density) ?cache ?(use_cache = true) g lib ~ld ~ad ~initial =
   let assignment =
     Array.of_list (List.map (fun nd -> (initial nd : Resource.t)) (Dfg.nodes g))
   in
@@ -134,7 +132,6 @@ let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1) g l
       scheduler;
       use_cache;
       cache = (match cache with Some c -> c | None -> create_cache ());
-      domains = max 1 domains;
       assignment;
       codes = Array.map (fun (r : Resource.t) -> Library.intern_exn lib r.id) assignment;
       asap = Array.make n 0;
@@ -258,22 +255,6 @@ let realize ctx ~latency =
 
 let realize_current ctx = realize ctx ~latency:ctx.schedule_latency
 
-(* A private copy of the mutable context state for one worker domain:
-   moves are applied and realized on the clone without disturbing the
-   main context, and evaluations go straight into the shared cache
-   (its values depend only on their keys).  Evaluation is a
-   deterministic function of the (shared, frozen during a parallel
-   round) base state, so a result computed on a clone is the result
-   the sequential scan would have computed. *)
-let clone_for_worker ctx =
-  {
-    ctx with
-    assignment = Array.copy ctx.assignment;
-    codes = Array.copy ctx.codes;
-    asap = Array.copy ctx.asap;
-    domains = 1;
-  }
-
 (* --- shared stage helpers ------------------------------------------ *)
 
 (* Apply one version move to [ids], validated by [guard] (checked
@@ -361,10 +342,6 @@ let fits ctx a =
     if a - 1 < ctx.ad_hi then ctx.ad_hi <- a - 1;
     false
   end
-
-let merge_certificate ctx (lo, hi) =
-  if lo > ctx.ad_lo then ctx.ad_lo <- lo;
-  if hi < ctx.ad_hi then ctx.ad_hi <- hi
 
 (* Every algorithm decision is a structured instant event on the Trace
    layer ([engine.*]); the CLI's [--trace] printer and [--trace-out]
@@ -554,13 +531,9 @@ let recovery =
           let made_progress = ref true in
           while (not (fits ctx (Design.area (the_design ctx)))) && !made_progress do
             let area_before = Design.area (the_design ctx) in
-            (* The historical triple [List.exists] accepted the first
-               candidate, in (class, version, subset) order, whose move
-               kept the latency bound and shrank the realized area.
-               The same enumeration is materialized so candidates can
-               be probed on worker clones in chunks; the first success
-               in order commits, so the outcome is identical for every
-               domain count. *)
+            (* The first candidate, in (class, version, subset)
+               order, whose move keeps the latency bound and shrinks
+               the realized area commits. *)
             let candidates =
               List.concat_map
                 (fun cls ->
@@ -589,39 +562,7 @@ let recovery =
                 area_downgrade ctx ids ~from:"mixed" ~to_:v.Resource.id d;
                 true
             in
-            made_progress :=
-              if ctx.domains <= 1 then List.exists commit candidates
-              else begin
-                let probe (ids, v) =
-                  let w = clone_for_worker ctx in
-                  List.iter (fun id -> set_version w id v) ids;
-                  current_latency w <= w.ld
-                  &&
-                  match realize_current w with
-                  | Ok d -> Design.area d < area_before
-                  | Error _ -> false
-                in
-                let rec take k = function
-                  | x :: rest when k > 0 ->
-                    let chunk, tail = take (k - 1) rest in
-                    (x :: chunk, tail)
-                  | l -> ([], l)
-                in
-                let rec scan = function
-                  | [] -> false
-                  | cands -> (
-                    let chunk, rest = take (ctx.domains * 2) cands in
-                    let oks =
-                      Rchls_util.Pool.map ~domains:ctx.domains probe chunk
-                    in
-                    match
-                      List.find_opt (fun (_, ok) -> ok) (List.combine chunk oks)
-                    with
-                    | Some (cand, _) -> commit cand
-                    | None -> scan rest)
-                in
-                scan candidates
-              end
+            made_progress := List.exists commit candidates
           done
         end;
         Ok ());
@@ -647,23 +588,24 @@ let refine =
               ctx.design <- Some d;
               ctx.schedule_latency <- ctx.ld
             end);
-          (* Evaluate a move on [ectx] without keeping it: returns the
-             realized design when it satisfies both bounds and improves
-             reliability, always restoring the assignment. *)
-          let evaluate_move ectx ~ids ~to_version ~base_r =
-            let olds = List.map (fun id -> (id, ectx.assignment.(id))) ids in
-            List.iter (fun id -> set_version ectx id (to_version : Resource.t)) ids;
+          (* Evaluate a move without keeping it: returns the realized
+             design's reliability when it satisfies both bounds and
+             improves on [base_r], always restoring the assignment.
+             Its [fits] call narrows the certified interval whether or
+             not the move wins. *)
+          let evaluate_move ~ids ~to_version ~base_r =
+            let olds = List.map (fun id -> (id, ctx.assignment.(id))) ids in
+            List.iter (fun id -> set_version ctx id (to_version : Resource.t)) ids;
             let result =
-              if current_latency ectx > ectx.ld then None
+              if current_latency ctx > ctx.ld then None
               else
-                match realize_current ectx with
+                match realize_current ctx with
                 | Error _ -> None
                 | Ok d ->
-                  if fits ectx (Design.area d) && Design.reliability d > base_r +. 1e-15
-                  then Some d
-                  else None
+                  let r = Design.reliability d in
+                  if fits ctx (Design.area d) && r > base_r +. 1e-15 then Some r else None
             in
-            List.iter (fun (id, v) -> set_version ectx id v) olds;
+            List.iter (fun (id, v) -> set_version ctx id v) olds;
             result
           in
           let classes = List.map fst (Dfg.count_by_class ctx.graph) in
@@ -672,13 +614,9 @@ let refine =
             improved := false;
             let base_r = Design.reliability (the_design ctx) in
             (* Steepest ascent: every (class, target version, subset)
-               move is evaluated against the same frozen base state, so
-               the candidate list can be snapshot once, in the
-               historical enumeration order, and fanned over worker
-               domains.  The best-move fold below replays the
-               historical reduction rule — replace only on a strict
-               reliability improvement, in enumeration order — so the
-               chosen move is identical for every domain count. *)
+               move is evaluated against the same base state, snapshot
+               once in enumeration order; the first strictly best move
+               wins. *)
             let candidates =
               List.concat_map
                 (fun cls ->
@@ -695,37 +633,18 @@ let refine =
                     (Library.versions ctx.library cls))
                 classes
             in
-            (* At one domain every move is evaluated on [ctx] itself
-               (each evaluation restores the assignment); otherwise each
-               runs on a private clone that records its [fits]
-               comparisons.  Every candidate is evaluated either way, so
-               merging the clone intervals (max of los, min of his —
-               order irrelevant) reproduces exactly the interval the
-               sequential scan records. *)
-            let probed =
-              Rchls_util.Pool.map ~domains:ctx.domains
-                (fun (ids, v) ->
-                  let w = if ctx.domains <= 1 then ctx else clone_for_worker ctx in
-                  let r =
-                    match evaluate_move w ~ids ~to_version:v ~base_r with
-                    | None -> None
-                    | Some d -> Some (ids, v, Design.reliability d)
-                  in
-                  (r, (w.ad_lo, w.ad_hi)))
-                candidates
+            let best =
+              List.fold_left
+                (fun best (ids, v) ->
+                  match evaluate_move ~ids ~to_version:v ~base_r with
+                  | None -> best
+                  | Some r -> (
+                    match best with
+                    | Some (_, _, br) when br >= r -> best
+                    | _ -> Some (ids, v, r)))
+                None candidates
             in
-            let best = ref None in
-            List.iter
-              (fun (result, interval) ->
-                merge_certificate ctx interval;
-                match result with
-                | None -> ()
-                | Some (ids, v, r) -> (
-                  match !best with
-                  | Some (_, _, br) when br >= r -> ()
-                  | _ -> best := Some (ids, v, r)))
-              probed;
-            match !best with
+            match best with
             | None -> ()
             | Some (ids, v, _) -> (
               let from_version = ctx.assignment.(List.hd ids).Resource.id in
@@ -809,7 +728,7 @@ let check_classes g lib =
     (Dfg.count_by_class g)
 
 let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = Best)
-    ?(use_cache = true) ?cache ?domains ?certificate g lib ~ld ~ad =
+    ?(use_cache = true) ?cache ?certificate g lib ~ld ~ad =
   if ld <= 0 then invalid_arg "Engine.synthesize: non-positive latency bound";
   if ad <= 0 then invalid_arg "Engine.synthesize: non-positive area bound";
   check_classes g lib;
@@ -829,9 +748,6 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = Best)
      cells — the cache is sharded and mutex-protected exactly so it
      can cross domains). *)
   let cache = match cache with Some c -> c | None -> create_cache () in
-  let domains =
-    match domains with Some d -> max 1 d | None -> Rchls_util.Pool.num_domains ()
-  in
   (* The certified interval of the whole call is the intersection of
      the intervals of every pipeline direction run: the result is a
      function of all of them, so it is provably identical exactly where
@@ -840,9 +756,7 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = Best)
   let run_from direction initial =
     Trace.with_span "engine.pipeline" ~attrs:[ ("direction", Trace.Str direction) ]
     @@ fun () ->
-    let ctx =
-      create ~scheduler ~cache ~use_cache ~domains g lib ~ld ~ad ~initial
-    in
+    let ctx = create ~scheduler ~cache ~use_cache g lib ~ld ~ad ~initial in
     let r = run_pipeline pipeline ctx in
     if ctx.ad_lo > !cert_lo then cert_lo := ctx.ad_lo;
     if ctx.ad_hi < !cert_hi then cert_hi := ctx.ad_hi;

@@ -75,9 +75,9 @@ val pp_failure : Format.formatter -> failure -> unit
 type cache
 (** The evaluation cache of one (graph, library, scheduler)
     combination: two sharded {!Rchls_util.Memo}s, so one cache may be
-    shared across domains — the [Best] strategy's two pipeline runs,
-    the worker domains of a parallel refine round, and every cell of a
-    design-space sweep all share one.
+    shared across domains — the [Best] strategy's two pipeline runs
+    and every cell of a design-space sweep, whose rows run on worker
+    domains, all share one.
 
     The design memo maps the int64 fingerprint of (interned version
     codes, latency) to the realized design and counts [cache.hits],
@@ -103,7 +103,6 @@ val create :
   ?scheduler:Design.scheduler ->
   ?cache:cache ->
   ?use_cache:bool ->
-  ?domains:int ->
   Dfg.t ->
   Library.t ->
   ld:int ->
@@ -116,10 +115,8 @@ val create :
     fingerprinting.  [use_cache:false] (default [true]) makes
     {!realize} bypass the memoization table and the schedule memo —
     every evaluation reruns the scheduler and binder; results must be
-    unchanged (tested).
-    [domains] (default 1) fans the {!refine} and {!recovery} move
-    evaluations over that many worker domains; results are identical
-    for every value (tested). *)
+    unchanged (tested).  A context is used by one domain at a time:
+    every pass runs on the domain that calls it. *)
 
 val graph : ctx -> Dfg.t
 val version_of : ctx -> Dfg.node_id -> Resource.t
@@ -223,7 +220,6 @@ val synthesize :
   ?strategy:strategy ->
   ?use_cache:bool ->
   ?cache:cache ->
-  ?domains:int ->
   ?certificate:(int * int) ref ->
   Dfg.t ->
   Library.t ->
@@ -234,9 +230,9 @@ val synthesize :
     strategy-dependent initial allocation(s); [Best] runs both
     directions over one shared evaluation cache and keeps the more
     reliable feasible design.  [cache] substitutes a caller-owned
-    (shareable) evaluation cache; [domains] (default
-    [Rchls_util.Pool.num_domains ()]) fans refine/recovery move
-    evaluation over worker domains — results are independent of it.
+    (shareable) evaluation cache.  The whole call runs on the calling
+    domain; parallelism lives one level up, across independent jobs
+    (sweep and explore rows, served batches).
     Raises [Invalid_argument] on non-positive bounds or if the library
     lacks versions for a class used by the graph.
 
@@ -249,8 +245,7 @@ val synthesize :
     the {e identical} result (same design or same failure).  Always
     contains [ad] itself ([1 <= lo <= ad <= hi]); [hi = max_int] means
     unbounded above (e.g. a latency-infeasible run never consulted the
-    area bound at all).  The interval is identical for every [domains]
-    value (all move candidates are evaluated in both the sequential
-    and the parallel branches, and interval merging is order-free).
-    The design-space explorer derives whole grid rows from single
+    area bound at all).  {!refine} evaluates every move candidate of a
+    round, so each candidate's area comparison narrows the interval
+    whether or not it wins.  The design-space explorer derives whole grid rows from single
     synthesis calls on the strength of this. *)

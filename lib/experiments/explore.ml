@@ -30,11 +30,8 @@ let checked_nmr t =
 
 (* One raw grid cell, plus the synthesis layer's certified area-bound
    interval: every ad' in it provably produces the identical raw
-   result (see [Engine.synthesize]'s certificate contract).  Cells
-   pass [~domains:1] to the engine: the grid is already fanned across
-   the domain pool, so per-cell parallel move evaluation would only
-   oversubscribe.  [cache] is one sharded evaluation cache shared by
-   every cell (cells with nearby bounds realize many identical
+   result (see [Engine.synthesize]'s certificate contract).  [cache]
+   is one sharded evaluation cache shared by every cell (cells with nearby bounds realize many identical
    assignments). *)
 let raw_cell_certified ?scheduler ?cache approach g lib ~ld ~ad =
   let cert = ref (1, max_int) in
@@ -49,14 +46,14 @@ let raw_cell_certified ?scheduler ?cache approach g lib ~ld ~ad =
       | Error _ -> (None, None))
     | Ours -> (
       match
-        Engine.synthesize ?scheduler ?cache ~domains:1 ~certificate:cert g lib ~ld ~ad
+        Engine.synthesize ?scheduler ?cache ~certificate:cert g lib ~ld ~ad
       with
       | Ok d -> (Some (Design.reliability d), Some (Design.area d))
       | Error _ -> (None, None))
     | Combined -> (
       match
-        Rchls_redundancy.Combined.synthesize ?scheduler ?cache ~domains:1
-          ~certificate:cert g lib ~ld ~ad
+        Rchls_redundancy.Combined.synthesize ?scheduler ?cache ~certificate:cert g lib
+          ~ld ~ad
       with
       | Ok t -> checked_nmr t
       | Error _ -> (None, None))

@@ -181,15 +181,15 @@ let resolved_or ?resolved graph library =
 let shared_cache ?service ~resolved scheduler =
   Option.map (fun t -> engine_cache t resolved scheduler) service
 
-let run_synth ?service ?resolved ?domains (s : Request.synth) =
+let run_synth ?service ?resolved (s : Request.synth) =
   let* r = resolved_or ?resolved s.graph s.library in
   let scheduler = scheduler_of_api s.scheduler in
   let cache = shared_cache ?service ~resolved:r s.scheduler in
   Ok
-    (Engine.synthesize ~scheduler ~strategy:s.strategy ?cache ?domains r.graph r.library
-       ~ld:s.ld ~ad:s.ad)
+    (Engine.synthesize ~scheduler ~strategy:s.strategy ?cache r.graph r.library ~ld:s.ld
+       ~ad:s.ad)
 
-let run_anneal ?service ?resolved ?domains (a : Request.anneal) =
+let run_anneal ?service ?resolved ?domains:_ (a : Request.anneal) =
   let* r = resolved_or ?resolved a.graph a.library in
   let scheduler = scheduler_of_api a.scheduler in
   let cache = shared_cache ?service ~resolved:r a.scheduler in
@@ -203,15 +203,15 @@ let run_anneal ?service ?resolved ?domains (a : Request.anneal) =
     }
   in
   Ok
-    (Anneal.synthesize ~scheduler ~strategy:a.strategy ?cache ?domains ~params r.graph
-       r.library ~ld:a.ld ~ad:a.ad)
+    (Anneal.synthesize ~scheduler ~strategy:a.strategy ?cache ~params r.graph r.library
+       ~ld:a.ld ~ad:a.ad)
 
 let render_violation v = Format.asprintf "%a" Check.pp_violation v
 
 (* The checker's direct entry point, not its global [enable] hook, so
    concurrent daemon jobs cannot race on checker state. *)
-let run_check ?service ?resolved ?domains (s : Request.synth) =
-  let* result = run_synth ?service ?resolved ?domains s in
+let run_check ?service ?resolved (s : Request.synth) =
+  let* result = run_synth ?service ?resolved s in
   Ok
     (Result.map
        (fun d -> (d, List.map render_violation (Check.design_violations d)))
@@ -353,15 +353,15 @@ let run_job ?service ?domains job =
          own; the daemon overrides all four fields with live values. *)
       Ok (health_payload ~healthy:true ~queue_depth:0 ~queue_max:0 ~in_flight:0)
     | Request.Synth s -> (
-      match run_synth ?service ?domains s with
+      match run_synth ?service s with
       | Ok r -> Ok (payload_of_synth r)
       | Error msg -> bad msg)
     | Request.Anneal a -> (
-      match run_anneal ?service ?domains a with
+      match run_anneal ?service a with
       | Ok r -> Ok (payload_of_anneal r)
       | Error msg -> bad msg)
     | Request.Check s -> (
-      match run_check ?service ?domains s with
+      match run_check ?service s with
       | Ok r -> Ok (payload_of_check r)
       | Error msg -> bad msg)
     | Request.Sweep s -> (

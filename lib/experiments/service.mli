@@ -101,14 +101,14 @@ val memo_max_bytes : int
     errors, and a library that lacks a class the graph uses
     ({!Loader.covers}), as [Error message].  [resolved] skips re-loading when the
     caller already resolved the sources; [service] shares engine
-    caches across jobs; [domains] caps the per-job worker fan-out
-    (the daemon passes [~domains:1] — jobs are already fanned across
-    the batch pool). *)
+    caches across jobs.  A synth, check or anneal job runs on the
+    calling domain; [domains] caps the worker domains of a sweep or
+    explore job's latency rows (the daemon passes [~domains:1] — jobs
+    are already fanned across the batch pool). *)
 
 val run_synth :
   ?service:t ->
   ?resolved:resolved ->
-  ?domains:int ->
   Request.synth ->
   ((Design.t, Engine.failure) result, string) result
 
@@ -122,7 +122,8 @@ val run_anneal :
     ([Rchls_anneal.Anneal.synthesize]): [Ok (greedy, annealed, stats)],
     with the annealed design never less reliable than the greedy seed.
     Deterministic in the request (the annealer seed is a parameter), so
-    the response cache may serve it like a synth. *)
+    the response cache may serve it like a synth.  [domains] is
+    accepted and ignored: the annealer runs on the calling domain. *)
 
 val run_sweep :
   ?service:t ->

@@ -1,13 +1,12 @@
 module Engine = Rchls_core.Engine
 
-let synthesize ?scheduler ?strategy ?cache ?domains ?certificate g lib ~ld ~ad =
+let synthesize ?scheduler ?strategy ?cache ?certificate g lib ~ld ~ad =
   Rchls_util.Trace.with_span "redundancy.combined" @@ fun () ->
   Rchls_util.Telemetry.incr "redundancy.runs";
   let set c = match certificate with Some r -> r := c | None -> () in
   let eng = ref (1, max_int) in
   match
-    Engine.synthesize ?scheduler ?strategy ?cache ?domains ~certificate:eng g lib
-      ~ld ~ad
+    Engine.synthesize ?scheduler ?strategy ?cache ~certificate:eng g lib ~ld ~ad
   with
   | Error e ->
     set !eng;

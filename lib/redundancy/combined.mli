@@ -11,7 +11,6 @@ val synthesize :
   ?scheduler:Rchls_core.Design.scheduler ->
   ?strategy:Engine.strategy ->
   ?cache:Rchls_core.Engine.cache ->
-  ?domains:int ->
   ?certificate:(int * int) ref ->
   Rchls_dfg.Dfg.t ->
   Rchls_charlib.Library.t ->

@@ -419,11 +419,18 @@ let http_respond fd ~content_type body =
   in
   send 0
 
+(* One thread serves every scrape, so a client that connects and then
+   sends nothing must not hold it: each scrape socket gives up on a
+   read after this many seconds, and [stop] joins the thread within
+   the same bound. *)
+let scrape_read_timeout_s = 2.0
+
 let metrics_loop t fd =
   while Atomic.get t.running do
     match Unix.accept fd with
     | cfd, _ ->
       (try
+         Unix.setsockopt_float cfd Unix.SO_RCVTIMEO scrape_read_timeout_s;
          let path = http_request_path cfd in
          Telemetry.incr "serve.scrapes";
          (* Same flush-before-snapshot contract as the [stats] kind. *)

@@ -77,7 +77,10 @@
       when the queue is saturated;
     - {b scrape endpoint} ([config.metrics]) — a minimal HTTP/1.0
       listener: any path serves the Prometheus text exposition,
-      [/json] the JSON snapshot;
+      [/json] the JSON snapshot.  One thread serves scrapes in turn,
+      and each scrape socket times out a read after 2 s, so a client
+      that connects and stays silent delays other scrapes and {!stop}
+      by at most that long;
     - {b access log} ([config.access_log]) — one JSONL record per
       decoded non-admin request ({!Rchls_serve.Access_log}), so
       [serve.requests] equals the record count over the same

@@ -47,7 +47,7 @@ let () =
           List.iter
             (fun (ld, ad) ->
               Printf.printf "%s ld=%d ad=%d " name ld ad;
-              match Anneal.synthesize ~domains:1 g lib ~ld ~ad with
+              match Anneal.synthesize g lib ~ld ~ad with
               | Error _ -> print_endline "infeasible"
               | Ok (greedy, annealed, (s : Anneal.stats)) ->
                 Printf.printf

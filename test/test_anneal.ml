@@ -157,23 +157,6 @@ let test_same_seed_same_result () =
      design happens to coincide *)
   Alcotest.(check bool) "different seed explores differently" true (a <> c)
 
-(* Temperature exchange makes chains interact, yet the result must be
-   a pure function of the inputs — independent of how the chains are
-   spread over domains. *)
-let test_domain_count_invariance () =
-  List.iter
-    (fun (g, ld, ad) ->
-      let params = { Anneal.default_params with Anneal.moves = 600; chains = 4; exchange = 25 } in
-      let run domains =
-        match Anneal.synthesize ~domains ~params g lib ~ld ~ad with
-        | Ok r -> render r
-        | Error _ -> Alcotest.failf "synthesis failed (%s)" (Dfg.name g)
-      in
-      let d1 = run 1 in
-      Alcotest.(check string) (Dfg.name g ^ " domains 1 = 2") d1 (run 2);
-      Alcotest.(check string) (Dfg.name g ^ " domains 1 = 4") d1 (run 4))
-    [ (Benchmarks.diffeq, 7, 12); (Benchmarks.fir16, 12, 10) ]
-
 (* --- pinned end-to-end regressions ------------------------------------ *)
 
 (* Exact reliability pins on the paper benchmarks (full float
@@ -402,7 +385,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "seed-deterministic" `Quick test_same_seed_same_result;
-          Alcotest.test_case "domain-count invariant" `Quick test_domain_count_invariance;
         ] );
       ("pinned", [ Alcotest.test_case "paper benchmarks" `Quick test_pinned_benchmarks ]);
       ( "frozen",

@@ -1249,6 +1249,58 @@ let http_get port path =
       in
       (String.sub s 0 (body_at 0), String.sub s (body_at 0) (String.length s - body_at 0)))
 
+(* A client that connects to the scrape endpoint and sends nothing
+   holds the one metrics thread only until its read times out: a
+   second scrape still answers, and [Server.stop] returns while another
+   silent client is connected.  Every wait here is bounded, so a wedged
+   endpoint fails the test instead of hanging the suite. *)
+let test_silent_scrape_client () =
+  let config =
+    {
+      (Server.default_config (Server.Tcp ("127.0.0.1", 0))) with
+      Server.metrics = Some (Server.Tcp ("127.0.0.1", 0));
+    }
+  in
+  let server = check_ok "server start" (Server.start config) in
+  let stopped = Atomic.make false in
+  let stop_server () = if not (Atomic.get stopped) then Server.stop server in
+  Fun.protect ~finally:stop_server @@ fun () ->
+  let mport = Option.get (Server.metrics_port server) in
+  let silent () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, mport));
+    fd
+  in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let first = silent () in
+  Fun.protect ~finally:(fun () -> close first) (fun () ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> close fd) (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 8.0;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, mport));
+          let req = "GET / HTTP/1.0\r\n\r\n" in
+          ignore (Unix.write_substring fd req 0 (String.length req));
+          let chunk = Bytes.create 64 in
+          let n =
+            try Unix.read fd chunk 0 (Bytes.length chunk)
+            with Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "scrape behind a silent client: %s" (Unix.error_message e)
+          in
+          Alcotest.(check string) "scrape answers behind a silent client" "HTTP/1.0 200"
+            (Bytes.sub_string chunk 0 (min n 12))));
+  let second = silent () in
+  Fun.protect ~finally:(fun () -> close second) (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let stopper =
+        Thread.create (fun () -> Server.stop server; Atomic.set stopped true) ()
+      in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 8. do
+        Thread.delay 0.05
+      done;
+      let returned = Atomic.get stopped in
+      if returned then Thread.join stopper;
+      Alcotest.(check bool) "stop returns with a silent client connected" true returned)
+
 (* The value of one Prometheus sample line, e.g.
    [scrape_value body "rchls_serve_requests_total"] *)
 let scrape_value body series =
@@ -1523,7 +1575,7 @@ let test_serve_counts_eof_disconnect () =
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   with_client socket (fun slow ->
       check_ok "send"
-        (Client.send_raw slow (req_line {|"id":"f","job":"fuzz","params":{"cases":30}|}));
+        (Client.send_raw slow (req_line {|"id":"f","job":"fuzz","params":{"cases":300}|}));
       until "the slow job to start" (fun () -> Telemetry.gauge "serve.inflight" = 1);
       let c = check_ok "connect" (Client.connect_unix socket) in
       check_ok "send"
@@ -1629,5 +1681,6 @@ let () =
             test_serve_survives_client_hangup;
           Alcotest.test_case "hang-up seen as EOF counts a disconnect" `Quick
             test_serve_counts_eof_disconnect;
+          Alcotest.test_case "silent scrape client" `Quick test_silent_scrape_client;
         ] );
     ]

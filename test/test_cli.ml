@@ -1,7 +1,8 @@
-(* End-to-end checks of the rchls executable whose subject is what one
-   run leaves on disk for the next: [explore --cache-dir] entries, read
-   back by a second explore and by the daemon's disk tier.  The
-   executable's path is the first argument. *)
+(* End-to-end checks of the rchls executable across runs: what one
+   [explore --cache-dir] run leaves on disk, read back by a second
+   explore and by the daemon's disk tier; and that a single synthesis
+   or anneal job reports the same work whatever [RCHLS_DOMAINS] says.
+   The executable's path is the first argument. *)
 
 module Request = Rchls_api.Request
 module Response = Rchls_api.Response
@@ -27,11 +28,15 @@ let with_temp_dir f =
   let dir = Filename.temp_dir "rchls-cli-cache" "" in
   Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
-(* Run the executable; its stdout lines, failing on a non-zero exit. *)
-let run args =
+(* Run the executable (under [RCHLS_DOMAINS=domains] when given); its
+   stdout lines, failing on a non-zero exit. *)
+let run ?domains args =
   let out = Filename.temp_file "rchls-cli" ".out" in
   Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
-  let code = Sys.command (Filename.quote_command !exe args ~stdout:out ~stderr:Filename.null) in
+  let env = match domains with Some d -> Printf.sprintf "RCHLS_DOMAINS=%d " d | None -> "" in
+  let code =
+    Sys.command (env ^ Filename.quote_command !exe args ~stdout:out ~stderr:Filename.null)
+  in
   if code <> 0 then Alcotest.failf "rchls %s: exit %d" (String.concat " " args) code;
   In_channel.with_open_text out In_channel.input_lines
 
@@ -101,6 +106,57 @@ let test_daemon_reads_explore_entries () =
       Alcotest.(check bool) "same payload" true (served.result = cli.result))
     corpus.entries computed
 
+(* A [--stats] table with its duration cells masked: one line per row,
+   cells trimmed (column widths follow the longest duration), border
+   lines dropped, and every "<number> <unit>" time read as "<t>". *)
+let masked_stats lines =
+  let is_unit w = List.mem w [ "ns"; "us"; "ms"; "s" ] in
+  let rec mask = function
+    | w :: u :: rest when is_unit u ->
+      let keep = match String.index_opt w '=' with Some i -> String.sub w 0 (i + 1) | None -> "" in
+      (keep ^ "<t>") :: mask rest
+    | w :: rest -> w :: mask rest
+    | [] -> []
+  in
+  let cell c = String.concat " " (mask (List.filter (( <> ) "") (String.split_on_char ' ' c))) in
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix:"+" l then None
+      else if String.starts_with ~prefix:"|" l then
+        Some (String.concat "|" (List.map cell (String.split_on_char '|' l)))
+      else Some l)
+    lines
+
+(* A single job runs on the calling domain: its work counters are the
+   same at 1 and 4 domains. *)
+let test_stats_domain_independent () =
+  List.iter
+    (fun args ->
+      let at d = masked_stats (run ~domains:d (args @ [ "--stats" ])) in
+      Alcotest.(check (list string)) (String.concat " " args) (at 1) (at 4))
+    [
+      [ "synth"; "fir16"; "--ld"; "12"; "--ad"; "9" ];
+      [ "anneal"; "fir16"; "--ld"; "11"; "--ad"; "9" ];
+    ]
+
+(* ... and it records the same spans and instants, in the same order. *)
+let test_trace_domain_independent () =
+  with_temp_dir @@ fun dir ->
+  let events d =
+    let file = Filename.concat dir (Printf.sprintf "t%d.jsonl" d) in
+    ignore
+      (run ~domains:d [ "synth"; "fir16"; "--ld"; "12"; "--ad"; "9"; "--trace-out"; file ]);
+    List.map
+      (fun line ->
+        let ev = check_ok "trace line" (Rchls_util.Json.of_string line) in
+        let str k = Option.bind (Rchls_util.Json.member k ev) Rchls_util.Json.to_string_opt in
+        match (str "name", str "kind") with
+        | Some name, Some kind -> name ^ " " ^ kind
+        | _ -> Alcotest.failf "trace line without name or kind: %s" line)
+      (In_channel.with_open_text file In_channel.input_lines)
+  in
+  Alcotest.(check (list string)) "(name, phase) sequence" (events 1) (events 4)
+
 let () =
   let path = Sys.argv.(1) in
   exe := if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path;
@@ -113,5 +169,10 @@ let () =
             test_second_run_reads_disk;
           Alcotest.test_case "daemon reads explore's entries" `Quick
             test_daemon_reads_explore_entries;
+        ] );
+      ( "one job, any domain count",
+        [
+          Alcotest.test_case "--stats counters" `Quick test_stats_domain_independent;
+          Alcotest.test_case "--trace-out events" `Quick test_trace_domain_independent;
         ] );
     ]

@@ -128,7 +128,7 @@ let prop_memo_transparent =
       let ad = 1 + Rng.int rng max_area in
       List.iter
         (fun (name, scheduler) ->
-          let run use_cache = Engine.synthesize ~scheduler ~use_cache ~domains:1 g lib ~ld ~ad in
+          let run use_cache = Engine.synthesize ~scheduler ~use_cache g lib ~ld ~ad in
           match (run true, run false) with
           | Ok a, Ok b ->
             if not (same_design a b) then
@@ -219,28 +219,6 @@ let prop_incremental_latency g_name g =
               g_name inc full nd.Dfg.name v.Resource.id)
         flips;
       true)
-
-(* --- parallel refine == sequential refine --------------------------- *)
-
-(* The fanned-out move evaluation (and chunked recovery scan) must be
-   invisible: synthesis results may not depend on the domain count. *)
-let test_refine_domains_invariant () =
-  List.iter
-    (fun (name, g, ld, ad) ->
-      let run domains = Engine.synthesize ~domains g lib ~ld ~ad in
-      let r1 = run 1 in
-      List.iter
-        (fun d ->
-          Alcotest.check result_testable
-            (Printf.sprintf "%s (ld=%d, ad=%d): 1 domain = %d domains" name ld ad d)
-            r1 (run d))
-        [ 2; 4 ])
-    [
-      ("fir16", Benchmarks.fir16, 11, 8);
-      ("ewf", Benchmarks.ewf, 14, 9);
-      ("ewf-tight", Benchmarks.ewf, 17, 5);
-      ("diffeq", Benchmarks.diffeq, 6, 13);
-    ]
 
 (* --- fingerprint collision safety ----------------------------------- *)
 
@@ -343,11 +321,6 @@ let () =
           qt (prop_incremental_latency "fir16" Benchmarks.fir16);
           qt (prop_incremental_latency "ewf" Benchmarks.ewf);
           qt (prop_incremental_latency "diffeq" Benchmarks.diffeq);
-        ] );
-      ( "parallel refine",
-        [
-          Alcotest.test_case "domain count invisible" `Quick
-            test_refine_domains_invariant;
         ] );
       ( "fingerprint",
         [

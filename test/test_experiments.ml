@@ -235,7 +235,7 @@ let test_pruned_equals_uncached_grid () =
            List.map
              (fun ad ->
                ( (ld, ad),
-                 match Engine.synthesize ~use_cache:false ~domains:1 g lib ~ld ~ad with
+                 match Engine.synthesize ~use_cache:false g lib ~ld ~ad with
                  | Ok d ->
                    (Some (Rchls_core.Design.reliability d), Some (Rchls_core.Design.area d))
                  | Error _ -> (None, None) ))

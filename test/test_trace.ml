@@ -324,8 +324,7 @@ let test_strategy_attr_is_wire_name () =
     (fun (name, strategy) ->
       let _, evs =
         collect (fun () ->
-            Engine.synthesize ~strategy ~domains:1 Benchmarks.example_fig4 Library.table1
-              ~ld:8 ~ad:300)
+            Engine.synthesize ~strategy Benchmarks.example_fig4 Library.table1 ~ld:8 ~ad:300)
       in
       Alcotest.(check (option string)) name (Some name)
         (span_attr evs "engine.synthesize" "strategy"))
