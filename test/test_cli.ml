@@ -170,7 +170,7 @@ let () =
           Alcotest.test_case "daemon reads explore's entries" `Quick
             test_daemon_reads_explore_entries;
         ] );
-      ( "one job, any domain count",
+      ( "domain count",
         [
           Alcotest.test_case "--stats counters" `Quick test_stats_domain_independent;
           Alcotest.test_case "--trace-out events" `Quick test_trace_domain_independent;
