@@ -1,4 +1,4 @@
-.PHONY: all build test check repro gates fuzz smoke clean
+.PHONY: all build test check repro gates fuzz smoke mutants clean
 
 # Fuzzing knobs (see `rchls fuzz --help`).
 FUZZ_SEED ?= 42
@@ -33,6 +33,13 @@ gates: build
 # prints a shrunk counterexample in replayable .dfg text and exits 2.
 fuzz: build
 	dune exec bin/main.exe -- fuzz --seed $(FUZZ_SEED) --cases $(FUZZ_CASES)
+
+# Mutation check: apply each patch under test/mutants/ to a copy of
+# the tree, build it and require at least one failing test.  Each
+# mutant is a full build and test run, so this runs on demand, not in
+# CI.
+mutants:
+	sh test/mutants/run.sh
 
 # End-to-end smoke of the tracing/report surface: one synthesis with a
 # Chrome trace and a JSON run report, plus the JSON run report of every

@@ -35,6 +35,19 @@ let first_schedule ?(scheduler = `Density) g ~delay ~latency =
   | `Density_reference -> Rchls_sched.Density_sched.run_reference g ~delay ~latency
   | `Force_directed -> Rchls_sched.Force_directed.run g ~delay ~latency
 
+(* Within [latency] steps one instance of a version hosts at most
+   [latency] busy cycles, so any binding needs ceil(busy_v / latency)
+   instances of each version v. *)
+let area_lower_bound g ~assignment ~latency =
+  let busy = Hashtbl.create 8 in
+  Dfg.iter_nodes g (fun (nd : Dfg.node) ->
+      let r = assignment nd in
+      let cur = Option.value (Hashtbl.find_opt busy r.Resource.id) ~default:(0, 0) in
+      Hashtbl.replace busy r.Resource.id (fst cur + r.Resource.delay, r.Resource.area));
+  Hashtbl.fold
+    (fun _ (cycles, area) acc -> acc + (((cycles + latency - 1) / latency) * area))
+    busy 0
+
 let realize_scheduled ?(scheduler = `Density) g lib ~assignment ~latency ~schedule =
   match check_assignment g assignment with
   | Error e -> Error e
@@ -46,19 +59,10 @@ let realize_scheduled ?(scheduler = `Density) g lib ~assignment ~latency ~schedu
       (* The area-minimizing packer sometimes beats the distribution
          scheduler on instance count; keep whichever binds smaller.
          Skip the packer when the first binding already reaches the
-         occupancy lower bound sum_v ceil(busy_v / latency) * area_v. *)
+         occupancy lower bound. *)
       let bind s = Binding.bind s ~assignment in
       let binding = bind schedule in
-      let lower_bound_area =
-        let busy = Hashtbl.create 8 in
-        Dfg.iter_nodes g (fun (nd : Dfg.node) ->
-            let r = assignment nd in
-            let cur = Option.value (Hashtbl.find_opt busy r.Resource.id) ~default:(0, 0) in
-            Hashtbl.replace busy r.Resource.id (fst cur + r.Resource.delay, r.Resource.area));
-        Hashtbl.fold
-          (fun _ (cycles, area) acc -> acc + (((cycles + latency - 1) / latency) * area))
-          busy 0
-      in
+      let lower_bound_area = area_lower_bound g ~assignment ~latency in
       let schedule, binding =
         if Binding.area binding <= lower_bound_area then (schedule, binding)
         else

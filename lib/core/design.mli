@@ -53,6 +53,14 @@ val realize_scheduled :
     memo).  The packer, the binding and the packaging run as in
     {!realize}, which is this function over {!first_schedule}. *)
 
+val area_lower_bound :
+  Dfg.t -> assignment:(Dfg.node -> Resource.t) -> latency:int -> int
+(** The occupancy lower bound sum_v ceil(busy_v / latency) * area_v,
+    where busy_v is the total delay of the operations assigned version
+    v: every binding of a schedule within [latency] steps needs at
+    least that many instances of each version, so the {!area} of any
+    design {!realize} returns at [latency] is at least this. *)
+
 val realize_exn :
   ?scheduler:scheduler ->
   Dfg.t ->

@@ -281,47 +281,59 @@ let try_move ctx ~ids ~to_version ~guard ~accept =
       end
       else Some d
 
-(* Subset moves: the K most mobile operations satisfying [from] move
-   together to [v], K halving from the group size to 1.  Mobility is
-   measured against the current scheduling horizon; the ranges are
-   computed once per call (every candidate sees the same assignment). *)
-let subset_ids ?(exhaustive = false) ctx ~from () =
+(* Subset moves: the K most [mobility]-mobile operations satisfying
+   [from] move together, K halving from the group size to 1.  The
+   subsets are a lazy stream, built only as far as a consumer reads. *)
+let subset_ids ?(exhaustive = false) ctx ~mobility ~from =
   let movable =
     List.rev
       (Dfg.fold_nodes ctx.graph ~init:[] (fun acc nd ->
            if from nd then nd :: acc else acc))
   in
-  match movable with
-  | [] -> []
-  | _ ->
-    let asap, alap =
-      Rchls_sched.Density.constrained_ranges ctx.graph ~delay:(delay_of ctx)
-        ~latency:ctx.schedule_latency
-        ~fixed:(fun _ -> None)
-    in
-    let mobility id = alap.(id) - asap.(id) in
-    let by_mobility =
-      List.stable_sort
-        (fun (a : Dfg.node) b -> compare (mobility b.id) (mobility a.id))
-        movable
-    in
-    let total = List.length by_mobility in
-    (* Prefix sizes: halving from the whole group to 1 keeps the
-       refinement trajectory stable; the recovery stage asks for every
-       size (it only runs when the design is otherwise infeasible, so
-       exhaustiveness beats path elegance). *)
-    let sizes =
-      if exhaustive then List.init total (fun i -> total - i)
-      else begin
-        let rec halve k acc = if k <= 1 then 1 :: acc else halve (k / 2) (k :: acc) in
-        List.rev (halve total [])
-      end
-    in
-    List.map
-      (fun k ->
-        List.filteri (fun i _ -> i < k) by_mobility
-        |> List.map (fun (nd : Dfg.node) -> nd.id))
-      sizes
+  let by_mobility =
+    List.stable_sort
+      (fun (a : Dfg.node) b -> compare mobility.(b.id) mobility.(a.id))
+      movable
+  in
+  let total = List.length by_mobility in
+  (* Prefix sizes: halving from the whole group to 1 keeps the
+     refinement trajectory stable; the recovery stage asks for every
+     size (it only runs when the design is otherwise infeasible, so
+     exhaustiveness beats path elegance). *)
+  let sizes =
+    if total = 0 then []
+    else if exhaustive then List.init total (fun i -> total - i)
+    else begin
+      let rec halve k acc = if k <= 1 then 1 :: acc else halve (k / 2) (k :: acc) in
+      List.rev (halve total [])
+    end
+  in
+  Seq.map
+    (fun k ->
+      List.filteri (fun i _ -> i < k) by_mobility |> List.map (fun (nd : Dfg.node) -> nd.id))
+    (List.to_seq sizes)
+
+(* The (class, version, subset) moves of one round, in that order, as
+   a lazy stream: [from nd v] says whether operation [nd], of [v]'s
+   class, may move to version [v].  Mobility (ALAP - ASAP start) is
+   measured against the current scheduling horizon, once per round:
+   every candidate sees the same assignment. *)
+let candidates ?exhaustive ctx ~from =
+  let asap, alap =
+    Rchls_sched.Density.constrained_ranges ctx.graph ~delay:(delay_of ctx)
+      ~latency:ctx.schedule_latency
+      ~fixed:(fun _ -> None)
+  in
+  let mobility = Array.mapi (fun id lo -> alap.(id) - lo) asap in
+  List.to_seq (Dfg.count_by_class ctx.graph)
+  |> Seq.concat_map (fun (cls, _) ->
+         List.to_seq (Library.versions ctx.library cls)
+         |> Seq.concat_map (fun (v : Resource.t) ->
+                Seq.map
+                  (fun ids -> (ids, v))
+                  (subset_ids ?exhaustive ctx ~mobility
+                     ~from:(fun (nd : Dfg.node) ->
+                       Op.resource_class nd.op = cls && from nd v))))
 
 let the_design ctx =
   match ctx.design with
@@ -516,7 +528,10 @@ let meet_area =
    downgrades are exhausted, consider moving subsets of operations to
    any smaller version (possibly slower), as long as the latency bound
    still holds and the realized area shrinks; the schedule gets the
-   full latency budget so slack can absorb the slower units. *)
+   full latency budget so slack can absorb the slower units.  A move
+   whose occupancy lower bound already reaches the area to beat cannot
+   shrink it, so it is rejected without being realized (DESIGN.md
+   par. 10). *)
 let recovery =
   {
     name = "recovery";
@@ -527,32 +542,25 @@ let recovery =
           (match realize_current ctx with
           | Error e -> failwith ("Engine: reschedule failed: " ^ e)
           | Ok d -> ctx.design <- Some d);
-          let classes = List.map fst (Dfg.count_by_class ctx.graph) in
+          let assignment (nd : Dfg.node) = ctx.assignment.(nd.id) in
           let made_progress = ref true in
           while (not (fits ctx (Design.area (the_design ctx)))) && !made_progress do
             let area_before = Design.area (the_design ctx) in
+            let can_shrink () =
+              Design.area_lower_bound ctx.graph ~assignment ~latency:ctx.schedule_latency
+              < area_before
+              || begin
+                Telemetry.incr "recovery.bound_skips";
+                false
+              end
+            in
             (* The first candidate, in (class, version, subset)
                order, whose move keeps the latency bound and shrinks
                the realized area commits. *)
-            let candidates =
-              List.concat_map
-                (fun cls ->
-                  List.concat_map
-                    (fun (v : Resource.t) ->
-                      List.map
-                        (fun ids -> (ids, v))
-                        (subset_ids ~exhaustive:true ctx
-                           ~from:(fun (nd : Dfg.node) ->
-                             Op.resource_class nd.op = cls
-                             && ctx.assignment.(nd.id).Resource.area > v.Resource.area)
-                           ()))
-                    (Library.versions ctx.library cls))
-                classes
-            in
             let commit (ids, (v : Resource.t)) =
               match
                 try_move ctx ~ids ~to_version:v
-                  ~guard:(fun () -> current_latency ctx <= ctx.ld)
+                  ~guard:(fun () -> current_latency ctx <= ctx.ld && can_shrink ())
                   ~accept:(fun d -> Design.area d < area_before)
               with
               | None -> false
@@ -562,7 +570,10 @@ let recovery =
                 area_downgrade ctx ids ~from:"mixed" ~to_:v.Resource.id d;
                 true
             in
-            made_progress := List.exists commit candidates
+            made_progress :=
+              Seq.exists commit
+                (candidates ~exhaustive:true ctx ~from:(fun (nd : Dfg.node) v ->
+                     ctx.assignment.(nd.id).Resource.area > v.Resource.area))
           done
         end;
         Ok ());
@@ -608,33 +619,15 @@ let refine =
             List.iter (fun (id, v) -> set_version ctx id v) olds;
             result
           in
-          let classes = List.map fst (Dfg.count_by_class ctx.graph) in
           let improved = ref true in
           while !improved do
             improved := false;
             let base_r = Design.reliability (the_design ctx) in
             (* Steepest ascent: every (class, target version, subset)
-               move is evaluated against the same base state, snapshot
-               once in enumeration order; the first strictly best move
-               wins. *)
-            let candidates =
-              List.concat_map
-                (fun cls ->
-                  List.concat_map
-                    (fun (v : Resource.t) ->
-                      List.map
-                        (fun ids -> (ids, v))
-                        (subset_ids ctx
-                           ~from:(fun (nd : Dfg.node) ->
-                             Op.resource_class nd.op = cls
-                             && ctx.assignment.(nd.id).Resource.reliability
-                                < v.Resource.reliability)
-                           ()))
-                    (Library.versions ctx.library cls))
-                classes
-            in
+               move is evaluated against the same base state, in
+               enumeration order; the first strictly best move wins. *)
             let best =
-              List.fold_left
+              Seq.fold_left
                 (fun best (ids, v) ->
                   match evaluate_move ~ids ~to_version:v ~base_r with
                   | None -> best
@@ -642,7 +635,9 @@ let refine =
                     match best with
                     | Some (_, _, br) when br >= r -> best
                     | _ -> Some (ids, v, r)))
-                None candidates
+                None
+                (candidates ctx ~from:(fun (nd : Dfg.node) v ->
+                     ctx.assignment.(nd.id).Resource.reliability < v.Resource.reliability))
             in
             match best with
             | None -> ()

@@ -193,6 +193,64 @@ let test_memo_shared_across_domains () =
       check_cells (name ^ " shared vs own cache") own seq)
     sweep_grids
 
+(* --- the occupancy lower bound and the recovery guard ----------------- *)
+
+(* [Design.area_lower_bound] is what recovery rejects candidates on
+   without realizing them, so it must never exceed the area of a design
+   [Design.realize] returns: random graphs, libraries and assignments,
+   every scheduler, latencies from the assignment's ASAP length to four
+   steps beyond. *)
+let prop_area_lower_bound =
+  QCheck2.Test.make ~name:"area lower bound <= realized area, every scheduler" ~count:60
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Gen.graph_of_spec (Gen.random_spec rng) in
+      let lib = Gen.random_library rng in
+      let chosen =
+        Array.of_list
+          (List.map
+             (fun (nd : Dfg.node) ->
+               let vs = Library.versions lib (Op.resource_class nd.op) in
+               List.nth vs (Rng.int rng (List.length vs)))
+             (Dfg.nodes g))
+      in
+      let assignment (nd : Dfg.node) = chosen.(nd.id) in
+      let asap =
+        Analysis.asap_latency g ~delay:(fun nd -> (assignment nd).Resource.delay)
+      in
+      for latency = asap to asap + 4 do
+        let bound = Design.area_lower_bound g ~assignment ~latency in
+        List.iter
+          (fun scheduler ->
+            match Design.realize ~scheduler g lib ~assignment ~latency with
+            | Error _ -> ()
+            | Ok d ->
+              if Design.area d < bound then
+                Alcotest.failf "seed %d, latency %d: area %d below the bound %d" seed
+                  latency (Design.area d) bound)
+          [ `Density; `Density_reference; `Force_directed ]
+      done;
+      true)
+
+(* fir16 at (12, 7) leaves the line-26 downgrades over the bound, so
+   recovery runs and rejects some candidates on the bound alone; the
+   design must be the one an uncached run, which realizes every
+   candidate it tries, returns. *)
+let test_recovery_bound_skips () =
+  let g = Benchmarks.fir16 and ld = 12 and ad = 7 in
+  let skips = Telemetry.counter "recovery.bound_skips" in
+  let cached = Engine.synthesize g lib ~ld ~ad in
+  Alcotest.(check bool) "recovery.bound_skips > 0" true
+    (Telemetry.counter "recovery.bound_skips" > skips);
+  match (cached, Engine.synthesize ~use_cache:false g lib ~ld ~ad) with
+  | Ok a, Ok b ->
+    Alcotest.(check string) "reliability" "0.56449"
+      (Printf.sprintf "%.5f" (Design.reliability a));
+    Alcotest.(check bool) "same design" true (same_design a b);
+    Alcotest.(check (list (pair string int))) "same binding" (hosting b) (hosting a)
+  | _ -> Alcotest.fail "fir16 (12, 7) must be feasible"
+
 (* --- incremental latency == from-scratch latency -------------------- *)
 
 (* Random version flips, including on EWF whose node ids are NOT in
@@ -315,6 +373,12 @@ let () =
             test_memo_shared_by_equal_delays;
           Alcotest.test_case "one cache, 1 and 2 domains" `Quick
             test_memo_shared_across_domains;
+        ] );
+      ( "recovery guard",
+        [
+          qt prop_area_lower_bound;
+          Alcotest.test_case "fir16 (12, 7) skips, same design" `Quick
+            test_recovery_bound_skips;
         ] );
       ( "incremental latency",
         [
