@@ -56,6 +56,42 @@ let bind sched ~assignment =
   List.iter (fun inst -> List.iter (fun id -> of_node.(id) <- inst) inst.ops) instances;
   { instances; of_node }
 
+(* Left-edge is optimal on interval graphs: it opens exactly as many
+   instances of a version as the most operations of that version
+   running at one step.  So the area [bind] would reach is a count of
+   step occupancies, with no intervals sorted and no instance built. *)
+let area_of_schedule sched ~assignment =
+  let g = Schedule.graph sched in
+  let n = Dfg.node_count g in
+  let codes = Hashtbl.create 8 in
+  let areas = ref [] in
+  let code =
+    Array.init n (fun id ->
+        let r = assignment (Dfg.node g id) in
+        match Hashtbl.find_opt codes r.Resource.id with
+        | Some c -> c
+        | None ->
+          let c = Hashtbl.length codes in
+          Hashtbl.add codes r.Resource.id c;
+          areas := r.Resource.area :: !areas;
+          c)
+  in
+  let areas = Array.of_list (List.rev !areas) in
+  let row = Schedule.latency sched in
+  let busy = Array.make (Array.length areas * row) 0 in
+  let peak = Array.make (Array.length areas) 0 in
+  for id = 0 to n - 1 do
+    let base = code.(id) * row in
+    for s = Schedule.start sched id to Schedule.finish sched id - 1 do
+      let b = busy.(base + s) + 1 in
+      busy.(base + s) <- b;
+      if b > peak.(code.(id)) then peak.(code.(id)) <- b
+    done
+  done;
+  let area = ref 0 in
+  Array.iteri (fun c a -> area := !area + (a * peak.(c))) areas;
+  !area
+
 let of_instances ~node_count instances =
   if node_count <= 0 then Error "Binding.of_instances: empty graph"
   else if instances = [] then Error "Binding.of_instances: no instances"

@@ -23,6 +23,14 @@ val bind :
     must have been built with delays consistent with [assignment]
     (checked: raises [Invalid_argument] otherwise). *)
 
+val area_of_schedule :
+  Rchls_sched.Schedule.t -> assignment:(Dfg.node -> Resource.t) -> int
+(** [area (bind sched ~assignment)], computed without binding: the sum
+    over versions of the version's area times the most operations of
+    that version running at one step.  Left-edge is optimal on
+    interval graphs, so it opens exactly that many instances
+    (tested). *)
+
 val of_instances : node_count:int -> instance list -> (t, string) result
 (** Package an explicit instance partition (a move-based optimizer's
     binding state, or a deliberately broken binding for the checker's

@@ -59,7 +59,8 @@ let realize_scheduled ?(scheduler = `Density) g lib ~assignment ~latency ~schedu
       (* The area-minimizing packer sometimes beats the distribution
          scheduler on instance count; keep whichever binds smaller.
          Skip the packer when the first binding already reaches the
-         occupancy lower bound. *)
+         occupancy lower bound, and bind the packed schedule only when
+         its counted area wins. *)
       let bind s = Binding.bind s ~assignment in
       let binding = bind schedule in
       let lower_bound_area = area_lower_bound g ~assignment ~latency in
@@ -82,9 +83,8 @@ let realize_scheduled ?(scheduler = `Density) g lib ~assignment ~latency ~schedu
           with
           | Error _ -> (schedule, binding)
           | Ok packed ->
-            let packed_binding = bind packed in
-            if Binding.area packed_binding < Binding.area binding then
-              (packed, packed_binding)
+            if Binding.area_of_schedule packed ~assignment < Binding.area binding then
+              (packed, bind packed)
             else (schedule, binding)
       in
       let arr = Array.init (Dfg.node_count g) (fun id -> assignment (Dfg.node g id)) in

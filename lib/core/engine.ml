@@ -88,9 +88,12 @@ type ctx = {
          with [assignment]; the raw material of [fingerprint] *)
   asap : int array;
       (* earliest starts under the current assignment, maintained
-         incrementally by [set_version] *)
+         incrementally by [assign] *)
   topo : int array;  (* node ids in topological order *)
   rank : int array;  (* inverse of [topo]: position of each id *)
+  dirty : bool array;
+      (* [assign]'s worklist: nodes whose ASAP may be stale; all false
+         between calls *)
   mutable schedule_latency : int;
   mutable design : Design.t option;
   mutable ad_lo : int;
@@ -137,6 +140,7 @@ let create ?(scheduler = `Density) ?cache ?(use_cache = true) g lib ~ld ~ad ~ini
       asap = Array.make n 0;
       topo;
       rank;
+      dirty = Array.make n false;
       schedule_latency = 0;
       design = None;
       ad_lo = 1;
@@ -151,31 +155,44 @@ let graph ctx = ctx.graph
 let version_of ctx id = ctx.assignment.(id)
 let design ctx = ctx.design
 
-let set_version ctx id (v : Resource.t) =
-  let old = ctx.assignment.(id) in
-  ctx.assignment.(id) <- v;
-  ctx.codes.(id) <- Library.intern_exn ctx.library v.Resource.id;
-  if old.Resource.delay <> v.Resource.delay then begin
-    (* The node's own ASAP only depends on its predecessors; a delay
-       change propagates strictly downstream.  One scan over the dirty
-       set in topological order reaches a fixpoint. *)
-    Telemetry.incr "latency.sparse_updates";
-    let n = Array.length ctx.assignment in
-    let dirty = Array.make n false in
-    let any = ref false in
-    List.iter (fun s -> dirty.(s) <- true; any := true) (Dfg.succs ctx.graph id);
-    if !any then
-      for pos = ctx.rank.(id) + 1 to n - 1 do
-        let j = ctx.topo.(pos) in
-        if dirty.(j) then begin
-          let a = asap_of_preds ctx j in
-          if a <> ctx.asap.(j) then begin
-            ctx.asap.(j) <- a;
-            List.iter (fun s -> dirty.(s) <- true) (Dfg.succs ctx.graph j)
-          end
+let assign ctx moves =
+  let changed = ref 0 and first = ref (Array.length ctx.topo) in
+  let mark s =
+    ctx.dirty.(s) <- true;
+    if ctx.rank.(s) < !first then first := ctx.rank.(s)
+  in
+  List.iter
+    (fun (id, (v : Resource.t)) ->
+      let old = ctx.assignment.(id) in
+      ctx.assignment.(id) <- v;
+      ctx.codes.(id) <- Library.intern_exn ctx.library v.Resource.id;
+      if old.Resource.delay <> v.Resource.delay then begin
+        incr changed;
+        List.iter mark (Dfg.succs ctx.graph id)
+      end)
+    moves;
+  if !changed > 0 then begin
+    (* A node's ASAP only depends on its predecessors, so a delay
+       change propagates strictly downstream.  One sweep in topological
+       order from the earliest marked node reaches the fixpoint of
+       every move at once; each node is cleared as it is scanned. *)
+    Telemetry.add "latency.sparse_updates" !changed;
+    for pos = !first to Array.length ctx.topo - 1 do
+      let j = ctx.topo.(pos) in
+      if ctx.dirty.(j) then begin
+        ctx.dirty.(j) <- false;
+        let a = asap_of_preds ctx j in
+        if a <> ctx.asap.(j) then begin
+          ctx.asap.(j) <- a;
+          List.iter (fun s -> ctx.dirty.(s) <- true) (Dfg.succs ctx.graph j)
         end
-      done
+      end
+    done
   end
+
+let set_version ctx id v = assign ctx [ (id, v) ]
+
+let asap_of ctx id = ctx.asap.(id)
 
 let current_latency ctx =
   let l = ref 0 in
@@ -257,14 +274,19 @@ let realize_current ctx = realize ctx ~latency:ctx.schedule_latency
 
 (* --- shared stage helpers ------------------------------------------ *)
 
+(* Move every operation of [ids] to [to_version] in one [assign];
+   the returned function restores their versions, again in one. *)
+let move ctx ~ids ~to_version =
+  let olds = List.map (fun id -> (id, ctx.assignment.(id))) ids in
+  assign ctx (List.map (fun id -> (id, (to_version : Resource.t))) ids);
+  fun () -> assign ctx olds
+
 (* Apply one version move to [ids], validated by [guard] (checked
    after the tentative assignment, before the reschedule) and by
    [accept] on the realized design; reverts and returns [None] on
    failure, keeps the move and returns the design otherwise. *)
 let try_move ctx ~ids ~to_version ~guard ~accept =
-  let olds = List.map (fun id -> (id, ctx.assignment.(id))) ids in
-  List.iter (fun id -> set_version ctx id (to_version : Resource.t)) ids;
-  let revert () = List.iter (fun (id, v) -> set_version ctx id v) olds in
+  let revert = move ctx ~ids ~to_version in
   if not (guard ()) then begin
     revert ();
     None
@@ -605,8 +627,7 @@ let refine =
              Its [fits] call narrows the certified interval whether or
              not the move wins. *)
           let evaluate_move ~ids ~to_version ~base_r =
-            let olds = List.map (fun id -> (id, ctx.assignment.(id))) ids in
-            List.iter (fun id -> set_version ctx id (to_version : Resource.t)) ids;
+            let revert = move ctx ~ids ~to_version in
             let result =
               if current_latency ctx > ctx.ld then None
               else
@@ -616,7 +637,7 @@ let refine =
                   let r = Design.reliability d in
                   if fits ctx (Design.area d) && r > base_r +. 1e-15 then Some r else None
             in
-            List.iter (fun (id, v) -> set_version ctx id v) olds;
+            revert ();
             result
           in
           let improved = ref true in

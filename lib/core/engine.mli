@@ -36,9 +36,9 @@
       {e schedule memo} keyed by the exact delay vector and latency
       (versions of equal delay schedule alike);
     - the critical-path latency of the current assignment is
-      maintained {e incrementally} (topological worklist from the
-      changed node) instead of recomputed from scratch after every
-      single-victim move;
+      maintained {e incrementally} (one topological sweep per move,
+      from the earliest node its delay changes reach) instead of
+      recomputed from scratch after every move;
     - the work done is observable through [Rchls_util.Telemetry]
       counters ([cache.hits], [cache.misses], [cache.schedule.hits],
       [cache.schedule.misses], [engine.realize],
@@ -121,9 +121,19 @@ val create :
 val graph : ctx -> Dfg.t
 val version_of : ctx -> Dfg.node_id -> Resource.t
 
+val assign : ctx -> (Dfg.node_id * Resource.t) list -> unit
+(** Reassign operations, in list order, then update the ASAP table
+    incrementally: one sweep in topological order from the earliest
+    successor of an operation whose delay changed, visiting only the
+    nodes a change reaches.  Bumps [latency.sparse_updates] by the
+    number of writes that changed a delay. *)
+
 val set_version : ctx -> Dfg.node_id -> Resource.t -> unit
-(** Reassign one operation, updating the ASAP table incrementally
-    (worklist over successors in topological id order). *)
+(** [assign] of one operation. *)
+
+val asap_of : ctx -> Dfg.node_id -> int
+(** The incrementally maintained ASAP start of an operation; equals
+    [Analysis.asap] under the current assignment (tested). *)
 
 val current_latency : ctx -> int
 (** Critical-path latency of the current assignment, from the

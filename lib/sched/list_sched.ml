@@ -24,8 +24,10 @@ let priorities g ~delay =
    int-array lookup instead of a polymorphic-hash table keyed by
    (group, step) tuples; group keys are strings in the synthesis path),
    predecessor counts, each node's rank under the priority order — and
-   owns reusable scratch arrays.  Callers probing many limit vectors
-   against one priority (the min-area packer) pay the setup once. *)
+   owns reusable scratch arrays, the ready pool and the per-step
+   arrival lists among them, so a dispatch allocates nothing.  Callers
+   probing many limit vectors against one priority (the min-area
+   packer) pay the setup once. *)
 type 'k dispatcher = {
   g : Dfg.t;
   n : int;
@@ -42,7 +44,11 @@ type 'k dispatcher = {
   blocked : bool array;
   pending : int array;
   ready_at : int array;
-  buckets : int list array;
+  arrivals : int array;
+      (* per step, the first node that becomes ready then, or -1; the
+         rest of the step's list is chained through [next] *)
+  next : int array;
+  pool : int array;  (* the ready pool, a prefix sorted by rank *)
 }
 
 let dispatcher g ~delay ~group ~prio =
@@ -85,72 +91,93 @@ let dispatcher g ~delay ~group ~prio =
     blocked = Array.make (Array.length reps) false;
     pending = Array.make n 0;
     ready_at = Array.make n 0;
-    buckets = Array.make (horizon + 2) [];
+    arrivals = Array.make (horizon + 2) (-1);
+    next = Array.make n (-1);
+    pool = Array.make n 0;
   }
 
 let groups t = t.reps
 let group_code t id = t.gcodes.(id)
 let blocked t = t.blocked
 
+(* Queue [id] on the arrival list of step [at]. *)
+let arrive t id at =
+  t.next.(id) <- t.arrivals.(at);
+  t.arrivals.(at) <- id
+
+(* A node that finishes at [finish] releases its successors: each
+   counts one predecessor off, and one whose last predecessor this was
+   arrives at the step its latest predecessor finishes. *)
+let rec release t finish = function
+  | [] -> ()
+  | sc :: rest ->
+    t.pending.(sc) <- t.pending.(sc) - 1;
+    if finish > t.ready_at.(sc) then t.ready_at.(sc) <- finish;
+    if t.pending.(sc) = 0 then arrive t sc t.ready_at.(sc);
+    release t finish rest
+
 (* One dispatch under [limits] (indexed by dense group code).  Returns
    the start array (aliasing the dispatcher's scratch — consume before
    the next dispatch) and the achieved latency; [blocked] is left
-   holding which groups had an operation fail its fit check.  The pool
-   stays sorted by rank: each step sorts only its arrivals and merges
-   them in, and [List.filter] keeps the order of what stays. *)
+   holding which groups had an operation fail its fit check.  Each step
+   inserts its arrivals into the pool in rank order, dispatches the
+   pool front to back and compacts what does not fit in place, so the
+   pool stays sorted by rank. *)
 let dispatch t ~limits =
-  let { g; n; delays; horizon; row; gcodes; rank; _ } = t in
-  let starts = t.starts and busy = t.busy and blocked = t.blocked in
-  let pending = t.pending and ready_at = t.ready_at and buckets = t.buckets in
+  let { g; n; delays; horizon; row; gcodes; rank; starts; busy; blocked; pool; _ } = t in
   Array.fill starts 0 n (-1);
   Array.fill busy 0 (Array.length busy) 0;
   Array.fill blocked 0 (Array.length blocked) false;
-  Array.blit t.pred_count 0 pending 0 n;
-  Array.fill ready_at 0 n 0;
-  Array.fill buckets 0 (Array.length buckets) [];
+  Array.blit t.pred_count 0 t.pending 0 n;
+  Array.fill t.ready_at 0 n 0;
+  Array.fill t.arrivals 0 (Array.length t.arrivals) (-1);
   for id = 0 to n - 1 do
-    if pending.(id) = 0 then buckets.(0) <- id :: buckets.(0)
+    if t.pending.(id) = 0 then arrive t id 0
   done;
-  let by_rank a b = Int.compare rank.(a) rank.(b) in
-  let pool = ref [] in
+  let size = ref 0 in
   let unscheduled = ref n in
   let latency = ref 0 in
   let step = ref 0 in
   while !unscheduled > 0 do
-    let ready =
-      match buckets.(!step) with
-      | [] -> !pool
-      | arrivals -> List.merge by_rank (List.sort by_rank arrivals) !pool
-    in
-    pool :=
-      List.filter
-        (fun id ->
-          let k = gcodes.(id) in
-          let lim = limits.(k) in
-          let d = delays.(id) in
-          let base = k * row in
-          let fits =
-            let rec check s = s >= !step + d || (busy.(base + s) < lim && check (s + 1)) in
-            check !step
-          in
-          if fits then begin
-            starts.(id) <- !step;
-            decr unscheduled;
-            latency := max !latency (!step + d);
-            for s = !step to !step + d - 1 do
-              busy.(base + s) <- busy.(base + s) + 1
-            done;
-            List.iter
-              (fun sc ->
-                pending.(sc) <- pending.(sc) - 1;
-                ready_at.(sc) <- max ready_at.(sc) (!step + d);
-                if pending.(sc) = 0 then
-                  buckets.(ready_at.(sc)) <- sc :: buckets.(ready_at.(sc)))
-              (Dfg.succs g id)
-          end
-          else blocked.(k) <- true;
-          not fits)
-        ready;
+    let id = ref t.arrivals.(!step) in
+    while !id >= 0 do
+      let r = rank.(!id) in
+      let i = ref !size in
+      while !i > 0 && rank.(pool.(!i - 1)) > r do
+        pool.(!i) <- pool.(!i - 1);
+        decr i
+      done;
+      pool.(!i) <- !id;
+      incr size;
+      id := t.next.(!id)
+    done;
+    let kept = ref 0 in
+    for i = 0 to !size - 1 do
+      let id = pool.(i) in
+      let k = gcodes.(id) in
+      let lim = limits.(k) in
+      let stop = !step + delays.(id) in
+      let base = k * row in
+      let s = ref !step in
+      while !s < stop && busy.(base + !s) < lim do
+        incr s
+      done;
+      if !s >= stop then begin
+        starts.(id) <- !step;
+        decr unscheduled;
+        if stop > !latency then latency := stop;
+        for s = !step to stop - 1 do
+          busy.(base + s) <- busy.(base + s) + 1
+        done;
+        release t stop (Dfg.succs g id)
+      end
+      else begin
+        blocked.(k) <- true;
+        pool.(!kept) <- id;
+        incr kept
+      end
+    done;
+    size := !kept;
     incr step;
     if !step > horizon then failwith "List_sched.run: no progress (bug)"
   done;

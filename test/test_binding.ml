@@ -6,6 +6,7 @@ module Binding = Rchls_binding.Binding
 module Schedule = Rchls_sched.Schedule
 module Library = Rchls_charlib.Library
 module Resource = Rchls_charlib.Resource
+module Gen = Rchls_check.Gen
 
 let iv key start stop = { Left_edge.key; start; stop }
 
@@ -168,6 +169,48 @@ let prop_left_edge_covers_all =
       in
       List.sort compare assigned = List.init (List.length ivs) Fun.id)
 
+(* [Binding.area_of_schedule] stands in for a full binding when the
+   realize path compares the packer's schedule with the first one, so
+   it must equal the bound area exactly: random graphs, libraries and
+   assignments, schedules from both the packer and the density
+   scheduler, latencies from the assignment's ASAP length to four steps
+   beyond. *)
+let prop_area_of_schedule =
+  QCheck2.Test.make ~name:"counted area = area of the left-edge binding" ~count:100
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Rchls_util.Rng.create seed in
+      let g = Gen.graph_of_spec (Gen.random_spec rng) in
+      let lib = Gen.random_library rng in
+      let chosen = Gen.random_assignment rng lib g in
+      let assignment (nd : Dfg.node) = chosen.(nd.id) in
+      let delay nd = (assignment nd).Resource.delay in
+      let asap = Analysis.asap_latency g ~delay in
+      for latency = asap to asap + 4 do
+        let schedules =
+          [
+            ( "min-area",
+              Rchls_sched.Min_area.run g ~delay
+                ~group:(fun nd -> (assignment nd).Resource.id)
+                ~group_area:(fun id -> (Library.find_exn lib id).Resource.area)
+                ~latency );
+            ("density", Rchls_sched.Density_sched.run g ~delay ~latency);
+          ]
+        in
+        List.iter
+          (fun (name, s) ->
+            match s with
+            | Error e -> Alcotest.failf "seed %d, %s at %d: %s" seed name latency e
+            | Ok s ->
+              let bound = Binding.area (Binding.bind s ~assignment) in
+              let counted = Binding.area_of_schedule s ~assignment in
+              if counted <> bound then
+                Alcotest.failf "seed %d, %s at %d: counted %d, bound %d" seed name
+                  latency counted bound)
+          schedules
+      done;
+      true)
+
 let () =
   Alcotest.run "binding"
     [
@@ -194,6 +237,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_left_edge_optimal; prop_left_edge_no_overlap_within_track;
-            prop_left_edge_covers_all;
+            prop_left_edge_covers_all; prop_area_of_schedule;
           ] );
     ]

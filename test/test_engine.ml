@@ -278,6 +278,68 @@ let prop_incremental_latency g_name g =
         flips;
       true)
 
+(* Batched moves: [Engine.assign] writes several versions and then
+   makes one sweep from the earliest successor it marked.  Random
+   multi-node moves, each kept or reverted in one further call, on EWF
+   (ids not in topological order) and on random graphs and libraries.
+   After every call each node's ASAP must equal a from-scratch
+   [Analysis.asap], the latency a from-scratch one, and
+   [latency.sparse_updates] must have grown by exactly the number of
+   nodes whose delay changed. *)
+let prop_batched_moves name draw =
+  QCheck2.Test.make ~name:(Printf.sprintf "batched moves on %s" name) ~count:40
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g, lib = draw rng in
+      let versions (nd : Dfg.node) = Library.versions lib (Op.resource_class nd.op) in
+      let initial nd = List.hd (versions nd) in
+      let ctx = Engine.create g lib ~ld:1000 ~ad:1000 ~initial in
+      let n = Dfg.node_count g in
+      let apply what moves =
+        let changed =
+          List.length
+            (List.filter
+               (fun (id, (v : Resource.t)) ->
+                 (Engine.version_of ctx id).Resource.delay <> v.Resource.delay)
+               moves)
+        in
+        let before = Telemetry.counter "latency.sparse_updates" in
+        Engine.assign ctx moves;
+        let delay (nd : Dfg.node) = (Engine.version_of ctx nd.id).Resource.delay in
+        let asap = Analysis.asap g ~delay in
+        Array.iteri
+          (fun id a ->
+            if Engine.asap_of ctx id <> a then
+              Alcotest.failf "%s seed %d, %s: node %d ASAP %d, from scratch %d" name seed
+                what id (Engine.asap_of ctx id) a)
+          asap;
+        if Engine.current_latency ctx <> Engine.full_latency ctx then
+          Alcotest.failf "%s seed %d, %s: latency %d, from scratch %d" name seed what
+            (Engine.current_latency ctx) (Engine.full_latency ctx);
+        let updates = Telemetry.counter "latency.sparse_updates" - before in
+        if updates <> changed then
+          Alcotest.failf "%s seed %d, %s: %d sparse updates for %d delay changes" name
+            seed what updates changed
+      in
+      for _ = 1 to 20 do
+        (* 1 to 4 distinct nodes, each to a random version of its class *)
+        let ids =
+          List.sort_uniq compare (List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng n))
+        in
+        let moves =
+          List.map
+            (fun id ->
+              let vs = versions (Dfg.node g id) in
+              (id, List.nth vs (Rng.int rng (List.length vs))))
+            ids
+        in
+        let olds = List.map (fun id -> (id, Engine.version_of ctx id)) ids in
+        apply "move" moves;
+        if Rng.int rng 2 = 0 then apply "revert" olds
+      done;
+      true)
+
 (* --- fingerprint collision safety ----------------------------------- *)
 
 (* The packed cache key must distinguish every assignment: enumerate the
@@ -385,6 +447,11 @@ let () =
           qt (prop_incremental_latency "fir16" Benchmarks.fir16);
           qt (prop_incremental_latency "ewf" Benchmarks.ewf);
           qt (prop_incremental_latency "diffeq" Benchmarks.diffeq);
+          qt (prop_batched_moves "ewf" (fun _ -> (Benchmarks.ewf, lib)));
+          qt
+            (prop_batched_moves "random graphs" (fun rng ->
+                 let g = Gen.graph_of_spec (Gen.random_spec rng) in
+                 (g, Gen.random_library rng)));
         ] );
       ( "fingerprint",
         [
