@@ -1,4 +1,4 @@
-.PHONY: all build test check repro gates fuzz smoke mutants clean
+.PHONY: all build test check repro gates fuzz smoke mutants hotpath-check clean
 
 # Fuzzing knobs (see `rchls fuzz --help`).
 FUZZ_SEED ?= 42
@@ -36,10 +36,17 @@ fuzz: build
 
 # Mutation check: apply each patch under test/mutants/ to a copy of
 # the tree, build it and require at least one failing test.  Each
-# mutant is a full build and test run (about 20 s on 2 vCPUs); CI runs
-# it after the tier-1 gate.
+# mutant is a full build and test run (about 25 s on 2 vCPUs, 150 s for
+# the six); CI runs it after the tier-1 gate.
 mutants:
 	sh test/mutants/run.sh
+
+# Hot-path comparison guard: no native object of the synthesis and
+# annealing libraries may import Stdlib's polymorphic min/max or a
+# polymorphic comparison primitive (caml_compare, caml_lessequal, ...);
+# each offender is printed with its object.  Needs `nm`.
+hotpath-check: build
+	sh test/hotpath_check.sh
 
 # End-to-end smoke of the tracing/report surface: one synthesis with a
 # Chrome trace and a JSON run report, plus the JSON run report of every

@@ -27,7 +27,7 @@ let default_params =
   { seed = 1; moves = 2000; chains = 4; exchange = 50; t0 = 0.08; ratio = 0.5 }
 
 let ladder p =
-  Array.init (max 1 p.chains) (fun k -> p.t0 *. (p.ratio ** float_of_int k))
+  Array.init (Int.max 1 p.chains) (fun k -> p.t0 *. (p.ratio ** float_of_int k))
 
 type stats = {
   attempted : int;
@@ -121,7 +121,7 @@ let reliability_of st =
 
 let latency_of st =
   let l = ref 0 in
-  Array.iteri (fun i s -> l := max !l (s + st.version.(i).Resource.delay)) st.start;
+  Array.iteri (fun i s -> l := Int.max !l (s + st.version.(i).Resource.delay)) st.start;
   !l
 
 (* The best-so-far design, deep-copied out of the mutable state. *)
@@ -203,7 +203,7 @@ let busy_shift st ~(removed : Resource.t) ~(added : Resource.t) =
 
 (* --- moves ----------------------------------------------------------- *)
 
-let overlaps s1 f1 s2 f2 = s1 < f2 && s2 < f1
+let overlaps (s1 : int) (f1 : int) s2 f2 = s1 < f2 && s2 < f1
 
 (* Can [excluding]'s interval [s, f) run on [slot] without colliding
    with any other hosted operation? *)
@@ -298,11 +298,11 @@ let nudge_window st n =
   let d = st.version.(n).Resource.delay in
   let lo =
     List.fold_left
-      (fun acc p -> max acc (st.start.(p) + st.version.(p).Resource.delay))
+      (fun acc p -> Int.max acc (st.start.(p) + st.version.(p).Resource.delay))
       0 (Dfg.preds st.g n)
   in
   let hi =
-    List.fold_left (fun acc m -> min acc st.start.(m)) st.ld (Dfg.succs st.g n) - d
+    List.fold_left (fun acc m -> Int.min acc st.start.(m)) st.ld (Dfg.succs st.g n) - d
   in
   (lo, hi)
 
@@ -411,7 +411,7 @@ let frozen st =
           for s' = lo to hi do
             if nudge_fits st n s' then raise Live
           done;
-          max 0 (hi - lo + 1))
+          Int.max 0 (hi - lo + 1))
     in
     for n = 0 to nodes - 1 do
       if rebind_candidates st n <> [] then raise Live
@@ -539,7 +539,12 @@ let design_of_snap g lib s =
           in
           Hashtbl.replace counts res.Resource.id (index + 1);
           let ops =
-            List.sort (fun a b -> compare (s.s_start.(a), a) (s.s_start.(b), b)) ops
+            List.sort
+              (fun a b ->
+                match Int.compare s.s_start.(a) s.s_start.(b) with
+                | 0 -> Int.compare a b
+                | c -> c)
+              ops
           in
           { Binding.resource = res; index; ops })
         s.s_groups
@@ -554,13 +559,13 @@ let design_of_snap g lib s =
 (* --- the annealer ----------------------------------------------------- *)
 
 let improve ?(params = default_params) ~ld ~ad seed_design =
-  let nchains = max 1 params.chains in
+  let nchains = Int.max 1 params.chains in
   Trace.with_span "anneal.improve"
     ~attrs:
       [
         ("graph", Trace.Str (Dfg.name (Design.graph seed_design)));
         ("chains", Trace.Int nchains);
-        ("moves", Trace.Int (max 0 params.moves));
+        ("moves", Trace.Int (Int.max 0 params.moves));
       ]
     (fun () ->
       let temps = ladder { params with chains = nchains } in
@@ -584,8 +589,8 @@ let improve ?(params = default_params) ~ld ~ad seed_design =
               pruned = 0;
             })
       in
-      let per_round = max 1 params.exchange in
-      let total = max 0 params.moves in
+      let per_round = Int.max 1 params.exchange in
+      let total = Int.max 0 params.moves in
       let rounds = (total + per_round - 1) / per_round in
       let exchanged = ref 0 in
       (* every chain starts from [base], and a frozen state stays frozen
@@ -593,7 +598,7 @@ let improve ?(params = default_params) ~ld ~ad seed_design =
          and no move of a frozen state reaches the Metropolis draw *)
       let run = match frozen base with Some fz -> replay_moves fz | None -> run_moves in
       for r = 0 to rounds - 1 do
-        let k = min per_round (total - (r * per_round)) in
+        let k = Int.min per_round (total - (r * per_round)) in
         (* each chain mutates only its own state and stream, so the
            order the chains run in within a round is immaterial *)
         List.iter (fun ch -> run ch k) chains;
@@ -746,7 +751,7 @@ let optimum ?(max_nodes = 6) g lib ~ld ~ad =
                   && step < starts.(i) + vi.Resource.delay
                 then incr c)
               chosen;
-            overlap := max !overlap !c
+            overlap := Int.max !overlap !c
           done;
           total := !total + (!overlap * v.Resource.area))
         ids;
@@ -761,14 +766,18 @@ let optimum ?(max_nodes = 6) g lib ~ld ~ad =
       let asap = Array.make n 0 in
       let ok = ref true in
       for i = 0 to n - 1 do
-        List.iter (fun p -> asap.(i) <- max asap.(i) (asap.(p) + delay p)) (Dfg.preds g i);
+        List.iter
+          (fun p -> asap.(i) <- Int.max asap.(i) (asap.(p) + delay p))
+          (Dfg.preds g i);
         if asap.(i) + delay i > ld then ok := false
       done;
       if not !ok then false
       else begin
         let alap = Array.make n 0 in
         for i = n - 1 downto 0 do
-          let ub = List.fold_left (fun acc s -> min acc alap.(s)) ld (Dfg.succs g i) in
+          let ub =
+            List.fold_left (fun acc s -> Int.min acc alap.(s)) ld (Dfg.succs g i)
+          in
           alap.(i) <- ub - delay i
         done;
         let exception Found in
@@ -779,7 +788,7 @@ let optimum ?(max_nodes = 6) g lib ~ld ~ad =
           else begin
             let lo =
               List.fold_left
-                (fun acc p -> max acc (starts.(p) + delay p))
+                (fun acc p -> Int.max acc (starts.(p) + delay p))
                 0 (Dfg.preds g i)
             in
             for s = lo to alap.(i) do
@@ -824,21 +833,21 @@ let pp_violations vs =
 let fuzz_bounds ~aux g lib =
   let fastest (nd : Dfg.node) =
     List.fold_left
-      (fun acc (r : Resource.t) -> min acc r.Resource.delay)
+      (fun acc (r : Resource.t) -> Int.min acc r.Resource.delay)
       max_int
       (Library.versions lib (Op.resource_class nd.Dfg.op))
   in
   let asap = Analysis.asap_latency g ~delay:fastest in
-  let ld = max 1 (asap - 1 + Rng.int aux 5) in
+  let ld = Int.max 1 (asap - 1 + Rng.int aux 5) in
   let max_area =
     Dfg.fold_nodes g ~init:0 (fun acc nd ->
         acc
         + List.fold_left
-            (fun m (r : Resource.t) -> max m r.Resource.area)
+            (fun m (r : Resource.t) -> Int.max m r.Resource.area)
             0
             (Library.versions lib (Op.resource_class nd.Dfg.op)))
   in
-  let ad = 1 + Rng.int aux (3 * max 1 max_area) in
+  let ad = 1 + Rng.int aux (3 * Int.max 1 max_area) in
   (ld, ad)
 
 let () =

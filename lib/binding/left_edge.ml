@@ -56,7 +56,7 @@ let max_overlap intervals =
       List.fold_left
         (fun (cur, best) (_, d) ->
           let cur = cur + d in
-          (cur, max best cur))
+          (cur, Int.max best cur))
         (0, 0) sorted
     in
     best

@@ -112,7 +112,8 @@ let of_parts g lib ~assignment ~schedule ~binding =
                    r.Resource.delay)
             else
               let host = Binding.instance_of_node binding nd.id in
-              if host.Binding.resource <> r then
+              if not (String.equal host.Binding.resource.Resource.id r.Resource.id)
+              then
                 Some
                   (Printf.sprintf "node %s assigned %s but hosted by a %s instance"
                      nd.name r.Resource.id host.Binding.resource.Resource.id)

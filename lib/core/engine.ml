@@ -113,7 +113,7 @@ let delay_of ctx (nd : Dfg.node) = ctx.assignment.(nd.id).Resource.delay
 
 let asap_of_preds ctx id =
   List.fold_left
-    (fun acc p -> max acc (ctx.asap.(p) + ctx.assignment.(p).Resource.delay))
+    (fun acc p -> Int.max acc (ctx.asap.(p) + ctx.assignment.(p).Resource.delay))
     0 (Dfg.preds ctx.graph id)
 
 let create ?(scheduler = `Density) ?cache ?(use_cache = true) g lib ~ld ~ad ~initial =
@@ -197,7 +197,7 @@ let asap_of ctx id = ctx.asap.(id)
 let current_latency ctx =
   let l = ref 0 in
   Array.iteri
-    (fun id (r : Resource.t) -> l := max !l (ctx.asap.(id) + r.Resource.delay))
+    (fun id (r : Resource.t) -> l := Int.max !l (ctx.asap.(id) + r.Resource.delay))
     ctx.assignment;
   !l
 
@@ -306,7 +306,7 @@ let try_move ctx ~ids ~to_version ~guard ~accept =
 (* Subset moves: the K most [mobility]-mobile operations satisfying
    [from] move together, K halving from the group size to 1.  The
    subsets are a lazy stream, built only as far as a consumer reads. *)
-let subset_ids ?(exhaustive = false) ctx ~mobility ~from =
+let subset_ids ?(exhaustive = false) ctx ~(mobility : int array) ~from =
   let movable =
     List.rev
       (Dfg.fold_nodes ctx.graph ~init:[] (fun acc nd ->
@@ -314,7 +314,7 @@ let subset_ids ?(exhaustive = false) ctx ~mobility ~from =
   in
   let by_mobility =
     List.stable_sort
-      (fun (a : Dfg.node) b -> compare mobility.(b.id) mobility.(a.id))
+      (fun (a : Dfg.node) b -> Int.compare mobility.(b.id) mobility.(a.id))
       movable
   in
   let total = List.length by_mobility in
@@ -528,7 +528,12 @@ let meet_area =
                     nd.id
                     :: Binding.sharing_partners (Design.binding (the_design ctx)) nd.id
                   in
-                  let ids = List.filter (fun id -> ctx.assignment.(id) = old) group in
+                  let ids =
+                    List.filter
+                      (fun id ->
+                        String.equal ctx.assignment.(id).Resource.id old.Resource.id)
+                      group
+                  in
                   match
                     try_move ctx ~ids ~to_version:smaller
                       ~guard:(fun () -> true)

@@ -14,7 +14,7 @@ let asap g ~delay =
         List.fold_left
           (fun acc p ->
             let pn = Dfg.node g p in
-            max acc (starts.(p) + checked_delay delay pn))
+            Int.max acc (starts.(p) + checked_delay delay pn))
           0 (Dfg.preds g n.id)
       in
       starts.(n.id) <- earliest)
@@ -24,7 +24,7 @@ let asap g ~delay =
 let asap_latency g ~delay =
   let starts = asap g ~delay in
   List.fold_left
-    (fun acc (n : Dfg.node) -> max acc (starts.(n.id) + checked_delay delay n))
+    (fun acc (n : Dfg.node) -> Int.max acc (starts.(n.id) + checked_delay delay n))
     0 (Dfg.nodes g)
 
 let alap g ~delay ~latency =
@@ -35,7 +35,7 @@ let alap g ~delay ~latency =
       let d = checked_delay delay n in
       let latest =
         List.fold_left
-          (fun acc s -> min acc (starts.(s) - d))
+          (fun acc s -> Int.min acc (starts.(s) - d))
           (latency - d) (Dfg.succs g n.id)
       in
       if latest < 0 then

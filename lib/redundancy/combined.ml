@@ -21,5 +21,5 @@ let synthesize ?scheduler ?strategy ?cache ?certificate g lib ~ld ~ad =
        upgrades on it — so the combined result is certified on the
        intersection. *)
     let elo, ehi = !eng and rlo, rhi = !red in
-    set (max elo rlo, min ehi rhi);
+    set (Int.max elo rlo, Int.min ehi rhi);
     Ok t

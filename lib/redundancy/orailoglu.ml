@@ -118,6 +118,6 @@ let synthesize ?(scheduler = `Density) ?certificate g lib ~ld ~ad =
       let inner = ref (1, max_int) in
       let t' = add_redundancy ~certificate:inner t ~ad in
       let ilo, ihi = !inner in
-      set (max a ilo, ihi);
+      set (Int.max a ilo, ihi);
       Ok t'
     end

@@ -16,7 +16,7 @@ let build ?(exclude = -1) g ~delay ~ranges ~fixed =
       let cls = Op.resource_class nd.op in
       let arr = row t cls in
       let deposit p s =
-        for step = s to min (latency - 1) (s + d - 1) do
+        for step = s to Int.min (latency - 1) (s + d - 1) do
           arr.(step) <- arr.(step) +. p
         done
       in
@@ -79,7 +79,7 @@ module Dist = struct
   }
 
   let create ~latency ~kmax =
-    let kmax = max 1 kmax in
+    let kmax = Int.max 1 kmax in
     {
       latency;
       kmax;
@@ -111,10 +111,10 @@ module Dist = struct
         invalid_arg
           (Printf.sprintf "Density.Dist: denominator %d exceeds capacity %d" k t.kmax);
       let counts = counts t cls and dirty = dirty t cls in
-      let t_hi = min (t.latency - 1) (hi + d - 1) in
+      let t_hi = Int.min (t.latency - 1) (hi + d - 1) in
       for step = lo to t_hi do
         (* Number of starts in [lo..hi] whose execution covers [step]. *)
-        let w = min hi step - max lo (step - d + 1) + 1 in
+        let w = Int.min hi step - Int.max lo (step - d + 1) + 1 in
         counts.((step * t.kmax) + k - 1) <- counts.((step * t.kmax) + k - 1) + (sign * w);
         dirty.(step) <- true
       done
@@ -159,7 +159,7 @@ let constrained_ranges g ~delay ~latency ~fixed =
     (fun (nd : Dfg.node) ->
       let earliest =
         List.fold_left
-          (fun acc p -> max acc (asap.(p) + delay (Dfg.node g p)))
+          (fun acc p -> Int.max acc (asap.(p) + delay (Dfg.node g p)))
           0 (Dfg.preds g nd.id)
       in
       asap.(nd.id) <- (match fixed nd.id with Some s -> s | None -> earliest))
@@ -169,7 +169,7 @@ let constrained_ranges g ~delay ~latency ~fixed =
     (fun (nd : Dfg.node) ->
       let d = delay nd in
       let latest =
-        List.fold_left (fun acc s -> min acc (alap.(s) - d)) (latency - d)
+        List.fold_left (fun acc s -> Int.min acc (alap.(s) - d)) (latency - d)
           (Dfg.succs g nd.id)
       in
       alap.(nd.id) <- (match fixed nd.id with Some s -> s | None -> latest))

@@ -50,7 +50,7 @@ let run g ~delay ~latency =
   let asap = Analysis.asap g ~delay in
   let min_latency = ref 0 in
   for id = 0 to n - 1 do
-    min_latency := max !min_latency (asap.(id) + delays.(id))
+    min_latency := Int.max !min_latency (asap.(id) + delays.(id))
   done;
   if latency < !min_latency then
     Error
@@ -63,7 +63,7 @@ let run g ~delay ~latency =
     let order = placement_order g { Analysis.asap; alap; latency } in
     let kmax = ref 1 in
     for id = 0 to n - 1 do
-      kmax := max !kmax (alap.(id) - asap.(id) + 1)
+      kmax := Int.max !kmax (alap.(id) - asap.(id) + 1)
     done;
     let dist = Density.Dist.create ~latency ~kmax:!kmax in
     for id = 0 to n - 1 do
@@ -116,7 +116,9 @@ let run g ~delay ~latency =
         let j = topo.(!i).Dfg.id in
         if take j && chosen.(j) < 0 then begin
           let earliest =
-            List.fold_left (fun acc p -> max acc (asap.(p) + delays.(p))) 0 (Dfg.preds g j)
+            List.fold_left
+              (fun acc p -> Int.max acc (asap.(p) + delays.(p)))
+              0 (Dfg.preds g j)
           in
           if retighten j ~asap':earliest ~alap':alap.(j) then List.iter mark (Dfg.succs g j)
         end;
@@ -131,7 +133,7 @@ let run g ~delay ~latency =
         if take j && chosen.(j) < 0 then begin
           let latest =
             List.fold_left
-              (fun acc s -> min acc (alap.(s) - delays.(j)))
+              (fun acc s -> Int.min acc (alap.(s) - delays.(j)))
               (latency - delays.(j))
               (Dfg.succs g j)
           in
@@ -190,7 +192,7 @@ let run_reference g ~delay ~latency =
     let place (nd : Dfg.node) =
       let asap, alap = constrained_ranges g ~delay ~latency ~fixed in
       let kmax = ref 1 in
-      Array.iteri (fun id lo -> kmax := max !kmax (alap.(id) - lo + 1)) asap;
+      Array.iteri (fun id lo -> kmax := Int.max !kmax (alap.(id) - lo + 1)) asap;
       let dist = Density.Dist.create ~latency ~kmax:!kmax in
       Dfg.iter_nodes g (fun (other : Dfg.node) ->
           if other.id <> nd.id then

@@ -68,7 +68,7 @@ let run g ~delay ~latency =
               | Some (_, _, f) when f <= force -. 1e-12 -> ()
               | Some (bn, bs, f)
                 when Float.abs (f -. force) <= 1e-12
-                     && (bn, bs) <= (nd.id, s) ->
+                     && (bn < nd.id || (bn = nd.id && bs <= s)) ->
                 ()
               | _ -> best := Some (nd.id, s, force)
             done)

@@ -6,7 +6,9 @@ let priorities g ~delay =
   let dist = Array.make n 0 in
   List.iter
     (fun (nd : Dfg.node) ->
-      let best = List.fold_left (fun acc s -> max acc dist.(s)) 0 (Dfg.succs g nd.id) in
+      let best =
+        List.fold_left (fun acc s -> Int.max acc dist.(s)) 0 (Dfg.succs g nd.id)
+      in
       dist.(nd.id) <- delay nd + best)
     (List.rev (Dfg.topological g));
   dist
@@ -70,7 +72,7 @@ let dispatcher g ~delay ~group ~prio =
           c)
   in
   let reps = Array.of_list (List.rev !reps) in
-  let max_delay = Array.fold_left max 1 delays in
+  let max_delay = Array.fold_left Int.max 1 delays in
   let row = horizon + max_delay + 2 in
   let order = Array.init n Fun.id in
   Array.stable_sort (fun a b -> Int.compare prio.(b) prio.(a)) order;

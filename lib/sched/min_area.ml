@@ -8,7 +8,7 @@ let run g ~delay ~group ~group_area ~latency =
   let asap0 = Analysis.asap g ~delay in
   let min_latency =
     List.fold_left
-      (fun acc (nd : Dfg.node) -> max acc (asap0.(nd.id) + delay nd))
+      (fun acc (nd : Dfg.node) -> Int.max acc (asap0.(nd.id) + delay nd))
       0 (Dfg.nodes g)
   in
   if latency < min_latency then
@@ -40,7 +40,7 @@ let run g ~delay ~group ~group_area ~latency =
     let order = Array.init ngroups Fun.id in
     Array.sort (fun a b -> Int.compare last.(b) last.(a)) order;
     let limits =
-      Array.map (fun b -> max 1 ((b + latency - 1) / latency)) busy
+      Array.map (fun b -> Int.max 1 ((b + latency - 1) / latency)) busy
     in
     (* Limits are [max 1 ...] by construction, so the positivity check
        [List_sched.run] does is vacuous here.  A candidate carries its
@@ -78,7 +78,7 @@ let run g ~delay ~group ~group_area ~latency =
               end
             in
             let gain =
-              float_of_int (lat - lat') /. float_of_int (max 1 (group_area reps.(c)))
+              float_of_int (lat - lat') /. float_of_int (Int.max 1 (group_area reps.(c)))
             in
             match !best with
             | Some (_, _, bg) when bg >= gain -> ()
@@ -129,7 +129,7 @@ let run_reference g ~delay ~group ~group_area ~latency =
     let limits = Hashtbl.create 8 in
     List.iter
       (fun (k, busy) ->
-        Hashtbl.replace limits k (max 1 ((busy + latency - 1) / latency)))
+        Hashtbl.replace limits k (Int.max 1 ((busy + latency - 1) / latency)))
       !groups;
     let schedule_with limit_fn =
       match
@@ -150,7 +150,7 @@ let run_reference g ~delay ~group ~group_area ~latency =
             let s = schedule_with bump in
             let gain =
               float_of_int (Schedule.latency sched - Schedule.latency s)
-              /. float_of_int (max 1 (group_area k))
+              /. float_of_int (Int.max 1 (group_area k))
             in
             match !best with
             | Some (_, _, bg) when bg >= gain -> ()

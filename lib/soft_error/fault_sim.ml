@@ -35,7 +35,7 @@ module Sampling = struct
     | Fraction f -> (
       match List.length nets with
       | 0 -> []
-      | total -> strided (max 1 (int_of_float (ceil (f *. float_of_int total)))) nets)
+      | total -> strided (Int.max 1 (int_of_float (ceil (f *. float_of_int total)))) nets)
 end
 
 type config = {
@@ -94,7 +94,7 @@ let packed_node nl st rng config net =
   let observed = ref 0 and injected = ref 0 and batches = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let lanes = min (config.vectors - !injected) Eval_packed.lanes in
+    let lanes = Int.min (config.vectors - !injected) Eval_packed.lanes in
     Rng.fill_lanes rng ins ~lanes;
     (* [run] returns a fresh array, so the good outputs survive the
        upset that overwrites the state. *)
@@ -118,7 +118,7 @@ let scalar_node nl st_ok st_flip rng config net =
   let observed = ref 0 and injected = ref 0 and batches = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let lanes = min (config.vectors - !injected) Eval_packed.lanes in
+    let lanes = Int.min (config.vectors - !injected) Eval_packed.lanes in
     for _ = 1 to lanes do
       let ins = Array.init n_in (fun _ -> Rng.bool rng) in
       let good = Eval.run st_ok ins in

@@ -20,7 +20,7 @@ let binomial n k =
   if n < 0 || k < 0 then invalid_arg "Reliability.binomial: negative argument";
   if k > n then 0.
   else begin
-    let k = min k (n - k) in
+    let k = Int.min k (n - k) in
     let acc = ref 1. in
     for i = 1 to k do
       acc := !acc *. float_of_int (n - k + i) /. float_of_int i

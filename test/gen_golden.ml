@@ -2,7 +2,11 @@
    Verilog (or the cost-model breakdown) for a fixed benchmark design
    to stdout.  Paired with `(diff golden/... ...)` runtest rules so any
    drift in the datapath, the emitter or the cost weights shows up as a
-   reviewable diff; refresh intentionally with `dune promote`. *)
+   reviewable diff; refresh intentionally with `dune promote`.
+
+   [force] prints the force-directed scheduler's start steps for every
+   paper benchmark under two delay models at two latency bounds; its
+   golden pins the scheduler's (node, step) tie-break. *)
 
 open Rchls_dfg
 module Library = Rchls_charlib.Library
@@ -10,6 +14,9 @@ module Design = Rchls_core.Design
 module Datapath = Rchls_rtl.Datapath
 module Cost = Rchls_rtl.Cost
 module Emit = Rchls_rtl.Emit
+module Resource = Rchls_charlib.Resource
+module Schedule = Rchls_sched.Schedule
+module Force_directed = Rchls_sched.Force_directed
 
 let lib = Library.table1
 
@@ -24,8 +31,33 @@ let datapath_of = function
   | "ewf" -> Datapath.build (design_of ~latency:28 Benchmarks.ewf)
   | name -> failwith ("unknown benchmark " ^ name)
 
+(* Delay models: Table 1's most reliable versions (2 steps each) and
+   its fastest (1 step each); latency bounds: ASAP and ASAP + 2. *)
+let force_directed () =
+  let models =
+    [ ("reliable", Library.most_reliable lib); ("fastest", Library.fastest lib) ]
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (model, version) ->
+          let delay (nd : Dfg.node) = (version (Op.resource_class nd.op)).Resource.delay in
+          let asap = Analysis.asap_latency g ~delay in
+          List.iter
+            (fun latency ->
+              let s = Force_directed.run_exn g ~delay ~latency in
+              Printf.printf "%s %s L=%d:" name model latency;
+              for id = 0 to Dfg.node_count g - 1 do
+                Printf.printf " %d" (Schedule.start s id)
+              done;
+              print_newline ())
+            [ asap; asap + 2 ])
+        models)
+    Benchmarks.all
+
 let () =
   match Sys.argv with
+  | [| _; "force" |] -> force_directed ()
   | [| _; "verilog"; bench |] -> print_string (Emit.to_string (datapath_of bench))
   | [| _; "cost"; bench |] ->
     let dp = datapath_of bench in
@@ -33,5 +65,5 @@ let () =
     Format.printf "%s: registers %d, mux inputs %d, max live %d@." bench
       dp.Datapath.register_count dp.Datapath.mux_inputs (Datapath.max_live dp)
   | _ ->
-    prerr_endline "usage: gen_golden (verilog|cost) (diffeq|ewf)";
+    prerr_endline "usage: gen_golden ((verilog|cost) (diffeq|ewf) | force)";
     exit 2

@@ -225,6 +225,26 @@ let prop_text_roundtrip_random =
           List.length (Library.resources l) = List.length (Library.resources l')
         | Error _ -> false))
 
+(* Two versions of one library have equal ids iff they are the same
+   record: [Library] rejects duplicate ids, and the engine's sharing
+   filter and [Design.of_parts] compare versions by id alone.  Seed 0
+   mod 4 draws Table 1, every other seed a random library. *)
+let prop_version_id_is_identity =
+  QCheck2.Test.make ~name:"version id equality = structural equality" ~count:200
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let lib =
+        if seed mod 4 = 0 then Library.table1
+        else
+          Rchls_check.Gen.random_library ~max_versions:(1 + (seed mod 5))
+            (Rchls_util.Rng.create seed)
+      in
+      let rs = Library.resources lib in
+      List.for_all
+        (fun (a : Resource.t) ->
+          List.for_all (fun (b : Resource.t) -> String.equal a.id b.id = (a = b)) rs)
+        rs)
+
 let () =
   Alcotest.run "charlib"
     [
@@ -259,5 +279,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_reliability_of_qcritical_monotone; prop_text_roundtrip_random ] );
+          [
+            prop_reliability_of_qcritical_monotone;
+            prop_text_roundtrip_random;
+            prop_version_id_is_identity;
+          ] );
     ]
